@@ -258,99 +258,6 @@ def _bench_chunked(trace, replay: Dict[str, Dict], scale: int) -> Dict:
     }
 
 
-#: Pinned geometry of the compiled-kernel hot-path replay: a
-#: single-threaded, hit-heavy trace (RAM covers the working set, 5 %
-#: writes, 98 % working-set locality) — the regime the table-driven
-#: kernel exists for.  The geometry is fixed (independent of --scale)
-#: so the numbers stay comparable across runs; ``--fast`` only shrinks
-#: the volume.  Full volume puts ~1M records (~4M block operations)
-#: through each kernel.
-_COMPILED_SEED = 20260806
-_COMPILED_VOLUME = 4096.0
-_COMPILED_VOLUME_FAST = 128.0
-
-
-def _bench_compiled(fast: bool, repeats: int) -> Dict:
-    """Object-kernel vs compiled-kernel replay of the pinned hot trace.
-
-    Both kernels replay the identical trace/config point; the compiled
-    kernel must reproduce the object kernel's full result signature bit
-    for bit (a mismatch fails the benchmark run, exit 3), and we record
-    the wall-time ratio as ``kernel_speedup``.  Additive section — not
-    part of the required schema, so older files stay valid.
-    """
-    import os
-
-    from repro._units import MB
-    from repro.core.simulator import SimConfig
-    from repro.engine.compiled import COMPILE_KERNEL_ENV
-    from repro.fsmodel.impressions import ImpressionsConfig
-    from repro.tracegen.config import TraceGenConfig
-    from repro.tracegen.generator import generate_trace
-    from repro.traces.compiled import compile_trace
-
-    volume = _COMPILED_VOLUME_FAST if fast else _COMPILED_VOLUME
-    trace = compile_trace(
-        generate_trace(
-            TraceGenConfig(
-                fs=ImpressionsConfig(total_bytes=64 * MB, max_file_bytes=4 * MB),
-                working_set_bytes=4 * MB,
-                n_hosts=1,
-                threads_per_host=1,
-                write_fraction=0.05,
-                ws_fraction=0.98,
-                io_mean_blocks=4.0,
-                volume_multiple=volume,
-                seed=_COMPILED_SEED,
-            )
-        )
-    )
-    config = SimConfig.baseline_scaled(1024)
-    blocks = sum(trace.nblocks)
-    saved = os.environ.get(COMPILE_KERNEL_ENV)
-    runs: Dict[str, Dict] = {}
-    signatures: Dict[str, Dict] = {}
-    try:
-        for kernel, env in (("object", "0"), ("compiled", "1")):
-            os.environ[COMPILE_KERNEL_ENV] = env
-            walls = []
-            result = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = run_simulation(trace, config)
-                walls.append(time.perf_counter() - start)
-            wall = min(walls)
-            signatures[kernel] = result_signature(result)
-            runs[kernel] = {
-                "wall_s": round(wall, 4),
-                "blocks_per_sec": round(blocks / wall, 1),
-            }
-    finally:
-        if saved is None:
-            os.environ.pop(COMPILE_KERNEL_ENV, None)
-        else:
-            os.environ[COMPILE_KERNEL_ENV] = saved
-    reference, candidate = signatures["object"], signatures["compiled"]
-    mismatches = [
-        "%s: %r != %r" % (key, reference.get(key), candidate.get(key))
-        for key in reference
-        if reference.get(key) != candidate.get(key)
-    ]
-    return {
-        "records": len(trace),
-        "blocks": blocks,
-        "volume_multiple": volume,
-        "object": runs["object"],
-        "compiled": runs["compiled"],
-        "kernel_speedup": round(
-            runs["object"]["wall_s"] / runs["compiled"]["wall_s"], 2
-        ),
-        "signature": candidate,
-        "identical": not mismatches,
-        "mismatches": mismatches[:10],
-    }
-
-
 def measure(scale: int, fast: bool, repeats: int, sweep_workers: int) -> Dict:
     """Run the whole benchmark once and return one baseline/post section."""
     volume_multiple = 2.0 if fast else 4.0
@@ -365,13 +272,11 @@ def measure(scale: int, fast: bool, repeats: int, sweep_workers: int) -> Dict:
         profile[architecture] = _profile_one(architecture, trace, config)
     sweep = _bench_sweep(trace, scale, sweep_workers, max(1, repeats - 1))
     chunked = _bench_chunked(trace, replay, scale)
-    compiled = _bench_compiled(fast, repeats)
     return {
         "replay": replay,
         "sweep": sweep,
         "profile": profile,
         "chunked": chunked,
-        "compiled": compiled,
     }
 
 
@@ -552,24 +457,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             "chunked    %d replays bit-identical to materialized "
             "(%.3fs total streamed replay)" % (len(walls), sum(walls))
-        )
-
-    compiled = payload["post"].get("compiled")
-    if compiled is not None:
-        if not compiled.get("identical", True):
-            print("compiled-kernel signature mismatch vs object kernel:")
-            for problem in compiled.get("mismatches", [])[:10]:
-                print("  - %s" % problem)
-            return 3
-        print(
-            "compiled   %d records: object %.3fs, compiled %.3fs (%.2fx, "
-            "bit-identical)"
-            % (
-                compiled["records"],
-                compiled["object"]["wall_s"],
-                compiled["compiled"]["wall_s"],
-                compiled["kernel_speedup"],
-            )
         )
 
     drift = _signature_drift(payload["baseline"], payload["post"])

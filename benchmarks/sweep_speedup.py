@@ -4,9 +4,8 @@
 The persistent companion of ``benchmarks/replay_hotpath.py``, aimed at
 the two costs the compiled-trace work attacks:
 
-* **replay** — one pinned-seed ~1M-record replay, object form versus
-  the packed columnar form (``repro.traces.compiled``), with the full
-  result signature of each (they must be bit-identical);
+* **replay** — one pinned-seed ~1M-record replay of the packed columnar
+  form (``repro.traces.compiled``), with its full result signature;
 * **distribution** — a 49-point writeback-policy-matrix sweep, run the
   legacy way (fresh pool per call, disk-spooled traces) and the current
   way (warm persistent pool, zero-copy shared-memory fan-out).  The
@@ -29,9 +28,9 @@ Usage::
     PYTHONPATH=src python benchmarks/sweep_speedup.py --check BENCH_sweep.json
 
 ``--check`` with a FILE argument only validates that file's schema;
-bare ``--check`` additionally enforces the speedup targets after a
-full-size run (targets are not enforced under ``--fast``, where the
-trace is too small for stable ratios).
+bare ``--check`` additionally enforces the distribution target after a
+full-size run (it is not enforced under ``--fast``, where the trace is
+too small for stable ratios).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro._units import MB  # noqa: E402
 from repro.core.config import SimConfig, WritebackPolicy  # noqa: E402
-from repro.core.simulator import COMPILE_ENV, run_simulation  # noqa: E402
+from repro.core.simulator import run_simulation  # noqa: E402
 from repro.fsmodel.impressions import ImpressionsConfig  # noqa: E402
 from repro.sweep import (  # noqa: E402
     NO_SHM_ENV,
@@ -66,8 +65,7 @@ from repro.validation.differential import result_signature  # noqa: E402
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
 
-#: Acceptance targets, enforced by bare ``--check`` on full-size runs.
-REPLAY_TARGET = 1.2
+#: Acceptance target, enforced by bare ``--check`` on full-size runs.
 DISTRIBUTION_TARGET = 2.0
 
 #: Pinned seed of every benchmark trace (fixed: the benchmark is a
@@ -170,19 +168,16 @@ def validate_payload(payload: Dict) -> List[str]:
                 problems.append("%s.%s missing or mistyped" % (section_name, key))
         replay = section.get("replay")
         if isinstance(replay, dict):
-            for mode in ("object", "compiled"):
-                run = replay.get(mode)
-                if not isinstance(run, dict):
-                    problems.append("%s.replay.%s missing" % (section_name, mode))
-                    continue
+            run = replay.get("compiled")
+            if not isinstance(run, dict):
+                problems.append("%s.replay.compiled missing" % section_name)
+            else:
                 for key, kind in _RUN_KEYS.items():
                     if not typed(run.get(key), kind):
                         problems.append(
-                            "%s.replay.%s.%s missing or mistyped"
-                            % (section_name, mode, key)
+                            "%s.replay.compiled.%s missing or mistyped"
+                            % (section_name, key)
                         )
-            if not typed(replay.get("speedup"), float):
-                problems.append("%s.replay.speedup missing" % section_name)
         distribution = section.get("distribution")
         if isinstance(distribution, dict):
             for mode in ("legacy", "current"):
@@ -209,7 +204,7 @@ def validate_payload(payload: Dict) -> List[str]:
     return problems
 
 
-# --- replay: object form vs compiled form --------------------------------
+# --- replay: the compiled form -------------------------------------------
 
 
 def _timed_replay(trace, config, repeats: int) -> Dict:
@@ -219,9 +214,7 @@ def _timed_replay(trace, config, repeats: int) -> Dict:
         start = time.perf_counter()
         result = run_simulation(trace, config)
         walls.append(time.perf_counter() - start)
-    blocks = sum(trace.nblocks) if hasattr(trace, "nblocks") else sum(
-        record.nblocks for record in trace.records
-    )
+    blocks = sum(trace.nblocks)
     wall = min(walls)
     return {
         "wall_s": round(wall, 4),
@@ -234,27 +227,9 @@ def _timed_replay(trace, config, repeats: int) -> Dict:
 
 def _bench_replay(fast: bool, repeats: int) -> Dict:
     volume_multiple = 128.0 if fast else 2048.0
-    trace = generate_trace(_bench_trace(volume_multiple))
+    trace = compile_trace(generate_trace(_bench_trace(volume_multiple)))
     config = SimConfig.baseline_scaled(1024)
-
-    # Object-form baseline: auto-compilation disabled via its own knob,
-    # so this measures the pre-compiled-trace replay path.
-    saved = os.environ.get(COMPILE_ENV)
-    os.environ[COMPILE_ENV] = "0"
-    try:
-        object_run = _timed_replay(trace, config, repeats)
-    finally:
-        if saved is None:
-            os.environ.pop(COMPILE_ENV, None)
-        else:
-            os.environ[COMPILE_ENV] = saved
-
-    compiled_run = _timed_replay(compile_trace(trace), config, repeats)
-    return {
-        "object": object_run,
-        "compiled": compiled_run,
-        "speedup": round(object_run["wall_s"] / compiled_run["wall_s"], 3),
-    }
+    return {"compiled": _timed_replay(trace, config, repeats)}
 
 
 # --- distribution: fan-out overhead of a 49-point sweep ------------------
@@ -375,20 +350,16 @@ def measure(fast: bool, workers: int, repeats: int, scale: int) -> Dict:
 
 
 def _signature_drift(baseline: Dict, post: Dict) -> List[str]:
-    problems: List[str] = []
-    for mode in ("object", "compiled"):
-        base_run = baseline.get("replay", {}).get(mode)
-        post_run = post.get("replay", {}).get(mode)
-        if base_run is None or post_run is None:
-            continue
-        base_sig, post_sig = base_run["signature"], post_run["signature"]
-        for key in base_sig:
-            if base_sig.get(key) != post_sig.get(key):
-                problems.append(
-                    "%s.%s: %r != %r"
-                    % (mode, key, base_sig.get(key), post_sig.get(key))
-                )
-    return problems
+    base_run = baseline.get("replay", {}).get("compiled")
+    post_run = post.get("replay", {}).get("compiled")
+    if base_run is None or post_run is None:
+        return []
+    base_sig, post_sig = base_run["signature"], post_run["signature"]
+    return [
+        "compiled.%s: %r != %r" % (key, base_sig.get(key), post_sig.get(key))
+        for key in base_sig
+        if base_sig.get(key) != post_sig.get(key)
+    ]
 
 
 def merge_payload(
@@ -526,15 +497,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    replay = payload["post"]["replay"]
+    replay = payload["post"]["replay"]["compiled"]
     print(
-        "replay     object %7.3fs  compiled %7.3fs  (%.2fx, %d records)"
-        % (
-            replay["object"]["wall_s"],
-            replay["compiled"]["wall_s"],
-            replay["speedup"],
-            replay["compiled"]["records"],
-        )
+        "replay     %7.3fs  %10.0f blocks/s  (%d records)"
+        % (replay["wall_s"], replay["blocks_per_sec"], replay["records"])
     )
     distribution = payload["post"]["distribution"]
     print(
@@ -565,8 +531,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures.append("legacy and current distribution results differ")
     if not scaling["identical"]:
         failures.append("parallel figure2 results differ from serial")
-    if replay["object"]["signature"] != replay["compiled"]["signature"]:
-        failures.append("compiled replay signature differs from object replay")
     if args.min_speedup is not None and (
         scaling["parallel_speedup"] is None
         or scaling["parallel_speedup"] < args.min_speedup
@@ -575,17 +539,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "figure2 speedup %s below required %.2fx"
             % (scaling["parallel_speedup"], args.min_speedup)
         )
-    if args.check is True and not args.fast:
-        if replay["speedup"] < REPLAY_TARGET:
-            failures.append(
-                "replay speedup %.2fx below the %.1fx target"
-                % (replay["speedup"], REPLAY_TARGET)
-            )
-        if distribution["overhead_ratio"] < DISTRIBUTION_TARGET:
-            failures.append(
-                "distribution overhead ratio %.2fx below the %.1fx target"
-                % (distribution["overhead_ratio"], DISTRIBUTION_TARGET)
-            )
+    if (
+        args.check is True
+        and not args.fast
+        and distribution["overhead_ratio"] < DISTRIBUTION_TARGET
+    ):
+        failures.append(
+            "distribution overhead ratio %.2fx below the %.1fx target"
+            % (distribution["overhead_ratio"], DISTRIBUTION_TARGET)
+        )
     if failures:
         for failure in failures:
             print("FAIL: %s" % failure, file=sys.stderr)

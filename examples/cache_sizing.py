@@ -13,8 +13,9 @@ workload:
 Run:  python examples/cache_sizing.py
 """
 
-from repro import KB, MB, SimConfig, WritebackPolicy, run_simulation
+from repro import KB, MB, SimConfig, run_simulation
 from repro.fsmodel import ImpressionsConfig
+from repro.policies import WritebackPolicy
 from repro.tracegen import TraceGenConfig, generate_trace
 
 

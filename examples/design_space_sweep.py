@@ -12,8 +12,9 @@ headline design questions on a workload you can run over coffee:
 Run:  python examples/design_space_sweep.py
 """
 
-from repro import MB, Architecture, SimConfig, WritebackPolicy, run_simulation
+from repro import MB, Architecture, SimConfig, run_simulation
 from repro.fsmodel import ImpressionsConfig
+from repro.policies import WritebackPolicy
 from repro.tracegen import TraceGenConfig, generate_trace
 
 

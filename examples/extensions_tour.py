@@ -13,8 +13,9 @@ workload:
 Run:  python examples/extensions_tour.py
 """
 
-from repro import MB, Architecture, RestartSpec, SimConfig, WritebackPolicy, run_simulation
+from repro import MB, Architecture, RestartSpec, SimConfig, run_simulation
 from repro.fsmodel import ImpressionsConfig
+from repro.policies import WritebackPolicy
 from repro.tracegen import TraceGenConfig, generate_trace
 
 

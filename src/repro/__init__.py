@@ -68,34 +68,15 @@ from repro.traces import (
     TraceRecord,
     compile_trace,
 )
-
-__version__ = "1.5.0"
-
-
-def __getattr__(name: str):
-    if name == "WritebackPolicy":
-        # Deprecation shim: the blessed import location is the unified
-        # policy registry package.
-        import warnings
-
-        warnings.warn(
-            "importing WritebackPolicy from the repro top level is "
-            "deprecated; use repro.policies.WritebackPolicy",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.policies import WritebackPolicy
-
-        return WritebackPolicy
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-from repro.sweep import (  # noqa: E402  (needs __version__ for cache keys)
+from repro.sweep import (
     PointReport,
     SweepOutcome,
     SweepPoint,
     run_sweep,
     run_sweep_points,
 )
+
+__version__ = "1.5.0"
 
 __all__ = [
     "NS",
@@ -115,7 +96,6 @@ __all__ = [
     "RestartSpec",
     "SimConfig",
     "TimingModel",
-    "WritebackPolicy",
     "SimulationResults",
     "run_simulation",
     "Observation",

@@ -18,7 +18,6 @@ from repro.cache.policy import (
     FIFOPolicy,
     LRUPolicy,
     SLRUPolicy,
-    make_policy,
 )
 from repro.cache.store import BlockStore
 from repro.cache.stats import CacheStats
@@ -31,7 +30,6 @@ __all__ = [
     "FIFOPolicy",
     "ClockPolicy",
     "SLRUPolicy",
-    "make_policy",
     "BlockStore",
     "CacheStats",
 ]

@@ -187,7 +187,7 @@ class SLRUPolicy(EvictionPolicy):
     sweep never displaces the protected set.
 
     ``protected_capacity`` bounds the protected segment; the store
-    passes a fraction of its capacity via :func:`make_policy`.
+    passes a fraction of its capacity via :func:`_make_policy`.
     """
 
     __slots__ = ("protected_capacity", "_probation", "_protected")
@@ -278,20 +278,3 @@ def _make_policy(name: str, capacity_blocks: int = 0) -> EvictionPolicy:
             % (name, ", ".join(sorted(factories)))
         ) from None
     return factory()
-
-
-def make_policy(name: str, capacity_blocks: int = 0) -> EvictionPolicy:
-    """Deprecated alias for the unified registry.
-
-    Use ``repro.policies.get("eviction", name,
-    capacity_blocks=...)`` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.cache.policy.make_policy is deprecated; use "
-        'repro.policies.get("eviction", name, capacity_blocks=...)',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _make_policy(name, capacity_blocks)

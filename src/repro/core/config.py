@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -248,7 +247,7 @@ class SimConfig:
 
     def with_policies(
         self,
-        *args: WritebackPolicy,
+        *,
         eviction: object = None,
         ram_writeback: object = None,
         flash_writeback: object = None,
@@ -263,34 +262,7 @@ class SimConfig:
             config.with_policies(ram_writeback="p1", flash_writeback="a",
                                  flash_admission="probationary:2",
                                  flash_cleaning="alru:30")
-
-        The pre-registry positional form ``with_policies(ram, flash)``
-        still works but warns; it maps to
-        ``ram_writeback=``/``flash_writeback=``.
         """
-        if args:
-            warnings.warn(
-                "with_policies(ram, flash) with positional writeback "
-                "policies is deprecated; use with_policies("
-                "ram_writeback=..., flash_writeback=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2:
-                raise ConfigError(
-                    "with_policies takes at most two positional "
-                    "(writeback) policies"
-                )
-            if ram_writeback is not None or (
-                len(args) == 2 and flash_writeback is not None
-            ):
-                raise ConfigError(
-                    "with_policies got writeback policies both "
-                    "positionally and by keyword"
-                )
-            ram_writeback = args[0]
-            if len(args) == 2:
-                flash_writeback = args[1]
         overrides = {}
         if eviction is not None:
             overrides["eviction_policy"] = eviction

@@ -13,11 +13,15 @@ from __future__ import annotations
 import gc
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache.block import Medium
+from repro.cache.policy import LRUPolicy
 from repro.core.config import SimConfig
 from repro.core.consistency import ConsistencyDirectory
 from repro.core.restart import RestartSpec
-from repro.core.host import HostStack, build_host_stack
+from repro.core.host import HostStack, UnifiedStack, build_host_stack
 from repro.core.metrics import MetricsCollector
+from repro.core.policies import PolicyKind
+from repro.engine.compiled import kernel_eligible
 from repro.engine.rng import RngStreams
 from repro.engine.simulation import Simulator
 from repro.filer.server import Filer
@@ -25,9 +29,11 @@ from repro.flash.device import FlashDevice
 from repro.flash.ftl_device import FTLFlashDevice
 from repro.invariants import build_suite, resolve_enabled
 from repro.net.link import NetworkSegment
-from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import CompiledTrace
-from repro.traces.records import Trace, TraceRecord
+from repro.traces.compiled import compile_trace
+from repro.traces.records import Trace
+
+#: RAM writeback policies under which a write hit starts a flush.
+_FLUSHING_POLICIES = (PolicyKind.SYNC, PolicyKind.ASYNC, PolicyKind.DELAYED)
 
 
 class System:
@@ -198,84 +204,40 @@ class System:
 
     def replay(self, trace) -> None:
         """Replay the whole trace (``Trace``, ``CompiledTrace``, or
-        ``ChunkedCompiledTrace``) to completion.  Compiled traces —
-        in-memory or chunked/spooled — take the packed-column hot loop
-        (chunked ones feed it lazy row streams, so peak memory stays
-        bounded by chunk size); the instrumented (observability) path
-        needs record objects, so a compiled trace is materialized first
-        when tracing is on.
+        ``ChunkedCompiledTrace``) to completion.
+
+        A plain ``Trace`` is compiled first (one pass, memoized on the
+        trace object).  Every form then hands the drivers the same
+        issuer plan — per (host, thread), its ``(op, start_block,
+        nblocks)`` rows with the warmup prefix split off — so the three
+        replay bit-identically; a chunked trace streams its rows, so
+        peak memory stays bounded by chunk size.
         """
-        if isinstance(trace, (CompiledTrace, ChunkedCompiledTrace)):
-            if self.obs is not None:
-                trace = trace.to_trace()
-            else:
-                self._replay_compiled(trace)
-                return
-        groups = trace.split_by_issuer()
-        self._blocks_until_measurement = sum(
-            record.nblocks for record in trace.records[: trace.warmup_records]
-        )
-        if self._blocks_until_measurement == 0:
-            self._begin_measurement()
-        self._active_threads = len(groups)
-        for (host_id, thread_id), items in sorted(groups.items()):
-            if host_id >= self.n_hosts:
-                raise ValueError(
-                    "trace references host %d but the system has %d hosts"
-                    % (host_id, self.n_hosts)
-                )
-            if self.obs is not None:
-                process = self._thread_process_obs(
-                    trace, self.hosts[host_id], items, thread_id
-                )
-            else:
-                process = self._thread_process(trace, self.hosts[host_id], items)
-            self.sim.spawn(process, name="app.h%d" % host_id)
-        for host in self.hosts:
-            # Syncers keep ticking while application threads are live and
-            # wind down afterwards, letting the event queue drain.
-            host.keep_running = lambda: self._active_threads > 0
-            host.start_syncers()
-        self.sim.run()
-        if self.invariants is not None:
-            self.invariants.final()
-
-    def _replay_compiled(self, trace) -> None:
-        """Compiled-trace twin of :meth:`replay` (keep in sync): same
-        spawn order, same warmup accounting, bit-identical results.
-        ``trace`` is a ``CompiledTrace`` or ``ChunkedCompiledTrace``;
-        both expose the same ``issuer_plan()``/``warmup_blocks()``
-        contract, differing only in whether the row containers are
-        materialized lists or bounded streaming reads.
-
-        Eligible configurations take the table-driven compiled kernel
-        (:mod:`repro.engine.compiled`) instead of spawning generator
-        processes; it replays bit-identically (the differential gates
-        compare the two every CI run) and exists purely for speed.
-        ``REPRO_COMPILE_KERNEL=0`` forces the generator path."""
-        from repro.engine.compiled import kernel_eligible, replay_compiled_kernel
-
-        if kernel_eligible(self):
-            replay_compiled_kernel(self, trace)
-            return
+        if isinstance(trace, Trace):
+            trace = compile_trace(trace)
         plan = trace.issuer_plan()
         self._blocks_until_measurement = trace.warmup_blocks()
         if self._blocks_until_measurement == 0:
             self._begin_measurement()
         self._active_threads = len(plan)
-        for host_id, _thread_id, warmup_rows, measured_rows in plan:
+        recorded = self.obs is not None or self.metrics.read_timeline is not None
+        for host_id, thread_id, warmup_rows, measured_rows in plan:
             if host_id >= self.n_hosts:
                 raise ValueError(
                     "trace references host %d but the system has %d hosts"
                     % (host_id, self.n_hosts)
                 )
-            self.sim.spawn(
-                self._thread_process_compiled(
-                    self.hosts[host_id], warmup_rows, measured_rows
-                ),
-                name="app.h%d" % host_id,
-            )
+            stack = self.hosts[host_id]
+            if recorded:
+                process = self._thread_process_obs(
+                    stack, thread_id, warmup_rows, measured_rows
+                )
+            else:
+                process = self._thread_process(stack, warmup_rows, measured_rows)
+            self.sim.spawn(process, name="app.h%d" % host_id)
         for host in self.hosts:
+            # Syncers keep ticking while application threads are live and
+            # wind down afterwards, letting the event queue drain.
             host.keep_running = lambda: self._active_threads > 0
             host.start_syncers()
         # The replay loop's allocations (generator frames, event-heap
@@ -295,222 +257,174 @@ class System:
         if self.invariants is not None:
             self.invariants.final()
 
-    def _thread_process_compiled(
-        self,
-        stack: HostStack,
-        warmup_rows,
-        measured_rows,
-    ):
-        """One application thread over packed rows — the compiled twin
-        of :meth:`_thread_process` (keep in sync).
+    def _thread_process(self, stack: HostStack, warmup_rows, measured_rows):
+        """One application thread: issue its rows in order, one I/O at a
+        time.
 
         The row containers are any re-iterable of ``(op, start_block,
-        nblocks)`` int tuples: materialized lists from
-        ``CompiledTrace.issuer_plan`` or lazy run-buffer streams from
-        ``ChunkedCompiledTrace.issuer_plan``.  Each is iterated exactly
-        once per replay, in order, so both forms drive the identical
-        sequence of block operations.
+        nblocks)`` int tuples (materialized lists or a chunked trace's
+        lazy streams), each iterated once, in order.
 
-        The warmup/measured split is precomputed (no per-record warmup
-        test), rows are plain int tuples (no attribute or property
-        lookups), single-block records skip the ``range`` object, the
-        read/write branch is taken once per record instead of once per
-        block, and the post-measurement ``_record_completed`` call is
-        elided when the invariant sanitizer is off (it would be a
-        no-op).  When no latency timeline is collected, the metric
-        wrappers are inlined too: ``measuring`` is always True during a
-        replay (the driver gates on warmup, not the flag), so
-        ``record_block`` reduces to one accumulator call plus a counter
-        bump per collector — done here directly.  All of this is
-        bookkeeping around the same ``read_block``/``write_block``
-        calls in the same order, so results stay bit-identical to the
-        object path.
+        When :func:`~repro.engine.compiled.kernel_eligible` holds, a
+        block resident in RAM is served inline: the store effects of
+        the generators' hit path (a write first invalidates remote
+        copies and dirties the block), then the clock jumps past the
+        hit if it ends strictly before the heap front — the rule the
+        unbounded ``Simulator.run`` of a replay applies to a yielded
+        delay — and otherwise the delay is yielded.  Every other block
+        goes through ``read_block``/``write_block``.
+
+        A hit whose clock was fast-forwarded took exactly the hit delay,
+        so it is counted rather than recorded: the counts are run-length
+        records of that delay (and of the store's lookup/hit counters),
+        flushed before every suspension and every ``_record_completed``.
+        Nothing else runs in between, so no other code ever sees them
+        part-way and the flushed totals equal per-block updates bit for
+        bit.  Every other block records its latency directly.  See
+        DESIGN.md §9.
         """
         sim = self.sim
+        heap = sim._heap
         read_block = stack.read_block
         write_block = stack.write_block
+        host_id = stack.host_id
+        on_block_write = self.directory.on_block_write
+        record_completed = self._record_completed
+        check_invariants = self.invariants is not None
         fleet = self.metrics
-        host_m = self.host_metrics[stack.host_id]
-        record_completed = self._record_completed
-        check_invariants = self.invariants is not None
-        for op, start, nb in warmup_rows:
-            if op:
-                if nb == 1:
-                    yield from write_block(start, False)
-                else:
-                    for block in range(start, start + nb):
-                        yield from write_block(block, False)
-            else:
-                if nb == 1:
-                    yield from read_block(start)
-                else:
-                    for block in range(start, start + nb):
-                        yield from read_block(block)
-            if check_invariants or self._measurement_started_at is None:
-                record_completed(nb)
-        if not (fleet.measuring and host_m.measuring) or (
-            fleet.read_timeline is not None or host_m.read_timeline is not None
-        ):
-            # Rare configurations (timeline collection, externally
-            # gated collectors) go through the generic wrappers.
-            yield from self._measured_rows_generic(stack, measured_rows)
-            self._active_threads -= 1
-            return
-        fleet_read = fleet.read_latency.record
-        fleet_write = fleet.write_latency.record
-        host_read = host_m.read_latency.record
-        host_write = host_m.write_latency.record
-        req_read = fleet.read_request_latency.record
-        req_write = fleet.write_request_latency.record
-        for op, start, nb in measured_rows:
-            if op:
-                if nb == 1:
-                    request_start = sim.now
-                    yield from write_block(start)
-                    latency = sim.now - request_start
-                    fleet_write(latency)
-                    fleet.blocks_written += 1
-                    host_write(latency)
-                    host_m.blocks_written += 1
-                    req_write(latency)
-                else:
-                    request_start = sim.now
-                    for block in range(start, start + nb):
-                        block_start = sim.now
-                        yield from write_block(block)
-                        latency = sim.now - block_start
-                        fleet_write(latency)
-                        fleet.blocks_written += 1
-                        host_write(latency)
-                        host_m.blocks_written += 1
-                    req_write(sim.now - request_start)
-            else:
-                if nb == 1:
-                    request_start = sim.now
-                    yield from read_block(start)
-                    latency = sim.now - request_start
-                    fleet_read(latency)
-                    fleet.blocks_read += 1
-                    host_read(latency)
-                    host_m.blocks_read += 1
-                    req_read(latency)
-                else:
-                    request_start = sim.now
-                    for block in range(start, start + nb):
-                        block_start = sim.now
-                        yield from read_block(block)
-                        latency = sim.now - block_start
-                        fleet_read(latency)
-                        fleet.blocks_read += 1
-                        host_read(latency)
-                        host_m.blocks_read += 1
-                    req_read(sim.now - request_start)
-            if check_invariants or self._measurement_started_at is None:
-                record_completed(nb)
-        self._active_threads -= 1
+        host_m = self.host_metrics[host_id]
+        fleet_reads = fleet.read_latency
+        fleet_writes = fleet.write_latency
+        host_reads = host_m.read_latency
+        host_writes = host_m.write_latency
+        request_reads = fleet.read_request_latency
+        request_writes = fleet.write_request_latency
+        ram_read_ns = stack._ram_read_ns
+        ram_write_ns = stack._ram_write_ns
+        if kernel_eligible(self):
+            store = stack.cache if isinstance(stack, UnifiedStack) else stack.ram
+            resident = store._entries
+            # Under a sync, async or delayed RAM policy a write hit
+            # starts a flush: those write hits take the generators.
+            flushing = self.config.ram_policy.kind in _FLUSHING_POLICIES
+            writable = {} if flushing else resident
+            stats = store.stats
+            dirty_add = store._dirty.add
+            touch = store._touch
+            # An LRU touch moves the block to the order's MRU end here.
+            policy = store._policy
+            order = policy._order if type(policy) is LRUPolicy else None
+        else:
+            resident = writable = {}  # every block takes the generators
+            stats = dirty_add = touch = order = None
+        ram = Medium.RAM
+        # Pending: fast-forwarded measured read and write hits, and every
+        # inline hit (for the store's counters).
+        reads = writes = hits = 0
 
-    def _measured_rows_generic(
-        self,
-        stack: HostStack,
-        measured_rows,
-    ):
-        """Measured-phase loop through the metric wrappers — used when a
-        latency timeline is collected (the wrapper owns the bucketing)
-        or a collector is gated off."""
-        sim = self.sim
-        read_block = stack.read_block
-        write_block = stack.write_block
-        metrics = self.metrics
-        record_fleet_block = metrics.record_block
-        record_request = metrics.record_request
-        record_host_block = self.host_metrics[stack.host_id].record_block
-        record_completed = self._record_completed
-        check_invariants = self.invariants is not None
-        for op, start, nb in measured_rows:
-            is_write = op != 0
-            request_start = sim.now
-            for block in range(start, start + nb):
-                block_start = sim.now
-                if is_write:
-                    yield from write_block(block)
-                else:
-                    yield from read_block(block)
-                now = sim.now
-                latency = now - block_start
-                record_fleet_block(is_write, latency, now)
-                record_host_block(is_write, latency)
-            record_request(is_write, sim.now - request_start)
-            if check_invariants or self._measurement_started_at is None:
-                record_completed(nb)
+        def flush():
+            nonlocal reads, writes, hits
+            if reads:
+                fleet_reads.record_n(ram_read_ns, reads)
+                host_reads.record_n(ram_read_ns, reads)
+                fleet.blocks_read += reads
+                host_m.blocks_read += reads
+                reads = 0
+            if writes:
+                fleet_writes.record_n(ram_write_ns, writes)
+                host_writes.record_n(ram_write_ns, writes)
+                fleet.blocks_written += writes
+                host_m.blocks_written += writes
+                writes = 0
+            if hits:
+                stats.lookups += hits
+                stats.hits += hits
+                hits = 0
 
-    def _thread_process(
-        self,
-        trace: Trace,
-        stack: HostStack,
-        items: List[Tuple[int, TraceRecord]],
-    ):
-        """One application thread: issue records in order, one at a time."""
-        # This loop runs once per trace record and its body once per
-        # 4 KB block — the replay hot path.  Attribute lookups that are
-        # loop-invariant (the simulator, the stack's entry points, the
-        # collectors) are hoisted into locals.
-        sim = self.sim
-        warmup_records = trace.warmup_records
-        record_blocks = trace.record_blocks
-        read_block = stack.read_block
-        write_block = stack.write_block
-        metrics = self.metrics
-        record_fleet_block = metrics.record_block
-        record_request = metrics.record_request
-        record_host_block = self.host_metrics[stack.host_id].record_block
-        record_completed = self._record_completed
-        for index, record in items:
-            is_warmup = index < warmup_records
-            measured = not is_warmup
-            is_write = record.is_write
-            request_start = sim.now
-            for block in record_blocks(record):
-                block_start = sim.now
-                if is_write:
-                    yield from write_block(block, measured=measured)
+        for measured, rows in ((False, warmup_rows), (True, measured_rows)):
+            for op, start, nb in rows:
+                if op:
+                    table, hit_ns = writable, ram_write_ns
                 else:
-                    yield from read_block(block)
-                if measured:
+                    table, hit_ns = resident, ram_read_ns
+                request_start = now = sim.now
+                for block in range(start, start + nb):
+                    entry = table.get(block)
+                    if entry is not None and entry.medium is ram:
+                        if op:
+                            on_block_write(host_id, block, measured)
+                            entry.dirty = True
+                            dirty_add(block)
+                        if order is None:
+                            touch(block)
+                        else:
+                            order[block] = order.pop(block)
+                        hits += 1
+                        when = now + hit_ns
+                        if hit_ns > 0 and (not heap or when < heap[0][0]):
+                            sim.now = now = when
+                            if measured:
+                                if op:
+                                    writes += 1
+                                else:
+                                    reads += 1
+                            continue
+                        flush()
+                        yield hit_ns
+                    else:
+                        if reads or writes or hits:
+                            flush()
+                        if op:
+                            yield from write_block(block, measured)
+                        else:
+                            yield from read_block(block)
+                    latency = sim.now - now
                     now = sim.now
-                    latency = now - block_start
-                    record_fleet_block(is_write, latency, at_ns=now)
-                    record_host_block(is_write, latency)
-            if measured:
-                record_request(is_write, sim.now - request_start)
-            record_completed(record.nblocks)
+                    if measured:
+                        if op:
+                            fleet_writes.record_n(latency, 1)
+                            host_writes.record_n(latency, 1)
+                            fleet.blocks_written += 1
+                            host_m.blocks_written += 1
+                        else:
+                            fleet_reads.record_n(latency, 1)
+                            host_reads.record_n(latency, 1)
+                            fleet.blocks_read += 1
+                            host_m.blocks_read += 1
+                if measured:
+                    if op:
+                        request_writes.record_n(now - request_start, 1)
+                    else:
+                        request_reads.record_n(now - request_start, 1)
+                if check_invariants or self._measurement_started_at is None:
+                    flush()
+                    record_completed(nb)
+        flush()
         self._active_threads -= 1
 
     def _thread_process_obs(
-        self,
-        trace: Trace,
-        stack: HostStack,
-        items: List[Tuple[int, TraceRecord]],
-        thread_id: int,
+        self, stack: HostStack, thread_id: int, warmup_rows, measured_rows
     ):
-        """Instrumented twin of :meth:`_thread_process` (keep in sync).
+        """One application thread with per-block records: the driver of
+        replays with an Observation attached or a latency timeline.
 
         Adds request start/finish events and routes each block through
         the stack's ``*_obs`` entry points with a reusable
         :class:`~repro.obs.breakdown.Span` for exact component
         attribution.  Stacks without instrumented paths (the exclusive
-        architecture) fall back to the plain entry points with the whole
-        latency attributed to ``other``.
+        architecture, and every stack of a replay without an
+        Observation) take the plain entry points with the whole latency
+        attributed to ``other``.  Latencies go through the collectors'
+        ``record_block``, which also keeps the timeline.
         """
         from repro.obs.breakdown import Span
         from repro.obs.events import EventKind
 
         sim = self.sim
         obs = self.obs
-        rec = obs.recorder
-        collector = obs.breakdown_collector
+        rec = obs.recorder if obs is not None else None
+        collector = obs.breakdown_collector if obs is not None else None
         record_span = collector.record if collector is not None else None
-        warmup_records = trace.warmup_records
-        record_blocks = trace.record_blocks
         read_obs = getattr(stack, "read_block_obs", None)
         write_obs = getattr(stack, "write_block_obs", None)
         read_block = stack.read_block
@@ -524,54 +438,54 @@ class System:
         start_kind = EventKind.REQUEST_START
         finish_kind = EventKind.REQUEST_FINISH
         span = Span()
-        for index, record in items:
-            measured = index >= warmup_records
-            is_write = record.is_write
-            request_start = sim.now
-            if rec is not None:
-                rec.emit(
-                    request_start,
-                    start_kind,
-                    host_id,
-                    info={
-                        "thread": thread_id,
-                        "op": "w" if is_write else "r",
-                        "blocks": record.nblocks,
-                    },
-                )
-            for block in record_blocks(record):
-                span.reset()
-                block_start = sim.now
-                if is_write:
-                    if write_obs is not None:
-                        yield from write_obs(block, span, measured=measured)
+        for measured, rows in ((False, warmup_rows), (True, measured_rows)):
+            for op, start, nb in rows:
+                is_write = op != 0
+                request_start = sim.now
+                if rec is not None:
+                    rec.emit(
+                        request_start,
+                        start_kind,
+                        host_id,
+                        info={
+                            "thread": thread_id,
+                            "op": "w" if is_write else "r",
+                            "blocks": nb,
+                        },
+                    )
+                for block in range(start, start + nb):
+                    span.reset()
+                    block_start = sim.now
+                    if is_write:
+                        if write_obs is not None:
+                            yield from write_obs(block, span, measured=measured)
+                        else:
+                            yield from write_block(block, measured=measured)
+                            span.other += sim.now - block_start
                     else:
-                        yield from write_block(block, measured=measured)
-                        span.other += sim.now - block_start
-                else:
-                    if read_obs is not None:
-                        yield from read_obs(block, span)
-                    else:
-                        yield from read_block(block)
-                        span.other += sim.now - block_start
+                        if read_obs is not None:
+                            yield from read_obs(block, span)
+                        else:
+                            yield from read_block(block)
+                            span.other += sim.now - block_start
+                    if measured:
+                        now = sim.now
+                        latency = now - block_start
+                        record_fleet_block(is_write, latency, at_ns=now)
+                        record_host_block(is_write, latency)
+                        if record_span is not None:
+                            record_span(is_write, latency, span)
                 if measured:
-                    now = sim.now
-                    latency = now - block_start
-                    record_fleet_block(is_write, latency, at_ns=now)
-                    record_host_block(is_write, latency)
-                    if record_span is not None:
-                        record_span(is_write, latency, span)
-            if measured:
-                record_request(is_write, sim.now - request_start)
-            if rec is not None:
-                rec.emit(
-                    sim.now,
-                    finish_kind,
-                    host_id,
-                    dur=sim.now - request_start,
-                    info={"thread": thread_id},
-                )
-            record_completed(record.nblocks)
+                    record_request(is_write, sim.now - request_start)
+                if rec is not None:
+                    rec.emit(
+                        sim.now,
+                        finish_kind,
+                        host_id,
+                        dur=sim.now - request_start,
+                        info={"thread": thread_id},
+                    )
+                record_completed(nb)
         self._active_threads -= 1
 
     # --- reporting inputs ----------------------------------------------------

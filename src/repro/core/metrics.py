@@ -223,8 +223,14 @@ class LatencyStat:
 
     def record(self, latency_ns: int) -> None:
         """Add one observation."""
-        self.count += 1
-        self.total_ns += latency_ns
+        self.record_n(latency_ns, 1)
+
+    def record_n(self, latency_ns: int, n: int) -> None:
+        """Add ``n`` observations of one latency — the same state as
+        ``n`` calls of :meth:`record` (the replay driver flushes its
+        run-length accumulators through this)."""
+        self.count += n
+        self.total_ns += latency_ns * n
         if self.min_ns is None or latency_ns < self.min_ns:
             self.min_ns = latency_ns
         if latency_ns > self.max_ns:
@@ -238,9 +244,11 @@ class LatencyStat:
         index = (quotient - 1).bit_length() if quotient > 1 else 0
         if index >= self._N_BUCKETS:
             index = self._N_BUCKETS - 1
-        self._buckets[index] += 1
-        if self.sketch is not None:
-            self.sketch.record(latency_ns)
+        self._buckets[index] += n
+        sketch = self.sketch
+        if sketch is not None:
+            for _ in range(n):
+                sketch.record(latency_ns)
 
     @property
     def mean_ns(self) -> float:

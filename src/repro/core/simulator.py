@@ -11,22 +11,11 @@ from repro.core.restart import RestartSpec
 from repro.core.results import SimulationResults
 from repro.errors import ConfigError
 from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import CompiledTrace, compile_trace
+from repro.traces.compiled import CompiledTrace
 from repro.traces.records import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observation
-
-#: Traces with at least this many records are compiled to the packed
-#: columnar form before replay (see :mod:`repro.traces.compiled`).
-#: Compilation is one O(n) pass memoized on the trace object, and the
-#: compiled replay loop is measurably faster, so the threshold only
-#: exists to keep tiny traces on the zero-setup path.  Override with
-#: ``REPRO_COMPILE_MIN_RECORDS`` (``0`` or negative disables
-#: auto-compilation; explicit ``CompiledTrace`` inputs always take the
-#: compiled path).
-AUTO_COMPILE_MIN_RECORDS = 32_768
-COMPILE_ENV = "REPRO_COMPILE_MIN_RECORDS"
 
 #: Environment default for ``run_simulation(parallel_hosts=...)``:
 #: the number of worker processes to shard a multi-host replay across
@@ -34,16 +23,6 @@ COMPILE_ENV = "REPRO_COMPILE_MIN_RECORDS"
 #: :mod:`repro.engine.parallel` for eligibility — ineligible runs fall
 #: back to serial with identical results either way.
 PARALLEL_HOSTS_ENV = "REPRO_PARALLEL_HOSTS"
-
-
-def _auto_compile_min_records() -> int:
-    env = os.environ.get(COMPILE_ENV, "").strip()
-    if not env:
-        return AUTO_COMPILE_MIN_RECORDS
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError("%s must be an integer, got %r" % (COMPILE_ENV, env))
 
 
 def _parallel_hosts_default() -> int:
@@ -129,13 +108,9 @@ def run_simulation(
     :class:`~repro.traces.compiled.CompiledTrace`, or a
     :class:`~repro.traces.chunked.ChunkedCompiledTrace` (a spooled
     trace replayed with peak memory bounded by chunk size — see
-    ``docs/SCALING.md``).  Plain traces with at least
-    ``REPRO_COMPILE_MIN_RECORDS`` records (default
-    ``AUTO_COMPILE_MIN_RECORDS``) are compiled automatically unless the
-    run attaches an Observation; results are bit-identical across all
-    three forms.  Observation runs need record objects, so a chunked
-    trace is materialized first in that case — attach observations to
-    traces that fit in memory.
+    ``docs/SCALING.md``).  A plain trace is compiled first (memoized on
+    the trace), so every form replays the same issuer rows and results
+    are bit-identical across all three, with or without an Observation.
 
     ``n_hosts`` defaults to the number of hosts appearing in the trace.
     ``cold_start=True`` removes the warmup phase instead of replaying
@@ -178,14 +153,6 @@ def run_simulation(
     """
     if cold_start:
         trace = trace.without_warmup()
-    if isinstance(trace, Trace):
-        threshold = _auto_compile_min_records()
-        wants_obs = obs is not None or config.trace_events
-        if threshold > 0 and len(trace) >= threshold and not wants_obs:
-            # Large traces replay through the packed columnar fast path;
-            # observation runs keep the object path, which is the one
-            # that emits per-record structured events.
-            trace = compile_trace(trace)
     if n_hosts is None:
         hosts_in_trace = trace.hosts()
         n_hosts = (max(hosts_in_trace) + 1) if hosts_in_trace else 1

@@ -148,7 +148,7 @@ def decline_reason(
         # REPRO_PARALLEL_HOSTS): nested pools would thrash the machine.
         return "already running inside a worker process"
     if obs is not None or config.trace_events:
-        return "observation attached (per-record object path required)"
+        return "observation attached (events and spans are not merged across workers)"
     if not isinstance(trace, (CompiledTrace, ChunkedCompiledTrace, Trace)):
         return "trace form not shardable"
     if trace.warmup_records != 0:

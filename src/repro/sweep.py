@@ -42,9 +42,11 @@ provide a process pool at all.
 **Result caching.**  With ``cache_dir`` set (or the
 ``REPRO_SWEEP_CACHE`` environment variable), each point's
 :class:`~repro.core.results.SimulationResults` is memoized on disk
-under a content fingerprint of ``(trace, config, per-run options,
-package version)``.  A repeated sweep — the normal workflow while
-iterating on an experiment's reporting — touches zero simulations.
+under a content fingerprint of ``(trace, config, per-run options)``
+salted with a digest of the package's sources and result fields, so
+results of older code are never served.  A repeated sweep — the normal
+workflow while iterating on an experiment's reporting — touches zero
+simulations.
 
 **Progress.**  ``progress`` receives one :class:`PointReport` per
 finished point (cache hits included), carrying the point's label,
@@ -55,6 +57,7 @@ from cache.
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -62,7 +65,7 @@ import pickle
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -274,18 +277,38 @@ def trace_fingerprint(trace: Union[Trace, CompiledTrace, ChunkedCompiledTrace]) 
     return fingerprint
 
 
+def _code_digest(root: Path, result_fields: Sequence[str]) -> str:
+    """Digest of every module under ``root`` and of the result field
+    names."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    digest.update("\0".join(result_fields).encode("utf-8"))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _code_salt() -> str:
+    """:func:`_code_digest` of this ``repro`` package and of
+    :class:`SimulationResults`, computed once per process."""
+    return _code_digest(
+        Path(__file__).resolve().parent,
+        [f.name for f in fields(SimulationResults)],
+    )
+
+
 def _point_fingerprint(trace_print: str, point: SweepPoint) -> str:
     """Cache key of one point: trace content + config + run options.
 
     The config and options are hashed through their pickle serialization
     — deterministic for the frozen dataclasses involved — and salted
-    with the package version so result-format changes invalidate stale
-    caches instead of unpickling into the wrong shape.
+    with :func:`_code_salt`, so a change to any simulator module or to
+    the result fields gives every point a new key: a warm cache never
+    serves results computed by other code.
     """
-    from repro import __version__  # local import: repro re-exports this module
-
     payload = pickle.dumps(
-        (__version__, trace_print, point.config, sorted(point.run_options().items())),
+        (_code_salt(), trace_print, point.config, sorted(point.run_options().items())),
         protocol=4,
     )
     return hashlib.sha256(payload).hexdigest()

@@ -25,8 +25,8 @@ memory at a time:
     (13 bytes/row), grouped into per-issuer *runs* of at most
     :data:`RUN_ROWS` rows.  :meth:`ChunkedCompiledTrace.issuer_plan`
     hands the replay engine lazy row streams over these runs, so the
-    hot loop in ``System._thread_process_compiled`` runs unchanged
-    while peak memory stays at one run buffer per issuer.
+    replay drivers in ``System`` run unchanged while peak memory stays
+    at one run buffer per issuer.
 
 :class:`ChunkedTraceWriter` is the producer side: ``tracegen`` and the
 streaming importers append records one at a time (never building
@@ -496,7 +496,7 @@ class _RowStream:
     Each iteration reads the issuer's runs from ``rows.bin`` one run
     buffer at a time (≤ ``RUN_ROWS`` × 13 bytes held at once) and
     yields ``(op, start_block, nblocks)`` int tuples — exactly the row
-    shape ``System._thread_process_compiled`` consumes.  Re-iterable
+    shape the ``System`` replay drivers consume.  Re-iterable
     because sweep workers replay one cached trace for many points.
     """
 
@@ -790,9 +790,9 @@ class ChunkedCompiledTrace:
     def to_trace(self) -> Trace:
         """Materialize back into the object representation.
 
-        This is O(trace) memory by definition — it exists for the
-        observability replay path and for small-trace tests, not for
-        the streaming pipeline."""
+        This is O(trace) memory by definition — it exists for small-trace
+        tests and tools, not for the streaming pipeline (every replay,
+        observed ones included, streams the issuer rows)."""
         records = [
             TraceRecord(
                 TraceOp.WRITE if op else TraceOp.READ,

@@ -28,15 +28,12 @@ recomputes the file-base flattening.  The payoff:
   into the shared segment — see :mod:`repro.sweep`);
 * :meth:`issuer_plan` hands the replay engine per-thread row lists with
   the warmup boundary pre-split, so the hot loop touches nothing but
-  local ints (see ``System._thread_process_compiled``).
+  local ints (see ``System._thread_process``).
 
-Compilation is content-preserving and replay over a compiled trace is
-bit-identical to replay over the object form — enforced by
-``tests/test_traces_compiled.py`` and the signature-drift gate in
-``benchmarks/sweep_speedup.py``.
-
-Use :func:`compile_trace` to compile (memoized per ``Trace`` object);
-:func:`repro.run_simulation` compiles large traces automatically.
+Compilation is content-preserving (``tests/test_traces_compiled.py``),
+and a replay always runs over the compiled form: ``System.replay``
+compiles every plain trace it is given with :func:`compile_trace`,
+which memoizes the result on the ``Trace`` object.
 """
 
 from __future__ import annotations
@@ -203,8 +200,7 @@ class CompiledTrace:
         return sum(self.nblocks[: self.warmup_records])
 
     def to_trace(self) -> Trace:
-        """Materialize back into the object representation (used by the
-        instrumented/observability replay path, which needs records)."""
+        """Materialize back into the object representation."""
         records = [
             TraceRecord(
                 TraceOp.WRITE if op else TraceOp.READ,

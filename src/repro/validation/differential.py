@@ -50,6 +50,10 @@ distinct configurations must provably coincide:
    (:mod:`repro.tracegen.fleet`) regenerated at its pinned seed must be
    record-for-record equal and replay bit-identically.
 
+8. **Inline RAM hits are invisible.**  A replay that serves RAM hits
+   inline must match the same replay with a breakdown-only Observation
+   attached, which sends every block through the host generators.
+
 The sweep-backed identities run over :func:`repro.sweep.run_sweep`
 with the :mod:`repro.invariants` sanitizer enabled, so one differential
 pass also exercises the full invariant suite.  Run from the command
@@ -503,26 +507,24 @@ def check_chunked_replay_identity(
     )
 
 
-def check_compiled_kernel_identity(
+def check_inline_hit_identity(
     scale: int = DEFAULT_SCALE,
 ) -> DifferentialCheck:
-    """The table-driven compiled kernel must replay bit-identically to
-    the generator kernel.
+    """Serving RAM hits inline must not move a single result.
 
     Every point of the differential matrix plus a 7x7 writeback-policy
-    grid (sync/async/periodic 10, 30, 60/trickle/delayed on each tier)
-    and admission/cleaning-controller points is replayed twice — once
-    with ``REPRO_COMPILE_KERNEL=0`` (the generator reference) and once
-    with the compiled kernel — and the :func:`full_signature` of the
-    two runs must agree down to histogram buckets and per-host
-    breakdowns.  Runs serially in-process: the env toggle is read at
-    replay time, and the sweep result cache must not short-circuit the
-    second run.
+    grid (sync/async/periodic 10, 30, 60/trickle/delayed on each tier),
+    admission/cleaning-controller points and a shared-working-set fleet
+    point is replayed twice — once with ``Observation(events=False)``
+    attached, which sends every block through the instrumented host
+    generators and never takes the inline run (the reference), and once
+    plain — and the :func:`full_signature` of the two runs must agree
+    down to histogram buckets and per-host breakdowns.
     """
     import os
 
     from repro.core.simulator import run_simulation
-    from repro.engine.compiled import COMPILE_KERNEL_ENV
+    from repro.obs import Observation
     from repro.traces.compiled import compile_trace
 
     problems: List[str] = []
@@ -531,17 +533,10 @@ def check_compiled_kernel_identity(
     def compare(label: str, trace, config) -> None:
         nonlocal points
         points += 1
-        saved = os.environ.get(COMPILE_KERNEL_ENV)
-        try:
-            os.environ[COMPILE_KERNEL_ENV] = "0"
-            reference = full_signature(run_simulation(trace, config))
-            os.environ[COMPILE_KERNEL_ENV] = "1"
-            candidate = full_signature(run_simulation(trace, config))
-        finally:
-            if saved is None:
-                os.environ.pop(COMPILE_KERNEL_ENV, None)
-            else:
-                os.environ[COMPILE_KERNEL_ENV] = saved
+        reference = full_signature(
+            run_simulation(trace, config, obs=Observation(events=False))
+        )
+        candidate = full_signature(run_simulation(trace, config))
         if reference != candidate:
             drifted = [
                 key for key in reference if reference[key] != candidate[key]
@@ -579,10 +574,10 @@ def check_compiled_kernel_identity(
             grid_trace,
             baseline_config(scale=scale, **overrides),
         )
-    # Fleet-shaped point: several hosts sharing one working set keeps
-    # the kernel's directory fast path busy with multi-bit holder masks
-    # (the two-host matrix rarely grows masks past two bits), once at
-    # the automatic shard count and once forced multi-shard.
+    # Fleet-shaped point: several hosts sharing one working set make
+    # inline write hits invalidate multi-bit holder masks (the two-host
+    # matrix rarely grows masks past two bits), once at the automatic
+    # shard count and once forced multi-shard.
     multihost_trace = compile_trace(
         baseline_trace(
             n_hosts=4, shared_working_set=True, scale=scale, volume_multiple=2.0
@@ -604,12 +599,12 @@ def check_compiled_kernel_identity(
             os.environ[SHARDS_ENV] = saved_shards
     if problems:
         return DifferentialCheck(
-            "compiled-kernel-identity", False, "; ".join(problems[:4])
+            "inline-hit-identity", False, "; ".join(problems[:4])
         )
     return DifferentialCheck(
-        "compiled-kernel-identity",
+        "inline-hit-identity",
         True,
-        "%d points bit-identical across both kernels" % points,
+        "%d points bit-identical to the generator reference" % points,
     )
 
 
@@ -948,7 +943,7 @@ def run_differential(
             check_read_only_zero_writebacks(scale=scale, workers=workers),
             check_sync_policies_zero_dirty(scale=scale),
             check_chunked_replay_identity(scale=scale, workers=workers),
-            check_compiled_kernel_identity(scale=scale),
+            check_inline_hit_identity(scale=scale),
             check_sharded_directory_identity(scale=scale),
             check_fleet_identity(scale=scale),
             check_parallel_replay_identity(scale=scale),

@@ -240,12 +240,12 @@ class TestMakePolicy:
         with pytest.raises(CacheError):
             make_policy("arc")
 
-    def test_legacy_entry_point_warns_but_works(self):
+    def test_legacy_entry_point_is_gone(self):
+        import repro.cache
         import repro.cache.policy as cache_policy
 
-        with pytest.warns(DeprecationWarning):
-            policy = cache_policy.make_policy("lru")
-        assert isinstance(policy, LRUPolicy)
+        assert not hasattr(cache_policy, "make_policy")
+        assert not hasattr(repro.cache, "make_policy")
 
 
 class TestVictimContract:

@@ -122,13 +122,9 @@ class TestSimConfig:
         )
         assert updated.ram_policy.label == "s"
         assert updated.flash_policy.label == "n"
-        # The legacy positional form still works, with a warning.
-        with pytest.warns(DeprecationWarning):
-            legacy = config.with_policies(
-                WritebackPolicy.sync(), WritebackPolicy.none()
-            )
-        assert legacy.ram_policy.label == "s"
-        assert legacy.flash_policy.label == "n"
+        # The policies are keyword-only: the old positional form is gone.
+        with pytest.raises(TypeError):
+            config.with_policies(WritebackPolicy.sync(), WritebackPolicy.none())
         resized = config.with_sizes(MB, 2 * MB)
         assert resized.ram_bytes == MB
 

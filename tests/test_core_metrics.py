@@ -144,6 +144,46 @@ class TestLatencyStat:
             assert stat._buckets[expected] == 1, latency
 
 
+class TestRecordN:
+    """``record_n`` is the replay driver's run-length flush."""
+
+    @staticmethod
+    def _state(stat):
+        state = stat.__getstate__()
+        state["sketch"] = state["sketch"].__getstate__()
+        return state
+
+    @pytest.mark.parametrize(
+        "latency, n",
+        [(0, 3), (1, 1), (100, 4), (101, 2), (400, 9), (88_000, 5), (10**12, 2)],
+    )
+    def test_equals_n_calls_of_record(self, latency, n):
+        batched = LatencyStat(sketch=PercentileSketch(0.01))
+        single = LatencyStat(sketch=PercentileSketch(0.01))
+        for stat in (batched, single):
+            stat.record(250)
+        batched.record_n(latency, n)
+        for _ in range(n):
+            single.record(latency)
+        assert self._state(batched) == self._state(single)
+        assert batched.sketch.count == 1 + n
+
+    def test_run_length_records_equal_single_records(self):
+        rng = random.Random(5)
+        latencies = [rng.choice((400, 400, 400, 21_000, 92_000)) for _ in range(300)]
+        batched = LatencyStat(sketch=PercentileSketch(0.02))
+        single = LatencyStat(sketch=PercentileSketch(0.02))
+        run_latency, run_length = latencies[0], 0
+        for latency in latencies:
+            single.record(latency)
+            if latency != run_latency:
+                batched.record_n(run_latency, run_length)
+                run_latency, run_length = latency, 0
+            run_length += 1
+        batched.record_n(run_latency, run_length)
+        assert self._state(batched) == self._state(single)
+
+
 class TestPercentileSketch:
     def test_empty(self):
         sketch = PercentileSketch(0.01)

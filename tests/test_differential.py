@@ -57,7 +57,7 @@ class TestHarness:
             "read-only-zero-writebacks",
             "sync-policies-zero-dirty",
             "chunked-replay-identity",
-            "compiled-kernel-identity",
+            "inline-hit-identity",
             "sharded-directory-identity",
             "fleet-identity",
             "parallel-replay-identity",

@@ -1,27 +1,32 @@
-"""Tests for the table-driven compiled simulation kernel.
+"""Tests for the inline RAM-hit run.
 
-The compiled kernel (:mod:`repro.engine.compiled`) exists purely for
-speed: eligible replays must be bit-identical to the generator kernel.
-These tests pin the eligibility gate, prove the kernel actually engages
-(rather than silently falling back), and drive a randomized property
-sweep of trace/config points through both kernels comparing full
-result signatures.
+The application-thread driver serves RAM hits inline when
+:func:`repro.engine.compiled.kernel_eligible` holds; it exists purely
+for speed, so it must not move a single result.  The reference for
+every identity below is the same replay with a breakdown-only
+Observation attached, which sends every block through the instrumented
+host generators and never takes the inline run.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.machine import System
 from repro.core.policies import WritebackPolicy
+from repro.core.restart import RestartSpec
 from repro.core.simulator import run_simulation
-from repro.engine.compiled import COMPILE_KERNEL_ENV, kernel_eligible
+from repro.engine.compiled import kernel_eligible
 from repro.experiments.common import DEFAULT_SCALE, baseline_config, baseline_trace
+from repro.net.directory import DirectoryTiming
+from repro.obs import Observation
 from repro.traces.compiled import compile_trace
-from repro.validation.differential import check_compiled_kernel_identity, full_signature
+from repro.validation.differential import check_inline_hit_identity, full_signature
+from tests.helpers import make_trace, tiny_config
 
 #: Coarse geometry for test speed; identities are scale-independent.
 FAST_SCALE = DEFAULT_SCALE * 4
@@ -32,11 +37,12 @@ def _compiled_baseline(**trace_kwargs):
     return compile_trace(baseline_trace(**trace_kwargs))
 
 
-def _run_both(trace, config, monkeypatch, **kwargs):
-    """Replay ``trace`` under both kernels, returning both signatures."""
-    monkeypatch.setenv(COMPILE_KERNEL_ENV, "0")
-    reference = full_signature(run_simulation(trace, config, **kwargs))
-    monkeypatch.setenv(COMPILE_KERNEL_ENV, "1")
+def _run_both(trace, config, **kwargs):
+    """Replay ``trace`` through the generators and with the inline run,
+    returning both signatures."""
+    reference = full_signature(
+        run_simulation(trace, config, obs=Observation(events=False), **kwargs)
+    )
     candidate = full_signature(run_simulation(trace, config, **kwargs))
     return reference, candidate
 
@@ -47,31 +53,30 @@ class TestEligibility:
         assert kernel_eligible(system)
 
     def test_env_opt_out(self, monkeypatch):
-        system = System(baseline_config(scale=FAST_SCALE), n_hosts=1)
-        monkeypatch.setenv(COMPILE_KERNEL_ENV, "0")
-        assert not kernel_eligible(system)
-        monkeypatch.setenv(COMPILE_KERNEL_ENV, "off")
-        assert not kernel_eligible(system)
-        monkeypatch.setenv(COMPILE_KERNEL_ENV, "1")
-        assert kernel_eligible(system)
+        # The REPRO_COMPILE_KERNEL and REPRO_COMPILE_MIN_RECORDS knobs
+        # are gone: the environment cannot take a replay off the inline
+        # run or change what it computes.
+        config = baseline_config(scale=FAST_SCALE)
+        trace = _compiled_baseline()
+        expected = full_signature(run_simulation(trace, config))
+        monkeypatch.setenv("REPRO_COMPILE_KERNEL", "0")
+        monkeypatch.setenv("REPRO_COMPILE_MIN_RECORDS", "lots")
+        assert kernel_eligible(System(config, n_hosts=1))
+        assert full_signature(run_simulation(trace, config)) == expected
 
     def test_observation_falls_back(self):
-        from repro.obs import Observation
-
         system = System(
             baseline_config(scale=FAST_SCALE), n_hosts=1, obs=Observation()
         )
         assert not kernel_eligible(system)
 
-    def test_restart_falls_back(self):
-        from repro.core.restart import RestartSpec
-
+    def test_restart_stays_eligible(self):
         system = System(
             baseline_config(scale=FAST_SCALE),
             n_hosts=1,
             restart=RestartSpec(volatile_flash=True),
         )
-        assert not kernel_eligible(system)
+        assert kernel_eligible(system)
 
     def test_timeline_falls_back(self):
         system = System(
@@ -88,11 +93,11 @@ class TestEligibility:
         )
         assert not kernel_eligible(system)
 
-    def test_channel_limited_flash_falls_back(self):
+    def test_channel_limited_flash_stays_eligible(self):
         system = System(
             baseline_config(scale=FAST_SCALE, flash_parallelism=4), n_hosts=1
         )
-        assert not kernel_eligible(system)
+        assert kernel_eligible(system)
 
     def test_invariants_stay_eligible(self):
         system = System(
@@ -100,53 +105,120 @@ class TestEligibility:
         )
         assert kernel_eligible(system)
 
+    def test_admission_controller_falls_back(self):
+        config = baseline_config(scale=FAST_SCALE, flash_admission="probationary:2")
+        assert not kernel_eligible(System(config, n_hosts=1))
 
-class TestKernelEngages:
-    """Prove the compiled path actually runs (no silent fallback)."""
+    def test_modeled_directory_latency_falls_back(self):
+        base = baseline_config(scale=FAST_SCALE)
+        timing = base.timing.with_directory(DirectoryTiming(lookup_ns=500))
+        assert not kernel_eligible(System(replace(base, timing=timing), n_hosts=1))
 
-    def _spawned_names(self, monkeypatch, env_value):
-        monkeypatch.setenv(COMPILE_KERNEL_ENV, env_value)
-        system = System(baseline_config(scale=FAST_SCALE), n_hosts=1)
-        names = []
-        system.sim.trace_hook = names.append
-        system.replay(_compiled_baseline())
-        return names
-
-    def test_compiled_kernel_spawns_no_issuer_processes(self, monkeypatch):
-        # Application issuers and syncers run as _Task frames under the
-        # compiled kernel, so no generator process is ever spawned for
-        # them; the object kernel spawns one "app.h*" per thread.
-        assert not any(
-            name.startswith("app.h")
-            for name in self._spawned_names(monkeypatch, "1")
+    @pytest.mark.parametrize("spec", ["s", "a", "d30"])
+    def test_flushing_ram_policy_stays_eligible(self, spec):
+        config = baseline_config(
+            scale=FAST_SCALE, ram_policy=WritebackPolicy.parse(spec)
         )
-        assert any(
-            name.startswith("app.h")
-            for name in self._spawned_names(monkeypatch, "0")
+        assert kernel_eligible(System(config, n_hosts=1))
+
+
+def _counting(monkeypatch, stack, name, store):
+    """Patch ``stack``'s class so each call of the ``name`` generator
+    records its block, asserting the block is absent from ``store``
+    unless ``store`` is None; returns the list of recorded blocks."""
+    original = getattr(type(stack), name)
+    called = []
+
+    def counting(self, block, *args, **kwargs):
+        assert store is None or block not in store
+        called.append(block)
+        return original(self, block, *args, **kwargs)
+
+    monkeypatch.setattr(type(stack), name, counting)
+    return called
+
+
+class TestInlineHits:
+    @pytest.mark.parametrize(
+        "architecture", [Architecture.NAIVE, Architecture.UNIFIED]
+    )
+    def test_read_block_runs_only_for_ram_misses(self, architecture, monkeypatch):
+        # 64 blocks read four times over with no flash tier: all of
+        # them stay RAM-resident after their first read.
+        blocks = range(64)
+        trace = make_trace([("r", block) for _ in range(4) for block in blocks])
+        config = tiny_config(
+            architecture=architecture,
+            flash_bytes=0,
+            ram_policy=WritebackPolicy.periodic(1),
         )
+        system = System(config, n_hosts=1)
+        assert kernel_eligible(system)
+        stack = system.hosts[0]
+        store = stack.cache if architecture is Architecture.UNIFIED else stack.ram
+        called = _counting(monkeypatch, stack, "read_block", store)
+        system.replay(trace)
+        assert called == list(blocks)
+        assert store.stats.hits == 3 * len(blocks)
+        assert system.metrics.blocks_read == 4 * len(blocks)
+
+    @pytest.mark.parametrize(
+        "spec, generator_writes", [("p1", 0), ("n", 0), ("s", 128), ("a", 128), ("d1", 128)]
+    )
+    def test_write_hits_take_the_generators_only_when_they_flush(
+        self, spec, generator_writes, monkeypatch
+    ):
+        # Read 64 blocks into RAM, then write each of them twice: every
+        # write is a RAM hit.
+        blocks = list(range(64))
+        trace = make_trace([("r", b) for b in blocks] + [("w", b) for b in blocks * 2])
+        config = tiny_config(flash_bytes=0, ram_policy=WritebackPolicy.parse(spec))
+        system = System(config, n_hosts=1)
+        called = _counting(monkeypatch, system.hosts[0], "write_block", None)
+        system.replay(trace)
+        assert len(called) == generator_writes
+        assert system.metrics.blocks_written == 128
 
 
 class TestKernelIdentity:
     def test_differential_check_passes(self):
-        check = check_compiled_kernel_identity(scale=FAST_SCALE)
+        check = check_inline_hit_identity(scale=FAST_SCALE)
         assert check.passed, check.detail
+        assert check.detail.startswith("70 points")
 
-    def test_chunked_trace_replays_identically(self, monkeypatch, tmp_path):
+    def test_chunked_trace_replays_identically(self, tmp_path):
         from repro.traces.chunked import ChunkedCompiledTrace
 
         trace = baseline_trace(n_hosts=2, scale=FAST_SCALE, volume_multiple=2.0)
         chunked = ChunkedCompiledTrace.from_trace(trace, spool_dir=tmp_path)
-        reference, candidate = _run_both(
-            chunked, baseline_config(scale=FAST_SCALE), monkeypatch
-        )
+        reference, candidate = _run_both(chunked, baseline_config(scale=FAST_SCALE))
         assert reference == candidate
 
-    def test_cold_start_replays_identically(self, monkeypatch):
+    def test_cold_start_replays_identically(self):
         reference, candidate = _run_both(
             _compiled_baseline(),
             baseline_config(scale=FAST_SCALE),
-            monkeypatch,
             cold_start=True,
+        )
+        assert reference == candidate
+
+    @pytest.mark.parametrize("volatile_flash", [True, False])
+    @pytest.mark.parametrize(
+        "architecture", [Architecture.NAIVE, Architecture.LOOKASIDE]
+    )
+    def test_restart_replays_identically(self, architecture, volatile_flash):
+        reference, candidate = _run_both(
+            _compiled_baseline(n_hosts=2, volume_multiple=2.0),
+            baseline_config(scale=FAST_SCALE, architecture=architecture),
+            restart=RestartSpec(volatile_flash=volatile_flash),
+        )
+        assert reference == candidate
+
+    def test_invariant_checking_replays_identically(self):
+        reference, candidate = _run_both(
+            _compiled_baseline(n_hosts=3, shared_working_set=True, volume_multiple=2.0),
+            baseline_config(scale=FAST_SCALE, model_invalidation_traffic=True),
+            check_invariants=True,
         )
         assert reference == candidate
 
@@ -156,7 +228,7 @@ _ARCHITECTURES = (
     Architecture.NAIVE,
     Architecture.LOOKASIDE,
     Architecture.UNIFIED,
-    Architecture.EXCLUSIVE,  # ineligible: exercises the fallback path
+    Architecture.EXCLUSIVE,  # ineligible: both runs take the generators
 )
 _POLICIES = ("s", "a", "n", "p10", "p30", "p60", "t30", "d30")
 _ADMISSIONS = ("always", "always", "probationary:2", "budget:8M")
@@ -164,18 +236,18 @@ _CLEANINGS = ("periodic", "periodic", "alru:30", "acp:0.5:0.25")
 
 
 class TestKernelPropertySweep:
-    """Randomized mini replay programs through both kernels.
+    """Randomized mini replay programs with and without the inline run.
 
     Each case draws a trace shape (hosts, write mix, sharing, seed) and
     a config point (architecture, tier sizes, writeback policies,
     admission/cleaning controllers, FTL model, invalidation traffic,
-    invariants) from a seeded RNG and asserts the two kernels produce
+    invariants) from a seeded RNG and asserts the two replays produce
     identical full signatures — timelines, histogram buckets, cache and
     device counters, per-host breakdowns.
     """
 
     @pytest.mark.parametrize("case_seed", range(10))
-    def test_random_point_is_bit_identical(self, case_seed, monkeypatch):
+    def test_random_point_is_bit_identical(self, case_seed):
         rng = random.Random(0xC0DE + case_seed)
         trace = compile_trace(
             baseline_trace(
@@ -214,7 +286,6 @@ class TestKernelPropertySweep:
         reference, candidate = _run_both(
             trace,
             config,
-            monkeypatch,
             check_invariants=rng.random() < 0.5,
         )
         assert reference == candidate, [

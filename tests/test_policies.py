@@ -292,10 +292,9 @@ class TestConfigIntegration:
 
 
 class TestDeprecationShims:
-    def test_top_level_writeback_import_warns(self):
-        with pytest.warns(DeprecationWarning):
-            policy_cls = repro.WritebackPolicy
-        assert policy_cls is WritebackPolicy
+    def test_top_level_writeback_import_is_gone(self):
+        assert not hasattr(repro, "WritebackPolicy")
+        assert "WritebackPolicy" not in repro.__all__
 
     def test_registry_reexports_writeback(self):
         assert policies.WritebackPolicy is WritebackPolicy

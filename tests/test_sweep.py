@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro import sweep
 from repro._units import MB
 from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
+from repro.core.results import SimulationResults
 from repro.core.simulator import run_simulation
 from repro.errors import ConfigError
 from repro.fsmodel.impressions import ImpressionsConfig
@@ -118,6 +122,45 @@ class TestResultCache:
             [SweepPoint(config=config, trace=small_trace)], cache_dir=cache
         )
         assert outcome.reports[0].cached is False
+
+    @staticmethod
+    def _cached_again(small_trace, config, cache):
+        outcome = run_sweep_points(
+            [SweepPoint(config=config, trace=small_trace)], cache_dir=cache
+        )
+        return outcome.reports[0].cached
+
+    def test_changed_module_misses_the_cache(self, small_trace, tmp_path, monkeypatch):
+        package = Path(sweep.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        fields = [field.name for field in dataclasses.fields(SimulationResults)]
+        # The salt is the digest of exactly this package's sources.
+        assert sweep._code_digest(copy, fields) == sweep._code_salt()
+        config = small_grid()[0]
+        cache = tmp_path / "cache"
+        run_sweep(small_trace, [config], cache_dir=cache)
+        assert self._cached_again(small_trace, config, cache)
+        with open(copy / "core" / "host.py", "a") as handle:
+            handle.write("\n# changed\n")
+        monkeypatch.setattr(sweep, "_code_salt", lambda: sweep._code_digest(copy, fields))
+        assert not self._cached_again(small_trace, config, cache)
+
+    def test_added_result_field_misses_the_cache(
+        self, small_trace, tmp_path, monkeypatch
+    ):
+        package = Path(sweep.__file__).resolve().parent
+        fields = [field.name for field in dataclasses.fields(SimulationResults)]
+        config = small_grid()[0]
+        cache = tmp_path / "cache"
+        run_sweep(small_trace, [config], cache_dir=cache)
+        assert self._cached_again(small_trace, config, cache)
+        monkeypatch.setattr(
+            sweep,
+            "_code_salt",
+            lambda: sweep._code_digest(package, fields + ["added_field"]),
+        )
+        assert not self._cached_again(small_trace, config, cache)
 
     def test_progress_reports_cache_hits(self, small_trace, tmp_path):
         configs = small_grid()

@@ -17,8 +17,7 @@ from repro import CompiledTrace, compile_trace, run_simulation
 from repro._units import MB
 from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
-from repro.core import simulator
-from repro.errors import ConfigError, TraceFormatError
+from repro.errors import TraceFormatError
 from repro.fsmodel.impressions import ImpressionsConfig
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.generator import generate_trace
@@ -273,26 +272,19 @@ class TestBitIdenticalReplay:
 
 
 class TestAutoCompile:
-    def test_threshold_env_triggers_compile(self, gen_trace, monkeypatch):
+    def test_replay_compiles_a_plain_trace_once(self, gen_trace):
         # check_invariants=False: this multi-host trace ends inside an
         # async-writeback window where the end-of-run placement
-        # invariant does not hold (object and compiled replay alike);
-        # the subject here is the compile threshold, not the sanitizer.
+        # invariant does not hold; the subject here is compilation.
         config = tiny_config()
-        monkeypatch.setenv(simulator.COMPILE_ENV, "0")
-        baseline = result_signature(
-            run_simulation(gen_trace, config, check_invariants=False)
+        first = run_simulation(gen_trace, config, check_invariants=False)
+        compiled = gen_trace.__dict__.get("_compiled_trace")
+        assert isinstance(compiled, CompiledTrace)
+        second = run_simulation(gen_trace, config, check_invariants=False)
+        assert compile_trace(gen_trace) is compiled
+        packed = run_simulation(compiled, config, check_invariants=False)
+        assert (
+            result_signature(first)
+            == result_signature(second)
+            == result_signature(packed)
         )
-        monkeypatch.setenv(simulator.COMPILE_ENV, "1")
-        auto = result_signature(
-            run_simulation(gen_trace, config, check_invariants=False)
-        )
-        assert auto == baseline
-
-    def test_bad_env_value_raises(self, gen_trace, monkeypatch):
-        monkeypatch.setenv(simulator.COMPILE_ENV, "lots")
-        with pytest.raises(ConfigError):
-            run_simulation(gen_trace, tiny_config())
-
-    def test_default_threshold(self):
-        assert simulator.AUTO_COMPILE_MIN_RECORDS == 32_768
