@@ -55,10 +55,12 @@ class Architecture(enum.Enum):
 
         >>> Architecture.parse("Naive")
         <Architecture.NAIVE: 'naive'>
+
+        Anything else, a non-string included, raises ``ConfigError``.
         """
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ConfigError(
                 "unknown architecture %r (choose from %s)"
                 % (name, ", ".join(a.value for a in cls))

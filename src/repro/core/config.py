@@ -92,7 +92,10 @@ class SimConfig:
     non-persistent flash cache.
     """
 
-    architecture: Architecture = Architecture.NAIVE
+    #: an :class:`Architecture` or its value string (``"naive"``,
+    #: ``"lookaside"``, ``"unified"``, ``"exclusive"``); normalized to
+    #: the enum member.
+    architecture: Union[str, Architecture] = Architecture.NAIVE
     ram_bytes: int = 8 * GB
     flash_bytes: int = 64 * GB
     ram_policy: WritebackPolicy = field(default_factory=lambda: WritebackPolicy.periodic(1))
@@ -150,9 +153,13 @@ class SimConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
-        # Normalize the policy fields: spec strings and instances are
-        # both accepted, instances are stored (strings for eviction,
-        # which is a per-store mutable object).
+        # Normalize the architecture and policy fields: strings and
+        # instances are both accepted, instances are stored (strings for
+        # eviction, which is a per-store mutable object).
+        if not isinstance(self.architecture, Architecture):
+            object.__setattr__(
+                self, "architecture", Architecture.parse(self.architecture)
+            )
         object.__setattr__(
             self, "ram_policy",
             policy_registry.resolve("writeback", self.ram_policy),

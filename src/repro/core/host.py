@@ -32,7 +32,7 @@ network, convoy, and slow down").
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.cache.block import Medium
 from repro.cache.store import BlockStore
@@ -40,6 +40,7 @@ from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
 from repro.core.consistency import ConsistencyDirectory
 from repro.core.policies import PolicyKind
+from repro.engine.periodic import Tick
 from repro.engine.simulation import Simulator
 from repro.errors import ConfigError
 from repro.filer.server import Filer
@@ -88,7 +89,6 @@ class HostStack:
         "_has_ram",
         "_dir_stall",
         "_obs_rec",
-        "keep_running",
         "flash_online_at",
     )
 
@@ -130,10 +130,6 @@ class HostStack:
         #: attached by repro.obs.instrument.attach_observation;
         #: rare-event sites (syncer rounds) guard on it.
         self._obs_rec = None
-        #: syncer-loop liveness predicate; the System replaces it with a
-        #: check on active application threads so the event queue drains
-        #: once the trace replay finishes.
-        self.keep_running = lambda: True
         #: the flash tier is offline (recovering) before this time
         self.flash_online_at = 0
         directory.register_host(host_id, self.drop_block)
@@ -168,8 +164,9 @@ class HostStack:
         """Instantly drop every copy of a block (consistency invalidation)."""
         raise NotImplementedError
 
-    def start_syncers(self) -> None:
-        """Spawn the periodic syncer processes this configuration needs."""
+    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+        """The ``(period_ns, tick)`` syncer and cleaner rounds this
+        configuration needs, for :func:`repro.engine.spawn_periodic`."""
         raise NotImplementedError
 
     def reset_measurement_stats(self) -> None:
@@ -537,27 +534,25 @@ class LayeredStack(HostStack):
 
     # --- syncers ----------------------------------------------------------
 
-    def start_syncers(self) -> None:
+    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+        tasks = []
         ram_policy = self.config.ram_policy
         if ram_policy.has_syncer and self.config.has_ram:
-            self._spawn(
-                self._syncer_loop(ram_policy, self.ram, self._flush_ram_block),
-                "ram-syncer",
-            )
+            tasks.append(self._syncer_task(ram_policy, self.ram, self._flush_ram_block))
         if self._cleaning is not None:
             # A non-default cleaning policy *replaces* the flash tier's
             # periodic syncer (the write-path behavior of the flash
             # writeback policy is unchanged).
-            self._cleaning.start()
-            return
+            tasks.extend(self._cleaning.periodic_tasks())
+            return tasks
         flash_policy = self.config.flash_policy
         if flash_policy.has_syncer and self.flash is not None:
-            self._spawn(
-                self._syncer_loop(flash_policy, self.flash, self._flush_flash_block),
-                "flash-syncer",
+            tasks.append(
+                self._syncer_task(flash_policy, self.flash, self._flush_flash_block)
             )
+        return tasks
 
-    def _syncer_loop(self, policy, store, flush_block) -> Iterator:
+    def _syncer_task(self, policy, store, flush_block) -> Tuple[int, Tick]:
         # A periodic syncer issues its whole batch of writebacks at
         # once, asynchronously (they pipeline on the devices and the
         # network, as real syncers' queued I/O does; a strictly serial
@@ -565,11 +560,12 @@ class LayeredStack(HostStack):
         # A trickle syncer spreads the batch evenly across the period.
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
-        while self.keep_running():
-            yield period_ns
-            dirty = store.dirty_blocks()
-            if not dirty:
-                continue
+        dirty_set = store._dirty
+
+        def tick() -> None:
+            if not dirty_set:
+                return
+            dirty = list(dirty_set)
             rec = self._obs_rec
             if rec is not None:
                 rec.emit(
@@ -586,6 +582,8 @@ class LayeredStack(HostStack):
             else:
                 for block in dirty:
                     self._spawn(flush_block(block), "syncer-flush")
+
+        return period_ns, tick
 
 
 class NaiveStack(LayeredStack):
@@ -800,35 +798,35 @@ class UnifiedStack(HostStack):
         self.cache.mark_clean(block)
         yield from self._filer_write()
 
-    def start_syncers(self) -> None:
+    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
         # One syncer per medium with a periodic/trickle policy; each
         # scans only its medium's dirty blocks.
+        tasks = []
         if self.config.ram_policy.has_syncer:
-            self._spawn(
-                self._syncer_loop(self.config.ram_policy, Medium.RAM),
-                "unified-ram-syncer",
-            )
+            tasks.append(self._syncer_task(self.config.ram_policy, Medium.RAM))
         if self.config.flash_policy.has_syncer:
-            self._spawn(
-                self._syncer_loop(self.config.flash_policy, Medium.FLASH),
-                "unified-flash-syncer",
-            )
+            tasks.append(self._syncer_task(self.config.flash_policy, Medium.FLASH))
+        return tasks
 
-    def _syncer_loop(self, policy, medium: Medium) -> Iterator:
+    def _syncer_task(self, policy, medium: Medium) -> Tuple[int, Tick]:
         # Writebacks are issued asynchronously (periodic) or spread
-        # over the period (trickle); see LayeredStack's syncer loop.
+        # over the period (trickle); see LayeredStack's syncer task.
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
-        while self.keep_running():
-            yield period_ns
+        cache = self.cache
+        dirty_set = cache._dirty
+
+        def tick() -> None:
+            if not dirty_set:
+                return
             dirty = [
                 block
-                for block in self.cache.dirty_blocks()
-                if (entry := self.cache.peek(block)) is not None
+                for block in dirty_set
+                if (entry := cache.peek(block)) is not None
                 and entry.medium is medium
             ]
             if not dirty:
-                continue
+                return
             rec = self._obs_rec
             if rec is not None:
                 rec.emit(
@@ -841,6 +839,8 @@ class UnifiedStack(HostStack):
                     _after(index * spacing, self._flush_block(block)),
                     "unified-syncer-flush",
                 )
+
+        return period_ns, tick
 
     def reset_measurement_stats(self) -> None:
         self.cache.stats.reset_for_measurement()

@@ -22,8 +22,10 @@ from repro.core.host import HostStack, UnifiedStack, build_host_stack
 from repro.core.metrics import MetricsCollector
 from repro.core.policies import PolicyKind
 from repro.engine.compiled import kernel_eligible
+from repro.engine.periodic import spawn_periodic
 from repro.engine.rng import RngStreams
 from repro.engine.simulation import Simulator
+from repro.errors import ConfigError
 from repro.filer.server import Filer
 from repro.flash.device import FlashDevice
 from repro.flash.ftl_device import FTLFlashDevice
@@ -59,7 +61,7 @@ class System:
         obs: Optional[object] = None,
     ) -> None:
         if n_hosts < 1:
-            n_hosts = 1
+            raise ConfigError("a System needs at least one host (got %r)" % n_hosts)
         self.config = config
         self.n_hosts = n_hosts
         self.restart = restart
@@ -235,11 +237,13 @@ class System:
             else:
                 process = self._thread_process(stack, warmup_rows, measured_rows)
             self.sim.spawn(process, name="app.h%d" % host_id)
-        for host in self.hosts:
-            # Syncers keep ticking while application threads are live and
-            # wind down afterwards, letting the event queue drain.
-            host.keep_running = lambda: self._active_threads > 0
-            host.start_syncers()
+        # Syncers and cleaners tick while application threads are live
+        # and wind down afterwards, letting the event queue drain.
+        spawn_periodic(
+            self.sim,
+            [task for host in self.hosts for task in host.periodic_tasks()],
+            lambda: self._active_threads > 0,
+        )
         # The replay loop's allocations (generator frames, event-heap
         # tuples) are acyclic and die by reference counting, so cyclic
         # collections during the run only re-scan the stable simulation

@@ -29,12 +29,13 @@ naive architecture would not have issued.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List, Tuple
 
 from repro.cache.block import Medium
 from repro.cache.store import BlockStore
 from repro.core.host import HostStack, _after
 from repro.core.policies import PolicyKind
+from repro.engine.periodic import Tick
 from repro.errors import ConfigError
 
 
@@ -244,28 +245,28 @@ class MigrationStack(HostStack):
 
     # --- syncers ----------------------------------------------------------------
 
-    def start_syncers(self) -> None:
+    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+        tasks = []
         if self.config.ram_policy.has_syncer and self.config.has_ram:
-            self._spawn(
-                self._syncer_loop(self.config.ram_policy, self.ram), "migr-ram-syncer"
-            )
+            tasks.append(self._syncer_task(self.config.ram_policy, self.ram))
         if self.config.flash_policy.has_syncer and self.flash is not None:
-            self._spawn(
-                self._syncer_loop(self.config.flash_policy, self.flash),
-                "migr-flash-syncer",
-            )
+            tasks.append(self._syncer_task(self.config.flash_policy, self.flash))
+        return tasks
 
-    def _syncer_loop(self, policy, store: BlockStore) -> Iterator:
+    def _syncer_task(self, policy, store: BlockStore) -> Tuple[int, Tick]:
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
-        while self.keep_running():
-            yield period_ns
-            dirty = store.dirty_blocks()
-            if not dirty:
-                continue
+        dirty_set = store._dirty
+
+        def tick() -> None:
+            if not dirty_set:
+                return
+            dirty = list(dirty_set)
             spacing = period_ns // len(dirty) if trickle else 0
             for index, block in enumerate(dirty):
                 self._spawn(
                     _after(index * spacing, self._flush_block(store, block)),
                     "migr-syncer-flush",
                 )
+
+        return period_ns, tick

@@ -22,7 +22,8 @@ Typical usage::
 
 from repro.engine.events import Completion
 from repro.engine.simulation import Process, Simulator
+from repro.engine.periodic import spawn_periodic
 from repro.engine.resources import Resource
 from repro.engine.rng import RngStreams
 
-__all__ = ["Completion", "Process", "Simulator", "Resource", "RngStreams"]
+__all__ = ["Completion", "Process", "Simulator", "Resource", "RngStreams", "spawn_periodic"]

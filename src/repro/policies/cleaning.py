@@ -24,7 +24,8 @@ Specs are immutable/hashable/picklable (they live in frozen
 ``SimConfig`` instances); per-host mutable state is the *controller*
 built by :meth:`CleaningPolicy.controller`, which the layered host
 stacks drive through two hooks: ``note_dirtied(block, now)`` after any
-flash ``mark_dirty``, and ``start()`` in place of the flash syncer.
+flash ``mark_dirty``, and ``periodic_tasks()`` in place of the flash
+syncer.
 
 A non-default cleaning policy replaces the flash tier's *background*
 syncer only; the write-path behavior of the flash writeback policy
@@ -35,9 +36,10 @@ documented no-op there.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro._units import SECOND
+from repro.engine.periodic import Tick
 from repro.errors import ConfigError
 
 
@@ -185,8 +187,10 @@ class CleaningController:
         #: cleaning flushes initiated (monotone; reporting only)
         self.flushes = 0
 
-    def start(self) -> None:
-        """Spawn background processes (called from ``start_syncers``)."""
+    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+        """``(period_ns, tick)`` rounds run in place of the flash syncer
+        (see :func:`repro.engine.spawn_periodic`)."""
+        return []
 
     def note_dirtied(self, block: int, now: int) -> None:
         """A flash block just went (or stayed) dirty at ``now``."""
@@ -210,33 +214,27 @@ class AgedCleanController(CleaningController):
             del dirtied[block]
         dirtied[block] = now
 
-    def start(self) -> None:
-        self.stack._spawn(self._loop(), "flash-aged-cleaner")
+    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+        return [(self.spec.period_ns, self._tick)]
 
-    def _loop(self) -> Iterator:
+    def _tick(self) -> None:
         stack = self.stack
-        store = self.store
-        spec = self.spec
-        period_ns = spec.period_ns
-        idle_ns = spec.idle_ns
-        flush_block = stack._flush_flash_block
-        while stack.keep_running():
-            yield period_ns
-            dirty = store.dirty_blocks()
-            if dirty:
-                now = stack.sim.now
-                dirtied = self._dirtied_at
-                for block in dirty:
-                    # Unknown blocks (defensive) count as infinitely idle.
-                    if now - dirtied.get(block, 0) >= idle_ns:
-                        self.flushes += 1
-                        stack._spawn(flush_block(block), "aged-flush")
-            # Bound the ledger: drop entries for blocks no longer dirty.
-            if len(self._dirtied_at) > 2 * len(dirty) + 64:
-                dirty_set = store._dirty
-                self._dirtied_at = {
-                    b: t for b, t in self._dirtied_at.items() if b in dirty_set
-                }
+        dirty_set = self.store._dirty
+        if dirty_set:
+            now = stack.sim.now
+            idle_ns = self.spec.idle_ns
+            flush_block = stack._flush_flash_block
+            dirtied = self._dirtied_at
+            for block in dirty_set:
+                # Unknown blocks (defensive) count as infinitely idle.
+                if now - dirtied.get(block, 0) >= idle_ns:
+                    self.flushes += 1
+                    stack._spawn(flush_block(block), "aged-flush")
+        # Bound the ledger: drop entries for blocks no longer dirty.
+        if len(self._dirtied_at) > 2 * len(dirty_set) + 64:
+            self._dirtied_at = {
+                b: t for b, t in self._dirtied_at.items() if b in dirty_set
+            }
 
 
 class AggressiveCleanController(CleaningController):

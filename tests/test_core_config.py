@@ -113,6 +113,21 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(ram_bytes=-1)
 
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_architecture_value_string_resolves(self, architecture):
+        assert SimConfig(architecture=architecture.value).architecture is architecture
+        config = SimConfig().with_overrides(architecture=architecture.value)
+        assert config.architecture is architecture
+        assert config == SimConfig(architecture=architecture)
+
+    @pytest.mark.parametrize("bad", ["hybrid", "", 3, None])
+    def test_unknown_architecture_rejected(self, bad):
+        message = "naive, lookaside, unified, exclusive"
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(architecture=bad)
+        with pytest.raises(ConfigError, match=message):
+            SimConfig().with_overrides(architecture=bad)
+
     def test_with_helpers(self):
         config = SimConfig.baseline()
         assert config.with_architecture(Architecture.UNIFIED).architecture is Architecture.UNIFIED

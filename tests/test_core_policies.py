@@ -102,6 +102,7 @@ class TestExtendedPolicies:
 
     def test_behavior_trickle_flushes_eventually(self):
         from repro.core.machine import System
+        from repro.engine.periodic import spawn_periodic
         from tests.helpers import tiny_config
         from tests.test_host_naive import timed
 
@@ -114,8 +115,9 @@ class TestExtendedPolicies:
         for block in range(4):
             timed(system, host.write_block(block))
         assert host.ram.dirty_count == 4
-        host.keep_running = lambda: system.sim.now < 3_000_000
-        host.start_syncers()
+        spawn_periodic(
+            system.sim, host.periodic_tasks(), lambda: system.sim.now < 3_000_000
+        )
         system.sim.run()
         assert host.ram.dirty_count == 0
 

@@ -9,6 +9,7 @@ nanosecond latencies for every hit level and policy behavior.
 from repro._units import KB
 from repro.core.machine import System
 from repro.core.policies import WritebackPolicy
+from repro.engine.periodic import spawn_periodic
 
 from tests.helpers import (
     FILER_WRITE_PATH_NS,
@@ -195,9 +196,9 @@ class TestSyncer:
         host = system.hosts[0]
         timed(system, host.write_block(0))
         assert host.ram.peek(0).dirty
-        host.keep_running = lambda: system.sim.now < 2_000_000  # two periods
-
-        host.start_syncers()
+        spawn_periodic(  # two periods
+            system.sim, host.periodic_tasks(), lambda: system.sim.now < 2_000_000
+        )
         system.sim.run()
         assert not host.ram.peek(0).dirty
         assert 0 in host.flash

@@ -7,6 +7,7 @@ from repro.cache.block import Medium
 from repro.core.architectures import Architecture
 from repro.core.machine import System
 from repro.core.policies import WritebackPolicy
+from repro.engine.periodic import spawn_periodic
 
 from tests.helpers import (
     FILER_WRITE_PATH_NS,
@@ -177,8 +178,9 @@ class TestPolicies:
         flash_dirty_before = host.cache.dirty_count - ram_dirty_before
         assert flash_dirty_before > 0
 
-        host.keep_running = lambda: system.sim.now < 3_000_000
-        host.start_syncers()
+        spawn_periodic(
+            system.sim, host.periodic_tasks(), lambda: system.sim.now < 3_000_000
+        )
         system.sim.run()
 
         remaining = host.cache.dirty_blocks()

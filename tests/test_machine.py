@@ -5,6 +5,7 @@ import pytest
 from repro.core.architectures import Architecture
 from repro.core.machine import System, _stores_of
 from repro.core.simulator import run_simulation
+from repro.errors import ConfigError
 from repro.traces.records import Trace
 
 from tests.helpers import make_trace, tiny_config
@@ -22,8 +23,15 @@ class TestConstruction:
         system = System(tiny_config(flash_bytes=0), 2)
         assert all(device is None for device in system.flash_devices)
 
-    def test_zero_hosts_clamped_to_one(self):
-        assert System(tiny_config(), 0).n_hosts == 1
+    @pytest.mark.parametrize("n_hosts", [0, -1])
+    def test_fewer_than_one_host_rejected(self, n_hosts):
+        with pytest.raises(ConfigError, match="at least one host"):
+            System(tiny_config(), n_hosts)
+        trace = make_trace([("r", 0)])
+        with pytest.raises(ConfigError, match="at least one host"):
+            run_simulation(trace, tiny_config(), n_hosts=n_hosts)
+        with pytest.raises(ConfigError, match="at least one host"):
+            run_simulation(trace, tiny_config(), n_hosts=n_hosts, parallel_hosts=2)
 
     def test_stores_of_by_architecture(self):
         naive = System(tiny_config(), 1).hosts[0]
