@@ -517,7 +517,7 @@ class System:
     def mean_network_utilization(self) -> float:
         if not self.segments:
             return 0.0
-        return sum(s.utilization() for s in self.segments) / len(self.segments)
+        return mean_in_order([s.utilization() for s in self.segments])
 
     def total_flash_traffic(self) -> Tuple[int, int]:
         reads = sum(d.blocks_read for d in self.flash_devices if d is not None)
@@ -548,7 +548,7 @@ class System:
         ]
         if not factors:
             return None
-        return sum(factors) / len(factors)
+        return mean_in_order(factors)
 
     # --- endurance reporting -------------------------------------------
 
@@ -628,6 +628,21 @@ class System:
                 for key, value in counters.items():
                     totals[key] = totals.get(key, 0) + value
         return totals
+
+
+def mean_in_order(values: List[float]) -> float:
+    """The mean of ``values`` summed left to right.
+
+    Python 3.12 made ``sum()`` over floats compensated, so it can round
+    differently from a plain loop (and from 3.11's ``sum()``).  The
+    parallel-replay merge recomputes these means from its workers'
+    meters (``repro.engine.parallel``); summing in order on both sides
+    keeps them bit-identical on every interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _stores_of(host: HostStack):

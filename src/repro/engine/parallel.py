@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import repro.sweep as sweep
 from repro.core.config import SimConfig
-from repro.core.machine import System
+from repro.core.machine import System, mean_in_order
 from repro.core.results import SimulationResults
 from repro.errors import ParallelReplayConflict
 from repro.traces.chunked import ChunkedCompiledTrace
@@ -295,14 +295,14 @@ def _merged_overrides(
     if not n_segments:
         network = 0.0
     else:
-        total = 0.0
+        utilizations = []
         for seg in range(n_segments):
             up = sum(aux["segment_busy"][seg][0] for aux in auxes)
             down = sum(aux["segment_busy"][seg][1] for aux in auxes)
             up_util = 0.0 if global_now == 0 else up / global_now
             down_util = 0.0 if global_now == 0 else down / global_now
-            total += (up_util + down_util) / 2.0
-        network = total / n_segments
+            utilizations.append((up_util + down_util) / 2.0)
+        network = mean_in_order(utilizations)
 
     # mean_write_amplification: per-device steady-state factor from the
     # device's *owning* group (an idle replica of the device reports
@@ -312,7 +312,7 @@ def _merged_overrides(
         for host in range(n_hosts)
         if auxes[owner[host]]["wa_factors"][host] is not None
     ]
-    mean_wa = sum(factors) / len(factors) if factors else None
+    mean_wa = mean_in_order(factors) if factors else None
 
     # measured_write_amplification: idle devices meter zero deltas, so
     # plain sums across groups count each device exactly once.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from typing import List
 
 from repro.errors import ConfigError
@@ -30,18 +31,19 @@ def poisson_sample(rng: random.Random, mean: float) -> int:
     approximation (rounded, clamped at 0) for large ones, which is more
     than adequate for I/O-size sampling.
     """
-    if mean < 0:
-        raise ConfigError("Poisson mean must be non-negative, got %r" % (mean,))
+    if not 0 <= mean < math.inf:
+        raise ConfigError("Poisson mean must be finite and non-negative, got %r" % (mean,))
     if mean == 0:
         return 0
     if mean > 50:
         return max(0, round(rng.gauss(mean, math.sqrt(mean))))
+    draw = rng.random
     threshold = math.exp(-mean)
     count = 0
-    product = rng.random()
+    product = draw()
     while product > threshold:
         count += 1
-        product *= rng.random()
+        product *= draw()
     return count
 
 
@@ -106,22 +108,13 @@ class WeightedSampler:
             total += weight
             self._cumulative.append(total)
         self.total = total
+        self._last = len(self._cumulative) - 1
 
     def sample(self, rng: random.Random) -> int:
         """Return the index of a weight-proportionally chosen item."""
-        point = rng.random() * self.total
-        return _bisect_right(self._cumulative, point)
+        index = bisect_right(self._cumulative, rng.random() * self.total)
+        # random() * total can round up to total itself
+        return index if index < self._last else self._last
 
     def __len__(self) -> int:
         return len(self._cumulative)
-
-
-def _bisect_right(cumulative: List[float], point: float) -> int:
-    low, high = 0, len(cumulative)
-    while low < high:
-        mid = (low + high) // 2
-        if point < cumulative[mid]:
-            high = mid
-        else:
-            low = mid + 1
-    return min(low, len(cumulative) - 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro._units import GB, MB, blocks_for_bytes
@@ -43,16 +44,22 @@ class TraceGenConfig:
     def __post_init__(self) -> None:
         if self.working_set_bytes <= 0:
             raise ConfigError("working set must be positive")
+        for name in ("n_hosts", "threads_per_host"):
+            value = getattr(self, name)
+            # the generator draws hosts and threads with Random._randbelow,
+            # which skips randrange's integer check
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError("%s must be an int, got %r" % (name, value))
         if self.n_hosts < 1 or self.threads_per_host < 1:
             raise ConfigError("need at least one host and one thread")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ConfigError("write fraction must be in [0, 1]")
         if not 0.0 <= self.ws_fraction <= 1.0:
             raise ConfigError("working-set fraction must be in [0, 1]")
-        if self.io_mean_blocks <= 0 or self.region_mean_blocks <= 0:
-            raise ConfigError("I/O and region size means must be positive")
-        if self.volume_multiple <= 0:
-            raise ConfigError("volume multiple must be positive")
+        for name in ("io_mean_blocks", "region_mean_blocks", "volume_multiple"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails this too
+                raise ConfigError("%s must be finite and positive, got %r" % (name, value))
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warmup fraction must be in [0, 1)")
         if self.working_set_bytes > self.fs.total_bytes:

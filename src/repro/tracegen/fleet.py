@@ -42,6 +42,7 @@ differential gate depends on it).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List
 
@@ -206,22 +207,22 @@ def _interleave(groups: List[List[TraceRecord]]) -> List[TraceRecord]:
     """Proportional round-robin (the :func:`merge_traces` discipline):
     at each step pick the group whose progress lags its share most, so
     the combined replay overlaps all tenants as concurrent groups
-    would."""
-    total = sum(len(group) for group in groups)
-    cursors = [0] * len(groups)
+    would.  Equal lags go to the lowest group index.
+
+    The groups sit in a heap keyed by ``(lag, index)``; only the group
+    that advanced gets a new lag, so a record costs O(log groups).
+    """
+    heap = [(0.0, index, 0) for index, group in enumerate(groups) if group]
     out: List[TraceRecord] = []
-    for _ in range(total):
-        best = None
-        best_lag = None
-        for index, group in enumerate(groups):
-            if cursors[index] >= len(group):
-                continue
-            lag = cursors[index] / len(group)
-            if best_lag is None or lag < best_lag:
-                best, best_lag = index, lag
-        assert best is not None
-        out.append(groups[best][cursors[best]])
-        cursors[best] += 1
+    while heap:
+        _lag, index, cursor = heap[0]
+        group = groups[index]
+        out.append(group[cursor])
+        cursor += 1
+        if cursor < len(group):
+            heapq.heapreplace(heap, (cursor / len(group), index, cursor))
+        else:
+            heapq.heappop(heap)
     return out
 
 

@@ -74,32 +74,49 @@ def _iter_requests(
     reordering changes every generated trace.  Both the materializing
     and the chunked path run this exact iterator, which is what makes
     their outputs (and fingerprints) bit-identical.
+
+    Per request the draws are: host, thread, write coin, working-set
+    coin, piece (or file) pick, Poisson length, start.  Everything else
+    is read once before the loop.  ``randbelow(n)`` is what
+    ``randrange(n)`` returns for an int ``n >= 1`` without its argument
+    checks (DESIGN.md §12); every ``n`` below is such an int, as
+    ``TraceGenConfig`` only admits int host and thread counts.
     """
     io_rng = streams.stream("tracegen", "requests")
     file_sampler = WeightedSampler(model.popularities())
     working_sets = _build_working_sets(config, model, streams)
 
-    volume_blocks = 0
-    warmup_boundary_blocks = int(config.target_volume_blocks * config.warmup_fraction)
-    while volume_blocks < config.target_volume_blocks:
-        host = io_rng.randrange(config.n_hosts)
-        thread = io_rng.randrange(config.threads_per_host)
-        is_write = io_rng.random() < config.write_fraction
+    random = io_rng.random
+    randbelow = io_rng._randbelow
+    n_hosts = config.n_hosts
+    threads_per_host = config.threads_per_host
+    write_fraction = config.write_fraction
+    ws_fraction = config.ws_fraction
+    io_mean_blocks = config.io_mean_blocks
+    sample_piece = [working_sets[host].sample_piece for host in range(n_hosts)]
+    sample_file = file_sampler.sample
+    files = model.files
+    target_blocks = config.target_volume_blocks
+    warmup_boundary_blocks = int(target_blocks * config.warmup_fraction)
 
-        if io_rng.random() < config.ws_fraction:
-            piece = working_sets[host].sample_piece(io_rng)
-            length = min(
-                piece.nblocks, max(1, poisson_sample(io_rng, config.io_mean_blocks))
-            )
-            start = piece.start + io_rng.randrange(piece.nblocks - length + 1)
-            file_id = piece.file_id
+    volume_blocks = 0
+    while volume_blocks < target_blocks:
+        host = randbelow(n_hosts)
+        thread = randbelow(threads_per_host)
+        is_write = random() < write_fraction
+
+        if random() < ws_fraction:
+            piece = sample_piece[host](io_rng)
+            file_id, base, extent = piece.file_id, piece.start, piece.nblocks
         else:
-            spec = model[file_sampler.sample(io_rng)]
-            length = min(
-                spec.blocks, max(1, poisson_sample(io_rng, config.io_mean_blocks))
-            )
-            start = io_rng.randrange(spec.blocks - length + 1)
-            file_id = spec.file_id
+            spec = files[sample_file(io_rng)]
+            file_id, base, extent = spec.file_id, 0, spec.blocks
+        length = poisson_sample(io_rng, io_mean_blocks)
+        if length < 1:
+            length = 1
+        elif length > extent:
+            length = extent
+        start = base + randbelow(extent - length + 1)
 
         yield (
             is_write,
@@ -145,19 +162,14 @@ def generate_trace(
     streams = RngStreams(config.seed)
 
     records: List[TraceRecord] = []
+    append = records.append
+    write, read = TraceOp.WRITE, TraceOp.READ
     warmup_records = 0
     for is_write, host, thread, file_id, start, length, is_warmup in _iter_requests(
         config, model, streams
     ):
-        records.append(
-            TraceRecord(
-                TraceOp.WRITE if is_write else TraceOp.READ,
-                host,
-                thread,
-                file_id,
-                start,
-                length,
-            )
+        append(
+            TraceRecord(write if is_write else read, host, thread, file_id, start, length)
         )
         if is_warmup:
             warmup_records += 1

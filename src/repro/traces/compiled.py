@@ -442,23 +442,19 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     cached = trace.__dict__.get("_compiled_trace")
     if cached is not None:
         return cached
-    ops = array("B")
-    hosts = array("I")
-    threads = array("I")
-    file_ids = array("I")
-    offsets = array("Q")
-    nblocks = array("I")
-    starts = array("Q")
+    records = trace.records
+    write = TraceOp.WRITE
     file_base = list(itertools.accumulate([0] + list(trace.file_blocks[:-1])))
     try:
-        for record in trace.records:
-            ops.append(1 if record.op is TraceOp.WRITE else 0)
-            hosts.append(record.host)
-            threads.append(record.thread)
-            file_ids.append(record.file_id)
-            offsets.append(record.offset)
-            nblocks.append(record.nblocks)
-            starts.append(file_base[record.file_id] + record.offset)
+        ops = array("B", [record.op is write for record in records])
+        hosts = array("I", [record.host for record in records])
+        threads = array("I", [record.thread for record in records])
+        file_ids = array("I", [record.file_id for record in records])
+        offsets = array("Q", [record.offset for record in records])
+        nblocks = array("I", [record.nblocks for record in records])
+        starts = array(
+            "Q", [file_base[record.file_id] + record.offset for record in records]
+        )
     except OverflowError as exc:
         raise TraceFormatError(
             "record field too large for the compiled representation: %s" % exc

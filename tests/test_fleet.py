@@ -13,7 +13,7 @@ from repro.core.simulator import run_simulation
 from repro.engine.compiled import kernel_eligible
 from repro.errors import ConfigError
 from repro.net.directory import DirectoryTiming
-from repro.tracegen.fleet import SCENARIOS, FleetSpec, fleet_trace
+from repro.tracegen.fleet import SCENARIOS, FleetSpec, _interleave, fleet_trace
 from repro.traces.records import Trace, TraceOp, TraceRecord
 
 from tests.helpers import tiny_config
@@ -253,6 +253,31 @@ class TestFleetScenarios:
             if record.host < n_primary
         )
         assert last_primary < len(trace.records) - 1
+
+    def test_interleave_matches_lag_scan(self):
+        def scan(groups):
+            # every record: the unfinished group with the lowest
+            # (lag, index), as a strict-< scan over the groups picks
+            cursors = [0] * len(groups)
+            out = []
+            for _ in range(sum(map(len, groups))):
+                _lag, best = min(
+                    (cursors[index] / len(group), index)
+                    for index, group in enumerate(groups)
+                    if cursors[index] < len(group)
+                )
+                out.append(groups[best][cursors[best]])
+                cursors[best] += 1
+            return out
+
+        rng = random.Random(5)
+        for _ in range(200):
+            # lengths sharing factors make equal lags, so ties are common
+            groups = [
+                [(group, k) for k in range(rng.choice((0, 1, 2, 3, 4, 6, 8, 12)))]
+                for group in range(rng.randint(1, 6))
+            ]
+            assert _interleave(groups) == scan(groups)
 
     def test_replay_counts_invalidations(self):
         for scenario in SCENARIOS:

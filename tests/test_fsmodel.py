@@ -37,6 +37,10 @@ class TestPoisson:
     def test_negative_mean_rejected(self):
         with pytest.raises(ConfigError):
             poisson_sample(random.Random(1), -1.0)
+        # a NaN mean would sample 0 every time; an infinite one breaks gauss
+        for mean in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                poisson_sample(random.Random(1), mean)
 
 
 class TestLognormalAndPareto:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.architectures import Architecture
-from repro.core.machine import System, _stores_of
+from repro.core.machine import System, _stores_of, mean_in_order
 from repro.core.simulator import run_simulation
 from repro.errors import ConfigError
 from repro.traces.records import Trace
@@ -101,6 +101,11 @@ class TestAggregation:
     def test_network_utilization_mean(self):
         system = System(tiny_config(), 2)
         assert system.mean_network_utilization() == 0.0
+
+    def test_means_sum_left_to_right(self):
+        # Python >= 3.12's compensated sum() gives exactly 1.0 here; the
+        # parallel merge sums in order, so the serial means must too
+        assert mean_in_order([0.1] * 10) == 0.9999999999999999 / 10
 
     def test_flash_traffic_totals(self):
         trace = make_trace([("r", 0, 0), ("r", 0, 1)])

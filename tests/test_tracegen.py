@@ -141,6 +141,17 @@ class TestDeterminismAndValidation:
             small_config(write_fraction=1.5)
         with pytest.raises(ConfigError):
             small_config(warmup_fraction=1.0)
+        # non-finite means and multiples would fail deep inside generation
+        # or quietly shrink every I/O to one block
+        for field in ("volume_multiple", "io_mean_blocks", "region_mean_blocks"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ConfigError, match=field):
+                    small_config(**{field: value})
+        # host and thread counts feed unchecked integer draws
+        for field in ("n_hosts", "threads_per_host"):
+            for value in (2.0, 2.5, True):
+                with pytest.raises(ConfigError, match=field):
+                    small_config(**{field: value})
 
 
 class TestWorkingSet:
