@@ -7,13 +7,20 @@ benchmarks that quantify how much the paper's conclusions depend on
 that choice.
 
 A policy tracks membership order only — the store owns the entries.
-All operations are O(1) amortized.
 
 Ordering is kept in plain ``dict`` objects (insertion-ordered since
-Python 3.7): a move-to-end is ``d[key] = d.pop(key)``, which benches
-faster than ``OrderedDict.move_to_end`` and keeps the per-entry memory
-at one compact dict slot — this is the LRU chain the replay hot path
-hits once per 4 KB block.
+Python 3.7), at one compact dict slot per entry: a move-to-end is
+``d[key] = d.pop(key)`` — this is the LRU chain the replay hot path
+hits once per 4 KB block.  Insert, touch and remove are O(1)
+amortized.  Taking the front key is not: ``next(iter(d))`` walks over
+every deleted slot at the front of the dict's entry table, and evicting
+from the front then inserting leaves those slots behind until the next
+resize compacts the table, so LRU, FIFO, CLOCK and SLRU victim
+selection costs time that grows with capacity.  On CPython 3.11.7 (a
+2-vCPU VM, three runs) one evict-and-insert took 0.4–0.5, 2.7–4.8,
+11–18 and 44–58 µs at 512, 4,096, 16,384 and 65,536 entries, against
+0.2–0.5 µs for an ``OrderedDict``; a touch took 88–531 ns as
+pop-and-set against 42–263 ns for ``OrderedDict.move_to_end``.
 """
 
 from __future__ import annotations

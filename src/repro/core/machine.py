@@ -218,17 +218,20 @@ class System:
         if isinstance(trace, Trace):
             trace = compile_trace(trace)
         plan = trace.issuer_plan()
+        # Every issuer is checked before anything is spawned or reset, so
+        # a bad trace leaves the system as it was.
+        for host_id, _thread_id, _warmup_rows, _measured_rows in plan:
+            if host_id >= self.n_hosts:
+                raise ValueError(
+                    "trace references host %d but the system has %d hosts"
+                    % (host_id, self.n_hosts)
+                )
         self._blocks_until_measurement = trace.warmup_blocks()
         if self._blocks_until_measurement == 0:
             self._begin_measurement()
         self._active_threads = len(plan)
         recorded = self.obs is not None or self.metrics.read_timeline is not None
         for host_id, thread_id, warmup_rows, measured_rows in plan:
-            if host_id >= self.n_hosts:
-                raise ValueError(
-                    "trace references host %d but the system has %d hosts"
-                    % (host_id, self.n_hosts)
-                )
             stack = self.hosts[host_id]
             if recorded:
                 process = self._thread_process_obs(

@@ -63,6 +63,7 @@ import multiprocessing
 import os
 import pickle
 import tempfile
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -692,6 +693,8 @@ def _execute_serial(
 
 _POOL = None
 _POOL_WORKERS = 0
+#: Helper threads shutting down discarded pools (see _discard_pool).
+_RETIRING: List[threading.Thread] = []
 #: Exception types meaning "the platform cannot give us a pool".
 _POOL_UNAVAILABLE = (OSError, ValueError, NotImplementedError)
 
@@ -715,21 +718,21 @@ def _acquire_pool(n_workers: int, fresh: bool):
     """
     global _POOL, _POOL_WORKERS
     cls = _real_executor_type()
-    if fresh:
-        try:
-            return cls(max_workers=n_workers), True
-        except _POOL_UNAVAILABLE:
-            return None, True
-    if _POOL is not None:
+    if not fresh and _POOL is not None:
         if type(_POOL) is cls and _POOL_WORKERS == n_workers:
             return _POOL, False
         # Different size requested, or the cached pool's class is no
         # longer the live executor class: retire it.
         _discard_pool()
+    # Every discarded pool must be gone before a new one forks workers.
+    while _RETIRING:
+        _RETIRING.pop().join()
     try:
         pool = cls(max_workers=n_workers)
     except _POOL_UNAVAILABLE:
         return None, True
+    if fresh:
+        return pool, True
     if type(pool) is cls and cls.__module__.startswith("concurrent.futures"):
         _POOL, _POOL_WORKERS = pool, n_workers
         return pool, False
@@ -738,23 +741,24 @@ def _acquire_pool(n_workers: int, fresh: bool):
 
 
 def _discard_pool() -> None:
-    """Drop the persistent pool without waiting (broken/obsolete pool)."""
+    """Drop the persistent pool (broken/obsolete) without waiting for it.
+
+    The pool shuts down on a helper thread, so an interrupt unwinds at
+    once; :func:`_acquire_pool` joins that thread before it creates any
+    pool, because forking workers while the old pool's threads still
+    run can deadlock them.
+    """
     global _POOL, _POOL_WORKERS
     pool, _POOL, _POOL_WORKERS = _POOL, None, 0
     if pool is None:
         return
-    shutdown = getattr(pool, "shutdown", None)
-    if shutdown is None:
-        return
-    try:
-        shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # a stand-in with a narrower signature
-        try:
-            shutdown(wait=False)
-        except Exception:
-            pass
-    except Exception:
-        pass
+    retiring = threading.Thread(
+        target=pool.shutdown,
+        kwargs={"wait": True, "cancel_futures": True},
+        name="repro-pool-discard",
+    )
+    retiring.start()
+    _RETIRING.append(retiring)
 
 
 def shutdown_pool() -> None:

@@ -47,6 +47,17 @@ class TestReplayValidation:
         with pytest.raises(ValueError, match="host 5"):
             system.replay(trace)
 
+    def test_bad_host_leaves_system_untouched(self):
+        """The host check runs before the first issuer is spawned and
+        before a zero-warmup trace starts measuring."""
+        trace = make_trace([("r", 0, 0), ("r", 1, 1)])
+        system = System(tiny_config(), 1)
+        with pytest.raises(ValueError, match="host 1"):
+            system.replay(trace)
+        assert system.sim.pending_events == 0
+        assert system._active_threads == 0
+        assert system._measurement_started_at is None
+
     def test_run_simulation_sizes_hosts_from_trace(self):
         trace = make_trace([("r", 0, 0), ("r", 1, 3)])
         results = run_simulation(trace, tiny_config())

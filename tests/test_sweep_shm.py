@@ -16,6 +16,7 @@ Three properties are audited here, per ``repro.sweep``'s contract:
 from __future__ import annotations
 
 import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,28 @@ class TestPersistentPool:
                 workers=2,
             )
         assert sweep._POOL is pool
+
+    def test_discarded_pool_joined_before_next_pool(self, small_trace):
+        """Discarding returns at once, but the next pool is created only
+        after the discarded one has shut down: forking workers while the
+        old pool's threads still run can deadlock them."""
+        shutdown_pool()
+        run_sweep(small_trace, grid(2), workers=2)
+        busy = sweep._POOL.submit(time.sleep, 2)
+        deadline = time.monotonic() + 30
+        while not busy.running() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert busy.running()
+        started = time.monotonic()
+        sweep._discard_pool()
+        assert time.monotonic() - started < 1
+        assert not busy.done()
+        try:
+            pool, owned = sweep._acquire_pool(2, fresh=False)
+            assert not owned and pool is sweep._POOL
+            assert busy.done()
+        finally:
+            shutdown_pool()
 
     def test_fresh_pool_leaves_persistent_untouched(self, small_trace):
         shutdown_pool()

@@ -9,7 +9,9 @@ every architecture and option path.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -209,7 +211,7 @@ class TestIssuerPlan:
         warmup = gen_trace.warmup_records
         for host, thread, warm_rows, measured_rows in plan:
             entries = split[(host, thread)]
-            rows = warm_rows + measured_rows
+            rows = list(warm_rows) + list(measured_rows)
             assert len(rows) == len(entries)
             for position, ((op, start, nb), (index, record)) in enumerate(
                 zip(rows, entries)
@@ -230,6 +232,53 @@ class TestIssuerPlan:
 
     def test_memoized(self, gen_compiled):
         assert gen_compiled.issuer_plan() is gen_compiled.issuer_plan()
+
+    def test_plan_memory_per_row(self):
+        """The plan packs each row into 13 bytes of typed columns; a
+        list of ``(op, start, nblocks)`` tuples took about 100 bytes."""
+        trace = generate_trace(
+            TraceGenConfig(
+                fs=ImpressionsConfig(total_bytes=48 * MB, max_file_bytes=4 * MB),
+                working_set_bytes=4 * MB,
+                n_hosts=2,
+                threads_per_host=2,
+                volume_multiple=192.0,
+                seed=11,
+            )
+        )
+        compiled = compile_trace(trace)
+        rows = len(compiled)
+        assert rows >= 50_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = compiled.issuer_plan()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(w) + len(m) for _h, _t, w, m in plan) == rows
+        assert (after - before) / rows <= 16
+        # Building it holds at most one 8-byte index per row on top.
+        assert (peak - before) / rows <= 32
+
+    def test_plan_outlives_release(self, gen_compiled):
+        """A plan built on an attached trace owns its rows: the segment
+        can be released and even cleared, and the rows still iterate."""
+        expected = [
+            (host, thread, list(warm), list(measured))
+            for host, thread, warm, measured in gen_compiled.issuer_plan()
+        ]
+        blob = bytearray(gen_compiled.to_bytes())
+        attached = CompiledTrace.from_buffer(blob)
+        plan = attached.issuer_plan()
+        attached.release()
+        # Resizing raises BufferError while any view into blob is alive.
+        del blob[:]
+        assert [
+            (host, thread, list(warm), list(measured))
+            for host, thread, warm, measured in plan
+        ] == expected
 
 
 class TestBitIdenticalReplay:
