@@ -27,6 +27,20 @@ dirty block always writes it back synchronously, charged to whichever
 process needed the buffer; this is what makes the ``n`` policy degrade
 once a cache fills ("multiple threads doing evictions contend for the
 network, convoy, and slow down").
+
+Span attribution (:mod:`repro.obs`): every block-path generator takes
+an optional trailing :class:`~repro.obs.breakdown.Span`.  The traced
+replay driver passes one per block; only behind ``span is not None``
+does a path add each yield's simulated time to the span's component
+(and, with an event recorder attached, emit ``TIER_*``/``QUEUE_*``
+events).  Fixed-cost yields are attributed by their known value,
+anything that can wait is bracketed with ``sim.now`` deltas.  A
+dirty-victim writeback is *other blocks'* data: it runs span-less and
+its whole duration goes to ``syncer_stall``; spawned flushes are
+span-less too.  The span travels as an argument, never stored on the
+stack — threads of one host interleave freely.  Exactness (the
+components sum to the block's latency) is property-tested in
+``tests/test_obs.py``.
 """
 
 from __future__ import annotations
@@ -47,9 +61,14 @@ from repro.filer.server import Filer
 from repro.flash.device import FlashDevice
 from repro.net.link import NetworkSegment
 from repro.net.packet import Packet
+from repro.obs.breakdown import Span
 from repro.obs.events import EventKind
 
 _SYNCER_RUN = EventKind.SYNCER_RUN
+_TIER_HIT = EventKind.TIER_HIT
+_TIER_MISS = EventKind.TIER_MISS
+_QUEUE_ENTER = EventKind.QUEUE_ENTER
+_QUEUE_EXIT = EventKind.QUEUE_EXIT
 
 
 def _after(delay_ns: int, gen: Iterator) -> Iterator:
@@ -70,8 +89,7 @@ class HostStack:
 
     Slotted: a fleet-scale ``System`` instantiates thousands of these,
     and the per-instance ``__dict__`` was the dominant construction
-    cost.  (The obs twin subclasses declare no ``__slots__`` and get a
-    dict back — they are rare and carry recorder state.)
+    cost.
     """
 
     __slots__ = (
@@ -127,8 +145,9 @@ class HostStack:
             else (directory_timing.lookup_ns, directory_timing.invalidate_ns)
         )
         #: observability event sink (a repro.obs EventRecorder),
-        #: attached by repro.obs.instrument.attach_observation;
-        #: rare-event sites (syncer rounds) guard on it.
+        #: attached by repro.obs.instrument.attach_observation; read by
+        #: syncer rounds and, behind ``span is not None``, by the
+        #: block paths' tier and queue events.
         self._obs_rec = None
         #: the flash tier is offline (recovering) before this time
         self.flash_online_at = 0
@@ -147,16 +166,23 @@ class HostStack:
 
     # --- public interface (implemented by subclasses) -----------------
 
-    def read_block(self, block: int) -> Iterator:
-        """Process generator: application read of one block."""
+    def read_block(self, block: int, span: Optional[Span] = None) -> Iterator:
+        """Process generator: application read of one block.
+
+        With a ``span``, its components receive the read's latency
+        (see the module docstring).
+        """
         raise NotImplementedError
 
-    def write_block(self, block: int, measured: bool = True) -> Iterator:
+    def write_block(
+        self, block: int, measured: bool = True, span: Optional[Span] = None
+    ) -> Iterator:
         """Process generator: application write of one block.
 
         ``measured`` marks whether this write belongs to the trace's
         measurement phase (it gates invalidation *counting* only; the
-        invalidation itself always happens).
+        invalidation itself always happens).  With a ``span``, its
+        components receive the write's latency.
         """
         raise NotImplementedError
 
@@ -173,9 +199,32 @@ class HostStack:
         """Zero cache statistics at the warmup/measurement boundary."""
         raise NotImplementedError
 
+    # --- span attribution helpers ---------------------------------------
+
+    def _emit_tier(self, kind: str, block: int, tier: str) -> None:
+        """Emit a tier hit/miss event when a recorder is attached."""
+        rec = self._obs_rec
+        if rec is not None:
+            rec.emit(self.sim.now, kind, self.host_id, block, tier=tier)
+
+    def _queue_for(self, wire, block: int, span: Span) -> Iterator:
+        """Wait for a busy wire, attributing the wait to ``filer_queue``."""
+        sim = self.sim
+        rec = self._obs_rec
+        entered = sim.now
+        if rec is not None:
+            rec.emit(entered, _QUEUE_ENTER, self.host_id, block, tier=wire.name)
+        yield wire.acquire()
+        waited = sim.now - entered
+        span.filer_queue += waited
+        if rec is not None:
+            rec.emit(
+                sim.now, _QUEUE_EXIT, self.host_id, block, tier=wire.name, dur=waited
+            )
+
     # --- filer access over the private segment -------------------------------
 
-    def _filer_read(self) -> Iterator:
+    def _filer_read(self, block: int, span: Optional[Span] = None) -> Iterator:
         """One block read from the filer: request packet, service, data packet.
 
         The segment occupancy and filer service are folded into this
@@ -184,32 +233,52 @@ class HostStack:
         generators — this path runs once per cache miss.
         """
         segment = self.segment
-        wire, wire_time = segment.charge(_PKT_REQUEST, "up")
+        wire, up_ns = segment.charge(_PKT_REQUEST, "up")
         if not wire.try_acquire():
-            yield wire.acquire()
-        yield wire_time
+            if span is None:
+                yield wire.acquire()
+            else:
+                yield from self._queue_for(wire, block, span)
+        yield up_ns
         wire.release()
-        yield self.filer.read_service_ns()
-        wire, wire_time = segment.charge(_PKT_DATA, "down")
+        service_ns = self.filer.read_service_ns()
+        yield service_ns
+        wire, down_ns = segment.charge(_PKT_DATA, "down")
         if not wire.try_acquire():
-            yield wire.acquire()
-        yield wire_time
+            if span is None:
+                yield wire.acquire()
+            else:
+                yield from self._queue_for(wire, block, span)
+        yield down_ns
         wire.release()
+        if span is not None:
+            span.net += up_ns + down_ns
+            span.filer_service += service_ns
 
-    def _filer_write(self) -> Iterator:
+    def _filer_write(self, block: int, span: Optional[Span] = None) -> Iterator:
         """One block write to the filer: data packet, service, ack."""
         segment = self.segment
-        wire, wire_time = segment.charge(_PKT_DATA, "up")
+        wire, up_ns = segment.charge(_PKT_DATA, "up")
         if not wire.try_acquire():
-            yield wire.acquire()
-        yield wire_time
+            if span is None:
+                yield wire.acquire()
+            else:
+                yield from self._queue_for(wire, block, span)
+        yield up_ns
         wire.release()
-        yield self.filer.write_service_ns()
-        wire, wire_time = segment.charge(_PKT_ACK, "down")
+        service_ns = self.filer.write_service_ns()
+        yield service_ns
+        wire, down_ns = segment.charge(_PKT_ACK, "down")
         if not wire.try_acquire():
-            yield wire.acquire()
-        yield wire_time
+            if span is None:
+                yield wire.acquire()
+            else:
+                yield from self._queue_for(wire, block, span)
+        yield down_ns
         wire.release()
+        if span is not None:
+            span.net += up_ns + down_ns
+            span.filer_service += service_ns
 
     # --- background flush helper ------------------------------------------
 
@@ -307,10 +376,12 @@ class LayeredStack(HostStack):
 
     # --- read path --------------------------------------------------------
 
-    def read_block(self, block: int) -> Iterator:
+    def read_block(self, block: int, span: Optional[Span] = None) -> Iterator:
         if self._has_ram:
             entry = self.ram.get(block)
             if entry is not None:
+                if span is not None:
+                    self._emit_tier(_TIER_HIT, block, "ram")
                 admission = self._admission
                 if (
                     admission is not None
@@ -321,32 +392,48 @@ class LayeredStack(HostStack):
                     # Probation served: this hit crosses the reference
                     # threshold, so promote the block into flash (the
                     # program is charged to this reader).
-                    yield from self._install_flash(block, dirty=False)
+                    yield from self._install_flash(block, False, span)
                 yield self._ram_read_ns
+                if span is not None:
+                    span.ram += self._ram_read_ns
                 return
+            if span is not None:
+                self._emit_tier(_TIER_MISS, block, "ram")
         if self.flash is not None and self._flash_online():
             fentry = self.flash.get(block)
             if fentry is not None:
+                if span is not None:
+                    self._emit_tier(_TIER_HIT, block, "flash")
                 if self._flash_direct:
-                    yield self.flash_device.read_service_ns(block)
+                    service_ns = self.flash_device.read_service_ns(block)
+                    yield service_ns
+                    if span is not None:
+                        span.flash_read += service_ns
                 else:
+                    started = self.sim.now
                     yield from self.flash_device.read_block(block)
-                yield from self._install_ram(block, dirty=False)
+                    if span is not None:
+                        span.flash_read += self.sim.now - started
+                yield from self._install_ram(block, False, span)
                 return
+            if span is not None:
+                self._emit_tier(_TIER_MISS, block, "flash")
             # Miss everywhere: fetch, then fill flash and RAM
             # ("newly referenced blocks are first placed in flash,
             # then into RAM").
-            yield from self._filer_read()
-            yield from self._install_flash(block, dirty=False)
-            yield from self._install_ram(block, dirty=False)
+            yield from self._filer_read(block, span)
+            yield from self._install_flash(block, False, span)
+            yield from self._install_ram(block, False, span)
             return
         # No flash tier configured.
-        yield from self._filer_read()
-        yield from self._install_ram(block, dirty=False)
+        yield from self._filer_read(block, span)
+        yield from self._install_ram(block, False, span)
 
     # --- write path ------------------------------------------------------
 
-    def write_block(self, block: int, measured: bool = True) -> Iterator:
+    def write_block(
+        self, block: int, measured: bool = True, span: Optional[Span] = None
+    ) -> Iterator:
         dropped = self.directory.on_block_write(self.host_id, block, measured)
         dir_stall = self._dir_stall
         if dir_stall is not None:
@@ -355,17 +442,19 @@ class LayeredStack(HostStack):
                 if measured:
                     self.directory.invalidation_latency_ns += cost
                 yield cost
+                if span is not None:
+                    span.invalidation += cost
         if not self._has_ram:
             # No RAM cache at all: writes land on the next tier directly.
             if self.flash is not None:
-                yield from self._write_into_flash(block)
+                yield from self._write_into_flash(block, span)
             else:
-                yield from self._filer_write()
+                yield from self._filer_write(block, span)
             return
-        yield from self._install_ram(block, dirty=True)
+        yield from self._install_ram(block, True, span)
         policy = self.config.ram_policy
         if policy.kind is PolicyKind.SYNC:
-            yield from self._flush_ram_block(block)
+            yield from self._flush_ram_block(block, span)
         elif policy.kind is PolicyKind.ASYNC:
             self._spawn(self._flush_ram_block(block), "ram-flush")
         elif policy.kind is PolicyKind.DELAYED:
@@ -378,7 +467,7 @@ class LayeredStack(HostStack):
 
     # --- RAM tier internals ------------------------------------------------
 
-    def _install_ram(self, block: int, dirty: bool) -> Iterator:
+    def _install_ram(self, block: int, dirty: bool, span: Optional[Span] = None) -> Iterator:
         """Place (or refresh) a block in RAM, evicting as needed."""
         if not self._has_ram:
             return
@@ -389,6 +478,8 @@ class LayeredStack(HostStack):
             if dirty:
                 ram.mark_dirty(block)
             yield self._ram_write_ns
+            if span is not None:
+                span.ram += self._ram_write_ns
             return
         while ram.is_full():
             victim = ram.pop_victim()
@@ -397,7 +488,11 @@ class LayeredStack(HostStack):
             if self.flash is not None:
                 self.flash.unpin(victim.block)
             if victim.dirty:
-                yield from self._flush_evicted_ram_block(victim.block)
+                # The victim is already out of the RAM index.
+                started = self.sim.now
+                yield from self._writeback_ram_data(victim.block)
+                if span is not None:
+                    span.syncer_stall += self.sim.now - started
             self._note_maybe_gone(victim.block)
             # Re-check: another thread may have installed our block
             # while the writeback was in flight.
@@ -406,33 +501,33 @@ class LayeredStack(HostStack):
                 if dirty:
                     ram.mark_dirty(block)
                 yield self._ram_write_ns
+                if span is not None:
+                    span.ram += self._ram_write_ns
                 return
         ram.put(block, Medium.RAM, dirty=dirty)
         if self.flash is not None:
             self.flash.pin(block)
         self._note_present(block)
         yield self._ram_write_ns
+        if span is not None:
+            span.ram += self._ram_write_ns
 
-    def _flush_ram_block(self, block: int) -> Iterator:
+    def _flush_ram_block(self, block: int, span: Optional[Span] = None) -> Iterator:
         """Policy-driven flush of one (possibly already clean) RAM block."""
         entry = self.ram.peek(block)
         if entry is None or not entry.dirty:
             return
         self.ram.mark_clean(block)
-        yield from self._writeback_ram_data(block)
+        yield from self._writeback_ram_data(block, span)
 
-    def _flush_evicted_ram_block(self, block: int) -> Iterator:
-        """Writeback for a dirty block already removed from the RAM index."""
-        yield from self._writeback_ram_data(block)
-
-    def _writeback_ram_data(self, block: int) -> Iterator:
+    def _writeback_ram_data(self, block: int, span: Optional[Span] = None) -> Iterator:
         """Where RAM writebacks go — the one divergence between the
         naive and lookaside architectures."""
         raise NotImplementedError
 
     # --- flash tier internals -----------------------------------------------
 
-    def _install_flash(self, block: int, dirty: bool) -> Iterator:
+    def _install_flash(self, block: int, dirty: bool, span: Optional[Span] = None) -> Iterator:
         """Write a block's data into the flash cache (fill or update).
 
         Returns the admission verdict: False when the admission policy
@@ -448,7 +543,7 @@ class LayeredStack(HostStack):
                 block, self.ram.ref_count(block), self.sim.now
             ):
                 return False
-            yield from self._make_flash_room(block)
+            yield from self._make_flash_room(block, span)
             if self.flash.peek(block) is None:
                 self.flash.put(
                     block, Medium.FLASH, dirty=False, pinned=block in self.ram
@@ -459,9 +554,15 @@ class LayeredStack(HostStack):
             if admission is not None:
                 admission.note_update(self.sim.now)
         if self._flash_direct:
-            yield self.flash_device.write_service_ns(block)
+            service_ns = self.flash_device.write_service_ns(block)
+            yield service_ns
+            if span is not None:
+                span.flash_write += service_ns
         else:
+            started = self.sim.now
             yield from self.flash_device.write_block(block)
+            if span is not None:
+                span.flash_write += self.sim.now - started
         # The entry can be evicted by another thread during the device
         # write; if so there is nothing left to mark (the stale data is
         # simply gone, as on a real device) — tell the device so an
@@ -475,23 +576,23 @@ class LayeredStack(HostStack):
                 cleaning.note_dirtied(block, self.sim.now)
         return True
 
-    def _write_into_flash(self, block: int) -> Iterator:
+    def _write_into_flash(self, block: int, span: Optional[Span] = None) -> Iterator:
         """Write *dirty* data into flash, then honor the flash policy."""
         if self.flash is not None and not self._flash_online():
             # Recovering: the flash cannot accept writebacks, so dirty
             # data goes straight to the filer (§3.8's availability gap).
-            yield from self._filer_write()
+            yield from self._filer_write(block, span)
             return
-        admitted = yield from self._install_flash(block, dirty=True)
+        admitted = yield from self._install_flash(block, True, span)
         if not admitted:
             # The admission policy kept this dirty block out of flash;
             # its data still needs durability, so it writes through to
             # the filer (charged to this writer, like an eviction).
-            yield from self._filer_write()
+            yield from self._filer_write(block, span)
             return
         policy = self.config.flash_policy
         if policy.kind is PolicyKind.SYNC:
-            yield from self._flush_flash_block(block)
+            yield from self._flush_flash_block(block, span)
         elif policy.kind is PolicyKind.ASYNC:
             self._spawn(self._flush_flash_block(block), "flash-flush")
         elif policy.kind is PolicyKind.DELAYED:
@@ -500,7 +601,9 @@ class LayeredStack(HostStack):
                 "flash-delayed-flush",
             )
 
-    def _make_flash_room(self, incoming: int) -> Iterator:
+    def _make_flash_room(self, incoming: int, span: Optional[Span] = None) -> Iterator:
+        """Evict flash victims until there is room; dirty victims'
+        writebacks stall the caller (``syncer_stall`` in a span)."""
         assert self.flash is not None
         while self.flash.is_full():
             victim = self.flash.pop_victim()
@@ -508,19 +611,25 @@ class LayeredStack(HostStack):
                 break
             self.flash_device.trim_block(victim.block)
             if victim.dirty:
-                yield from self._filer_write()
+                started = self.sim.now
+                yield from self._filer_write(victim.block)
+                if span is not None:
+                    span.syncer_stall += self.sim.now - started
             if victim.pinned:
                 # Fallback: every other entry was pinned, so a
                 # RAM-resident block lost its flash copy; drop the RAM
                 # copy too to preserve the subset placement.
                 ram_copy = self.ram.remove(victim.block)
                 if ram_copy is not None and ram_copy.dirty:
+                    started = self.sim.now
                     yield from self._writeback_ram_data(victim.block)
+                    if span is not None:
+                        span.syncer_stall += self.sim.now - started
             self._note_maybe_gone(victim.block)
             if self.flash.peek(incoming) is not None:
                 return
 
-    def _flush_flash_block(self, block: int) -> Iterator:
+    def _flush_flash_block(self, block: int, span: Optional[Span] = None) -> Iterator:
         """Flush one dirty flash block to the filer."""
         assert self.flash is not None
         if not self._flash_online():
@@ -530,7 +639,7 @@ class LayeredStack(HostStack):
         if entry is None or not entry.dirty:
             return
         self.flash.mark_clean(block)
-        yield from self._filer_write()
+        yield from self._filer_write(block, span)
 
     # --- syncers ----------------------------------------------------------
 
@@ -594,11 +703,11 @@ class NaiveStack(LayeredStack):
 
     __slots__ = ()
 
-    def _writeback_ram_data(self, block: int) -> Iterator:
+    def _writeback_ram_data(self, block: int, span: Optional[Span] = None) -> Iterator:
         if self.flash is not None:
-            yield from self._write_into_flash(block)
+            yield from self._write_into_flash(block, span)
         else:
-            yield from self._filer_write()
+            yield from self._filer_write(block, span)
 
 
 class LookasideStack(LayeredStack):
@@ -611,12 +720,12 @@ class LookasideStack(LayeredStack):
 
     __slots__ = ()
 
-    def _writeback_ram_data(self, block: int) -> Iterator:
-        yield from self._filer_write()
+    def _writeback_ram_data(self, block: int, span: Optional[Span] = None) -> Iterator:
+        yield from self._filer_write(block, span)
         if self.flash is not None:
             # Update the flash copy only after the filer write, so the
             # flash never holds dirty data.
-            yield from self._install_flash(block, dirty=False)
+            yield from self._install_flash(block, False, span)
 
 
 class UnifiedStack(HostStack):
@@ -663,21 +772,23 @@ class UnifiedStack(HostStack):
         else:
             self._free_flash += 1
 
-    def _medium_read(self, medium: Medium, block: int) -> Iterator:
-        if medium is Medium.RAM:
-            yield self._ram_read_ns
-        elif self._flash_direct:
-            yield self.flash_device.read_service_ns(block)
-        else:
-            yield from self.flash_device.read_block(block)
-
-    def _medium_write(self, medium: Medium, block: int) -> Iterator:
+    def _medium_write(
+        self, medium: Medium, block: int, span: Optional[Span] = None
+    ) -> Iterator:
         if medium is Medium.RAM:
             yield self._ram_write_ns
+            if span is not None:
+                span.ram += self._ram_write_ns
         elif self._flash_direct:
-            yield self.flash_device.write_service_ns(block)
+            service_ns = self.flash_device.write_service_ns(block)
+            yield service_ns
+            if span is not None:
+                span.flash_write += service_ns
         else:
+            started = self.sim.now
             yield from self.flash_device.write_block(block)
+            if span is not None:
+                span.flash_write += self.sim.now - started
 
     def _policy_for(self, medium: Medium):
         """Dirty blocks in RAM buffers follow the RAM policy; dirty
@@ -688,21 +799,34 @@ class UnifiedStack(HostStack):
 
     # --- public paths -------------------------------------------------------
 
-    def read_block(self, block: int) -> Iterator:
+    def read_block(self, block: int, span: Optional[Span] = None) -> Iterator:
         entry = self.cache.get(block)
         if entry is not None:
-            # Inline of _medium_read: this is the unified hit path.
+            if span is not None:
+                self._emit_tier(_TIER_HIT, block, "unified")
             if entry.medium is Medium.RAM:
                 yield self._ram_read_ns
+                if span is not None:
+                    span.ram += self._ram_read_ns
             elif self._flash_direct:
-                yield self.flash_device.read_service_ns(block)
+                service_ns = self.flash_device.read_service_ns(block)
+                yield service_ns
+                if span is not None:
+                    span.flash_read += service_ns
             else:
+                started = self.sim.now
                 yield from self.flash_device.read_block(block)
+                if span is not None:
+                    span.flash_read += self.sim.now - started
             return
-        yield from self._filer_read()
-        yield from self._install(block, dirty=False)
+        if span is not None:
+            self._emit_tier(_TIER_MISS, block, "unified")
+        yield from self._filer_read(block, span)
+        yield from self._install(block, False, span)
 
-    def write_block(self, block: int, measured: bool = True) -> Iterator:
+    def write_block(
+        self, block: int, measured: bool = True, span: Optional[Span] = None
+    ) -> Iterator:
         dropped = self.directory.on_block_write(self.host_id, block, measured)
         dir_stall = self._dir_stall
         if dir_stall is not None:
@@ -711,27 +835,27 @@ class UnifiedStack(HostStack):
                 if measured:
                     self.directory.invalidation_latency_ns += cost
                 yield cost
+                if span is not None:
+                    span.invalidation += cost
         entry = self.cache.get(block)
         if entry is not None:
+            if span is not None:
+                self._emit_tier(_TIER_HIT, block, "unified")
             self.cache.mark_dirty(block)
             medium = entry.medium
-            # Inline of _medium_write: this is the unified write hit path.
-            if medium is Medium.RAM:
-                yield self._ram_write_ns
-            elif self._flash_direct:
-                yield self.flash_device.write_service_ns(block)
-            else:
-                yield from self.flash_device.write_block(block)
+            yield from self._medium_write(medium, block, span)
             self._reclaim_if_gone(block, medium)
         else:
-            medium = yield from self._install(block, dirty=True)
+            if span is not None:
+                self._emit_tier(_TIER_MISS, block, "unified")
+            medium = yield from self._install(block, True, span)
             if medium is None:
                 # Cache of zero capacity: write straight to the filer.
-                yield from self._filer_write()
+                yield from self._filer_write(block, span)
                 return
         policy = self._policy_for(medium)
         if policy.kind is PolicyKind.SYNC:
-            yield from self._flush_block(block)
+            yield from self._flush_block(block, span)
         elif policy.kind is PolicyKind.ASYNC:
             self._spawn(self._flush_block(block), "unified-flush")
         elif policy.kind is PolicyKind.DELAYED:
@@ -749,7 +873,7 @@ class UnifiedStack(HostStack):
 
     # --- internals -----------------------------------------------------------
 
-    def _install(self, block: int, dirty: bool) -> Iterator:
+    def _install(self, block: int, dirty: bool, span: Optional[Span] = None) -> Iterator:
         """Insert a block; returns the medium it landed in (or None when
         the cache has zero capacity)."""
         if self.cache.capacity_blocks == 0:
@@ -764,7 +888,10 @@ class UnifiedStack(HostStack):
                 if victim.medium is Medium.FLASH:
                     self.flash_device.trim_block(victim.block)
                 if victim.dirty:
-                    yield from self._filer_write()
+                    started = self.sim.now
+                    yield from self._filer_write(victim.block)
+                    if span is not None:
+                        span.syncer_stall += self.sim.now - started
                 # The victim may have been re-fetched by another thread
                 # during the writeback; only report it gone if it is.
                 if victim.block not in self.cache:
@@ -775,13 +902,13 @@ class UnifiedStack(HostStack):
         if existing is not None:
             if dirty:
                 self.cache.mark_dirty(block)
-            yield from self._medium_write(existing.medium, block)
+            yield from self._medium_write(existing.medium, block, span)
             self._reclaim_if_gone(block, existing.medium)
             return existing.medium
         medium = self._allocate_medium()
         self.cache.put(block, medium, dirty=dirty)
         self.directory.note_copy(self.host_id, block)
-        yield from self._medium_write(medium, block)
+        yield from self._medium_write(medium, block, span)
         self._reclaim_if_gone(block, medium)
         return medium
 
@@ -791,12 +918,12 @@ class UnifiedStack(HostStack):
         if medium is Medium.FLASH and self.cache.peek(block) is None:
             self.flash_device.trim_block(block)
 
-    def _flush_block(self, block: int) -> Iterator:
+    def _flush_block(self, block: int, span: Optional[Span] = None) -> Iterator:
         entry = self.cache.peek(block)
         if entry is None or not entry.dirty:
             return
         self.cache.mark_clean(block)
-        yield from self._filer_write()
+        yield from self._filer_write(block, span)
 
     def periodic_tasks(self) -> List[Tuple[int, Tick]]:
         # One syncer per medium with a periodic/trickle policy; each

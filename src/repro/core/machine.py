@@ -69,18 +69,13 @@ class System:
         self.sim = Simulator()
         # Observability: an explicit Observation wins; otherwise
         # config.trace_events creates one internally (the sweep path).
-        # When attached, hosts are built from the instrumented stack
-        # classes — the plain classes stay untouched, so a run without
-        # an observation takes none of the traced code paths.
+        # The host stacks are the same either way: the traced driver
+        # passes each block a span, which the stacks fill.
         if obs is None and config.trace_events:
             from repro.obs import Observation
 
             obs = Observation()
         self.obs = obs
-        if obs is not None:
-            from repro.obs.instrument import build_obs_host_stack as _build_stack
-        else:
-            _build_stack = build_host_stack
         streams = RngStreams(config.seed)
         self.filer = Filer(self.sim, streams.stream("filer"), config.timing.filer)
         self.directory = ConsistencyDirectory(n_hosts)
@@ -111,7 +106,7 @@ class System:
                         persistent_metadata=config.persistent_flash,
                         name="flash.h%d" % host_id,
                     )
-            stack = _build_stack(
+            stack = build_host_stack(
                 self.sim,
                 host_id,
                 config,
@@ -415,13 +410,10 @@ class System:
         """One application thread with per-block records: the driver of
         replays with an Observation attached or a latency timeline.
 
-        Adds request start/finish events and routes each block through
-        the stack's ``*_obs`` entry points with a reusable
-        :class:`~repro.obs.breakdown.Span` for exact component
-        attribution.  Stacks without instrumented paths (the exclusive
-        architecture, and every stack of a replay without an
-        Observation) take the plain entry points with the whole latency
-        attributed to ``other``.  Latencies go through the collectors'
+        Adds request start/finish events and passes every block a
+        reusable :class:`~repro.obs.breakdown.Span`, which the stack's
+        ``read_block``/``write_block`` fill with exact component
+        attribution.  Latencies go through the collectors'
         ``record_block``, which also keeps the timeline.
         """
         from repro.obs.breakdown import Span
@@ -432,8 +424,6 @@ class System:
         rec = obs.recorder if obs is not None else None
         collector = obs.breakdown_collector if obs is not None else None
         record_span = collector.record if collector is not None else None
-        read_obs = getattr(stack, "read_block_obs", None)
-        write_obs = getattr(stack, "write_block_obs", None)
         read_block = stack.read_block
         write_block = stack.write_block
         metrics = self.metrics
@@ -464,17 +454,9 @@ class System:
                     span.reset()
                     block_start = sim.now
                     if is_write:
-                        if write_obs is not None:
-                            yield from write_obs(block, span, measured=measured)
-                        else:
-                            yield from write_block(block, measured=measured)
-                            span.other += sim.now - block_start
+                        yield from write_block(block, measured, span)
                     else:
-                        if read_obs is not None:
-                            yield from read_obs(block, span)
-                        else:
-                            yield from read_block(block)
-                            span.other += sim.now - block_start
+                        yield from read_block(block, span)
                     if measured:
                         now = sim.now
                         latency = now - block_start

@@ -25,11 +25,15 @@ Semantics:
 The cost of the better placement is migration traffic: every
 demotion is a flash write and every promotion a flash read that the
 naive architecture would not have issued.
+
+Span attribution follows :mod:`repro.core.host`: background demotions
+and spawned flushes run span-less, and a dirty flash victim evicted on
+the caller's path is ``syncer_stall``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.cache.block import Medium
 from repro.cache.store import BlockStore
@@ -37,6 +41,7 @@ from repro.core.host import HostStack, _after
 from repro.core.policies import PolicyKind
 from repro.engine.periodic import Tick
 from repro.errors import ConfigError
+from repro.obs.breakdown import Span
 
 
 class MigrationStack(HostStack):
@@ -99,25 +104,32 @@ class MigrationStack(HostStack):
 
     # --- read path ---------------------------------------------------------
 
-    def read_block(self, block: int) -> Iterator:
+    def read_block(self, block: int, span: Optional[Span] = None) -> Iterator:
         if self.config.has_ram and self.ram.get(block) is not None:
             yield self.timing.ram_read_ns
+            if span is not None:
+                span.ram += self.timing.ram_read_ns
             return
         if self.flash is not None and self._flash_online():
             fentry = self.flash.get(block)
             if fentry is not None:
                 # Promote: read from flash, move to RAM (exclusive).
+                started = self.sim.now
                 yield from self.flash_device.read_block(block)
+                if span is not None:
+                    span.flash_read += self.sim.now - started
                 self.flash.remove(block)
                 self.flash_device.trim_block(block)
-                yield from self._install_ram(block, dirty=fentry.dirty)
+                yield from self._install_ram(block, fentry.dirty, span)
                 return
-        yield from self._filer_read()
-        yield from self._install_ram(block, dirty=False)
+        yield from self._filer_read(block, span)
+        yield from self._install_ram(block, False, span)
 
     # --- write path ------------------------------------------------------------
 
-    def write_block(self, block: int, measured: bool = True) -> Iterator:
+    def write_block(
+        self, block: int, measured: bool = True, span: Optional[Span] = None
+    ) -> Iterator:
         dropped = self.directory.on_block_write(self.host_id, block, measured)
         dir_stall = self._dir_stall
         if dir_stall is not None:
@@ -126,18 +138,20 @@ class MigrationStack(HostStack):
                 if measured:
                     self.directory.invalidation_latency_ns += cost
                 yield cost
+                if span is not None:
+                    span.invalidation += cost
         if not self.config.has_ram:
-            yield from self._filer_write()
+            yield from self._filer_write(block, span)
             return
         # Exclusivity: a write lands in RAM, superseding any flash copy.
         if self.flash is not None:
             stale = self.flash.remove(block)
             if stale is not None:
                 self.flash_device.trim_block(block)
-        yield from self._install_ram(block, dirty=True)
+        yield from self._install_ram(block, True, span)
         policy = self.config.ram_policy
         if policy.kind is PolicyKind.SYNC:
-            yield from self._flush_block(self.ram, block)
+            yield from self._flush_block(self.ram, block, span)
         elif policy.kind is PolicyKind.ASYNC:
             self._spawn(self._flush_block(self.ram, block), "migr-flush")
         elif policy.kind is PolicyKind.DELAYED:
@@ -148,11 +162,11 @@ class MigrationStack(HostStack):
 
     # --- tier internals -------------------------------------------------------
 
-    def _install_ram(self, block: int, dirty: bool) -> Iterator:
+    def _install_ram(self, block: int, dirty: bool, span: Optional[Span] = None) -> Iterator:
         if not self.config.has_ram:
             # Degenerate: no RAM tier; keep the block in flash instead.
             if self.flash is not None and self.flash.peek(block) is None:
-                yield from self._demote_install(block, dirty)
+                yield from self._demote_install(block, dirty, span)
             return
         # Exclusivity under concurrency: while this install's fetch was
         # in flight, another thread may have demoted the same block to
@@ -169,6 +183,8 @@ class MigrationStack(HostStack):
             if dirty:
                 self.ram.mark_dirty(block)
             yield self.timing.ram_write_ns
+            if span is not None:
+                span.ram += self.timing.ram_write_ns
             return
         while self.ram.is_full():
             victim = self.ram.pop_victim()
@@ -184,6 +200,8 @@ class MigrationStack(HostStack):
         self.ram.put(block, Medium.RAM, dirty=dirty)
         self.directory.note_copy(self.host_id, block)
         yield self.timing.ram_write_ns
+        if span is not None:
+            span.ram += self.timing.ram_write_ns
 
     def _demote(self, block: int, dirty: bool) -> Iterator:
         """Move an evicted RAM block down into the flash tier."""
@@ -191,12 +209,12 @@ class MigrationStack(HostStack):
             # No flash, or the flash is recovering: dirty data must
             # still reach the filer; clean data is simply dropped.
             if dirty:
-                yield from self._filer_write()
+                yield from self._filer_write(block)
             self._note_maybe_gone(block)
             return
         yield from self._demote_install(block, dirty)
 
-    def _demote_install(self, block: int, dirty: bool) -> Iterator:
+    def _demote_install(self, block: int, dirty: bool, span: Optional[Span] = None) -> Iterator:
         assert self.flash is not None
         if block in self.ram:
             # The block was re-referenced (and re-installed in RAM)
@@ -212,7 +230,10 @@ class MigrationStack(HostStack):
                 break
             self.flash_device.trim_block(victim.block)
             if victim.dirty:
-                yield from self._filer_write()
+                started = self.sim.now
+                yield from self._filer_write(victim.block)
+                if span is not None:
+                    span.syncer_stall += self.sim.now - started
             self._note_maybe_gone(victim.block)
         if block in self.ram:
             # Re-referenced while this demotion waited on the eviction
@@ -224,7 +245,10 @@ class MigrationStack(HostStack):
             self.flash.put(block, Medium.FLASH, dirty=dirty)
         elif dirty:
             self.flash.mark_dirty(block)
+        started = self.sim.now
         yield from self.flash_device.write_block(block)
+        if span is not None:
+            span.flash_write += self.sim.now - started
         if self.flash.peek(block) is None:
             # Evicted (or wiped by a restart) while the device write was
             # in flight: the host holds nothing, so registering it as a
@@ -233,7 +257,9 @@ class MigrationStack(HostStack):
         else:
             self.directory.note_copy(self.host_id, block)
 
-    def _flush_block(self, store: BlockStore, block: int) -> Iterator:
+    def _flush_block(
+        self, store: BlockStore, block: int, span: Optional[Span] = None
+    ) -> Iterator:
         """Write one dirty block back to the filer."""
         if store is self.flash and not self._flash_online():
             return  # cannot flush from a recovering flash (§3.8)
@@ -241,7 +267,7 @@ class MigrationStack(HostStack):
         if entry is None or not entry.dirty:
             return
         store.mark_clean(block)
-        yield from self._filer_write()
+        yield from self._filer_write(block, span)
 
     # --- syncers ----------------------------------------------------------------
 

@@ -13,10 +13,12 @@ trace_event/Perfetto).  Opt in per run::
     obs.write_chrome_trace("trace.json")   # load at ui.perfetto.dev
 
 or per config (``SimConfig(trace_events=True)``), which makes sweeps
-return breakdowns and counters inside their picklable results.  With
-tracing off (the default) the simulation takes none of these code
-paths — results are bit-identical and the replay hot loop is unchanged
-(see docs/OBSERVABILITY.md for the measured overhead).
+return breakdowns and counters inside their picklable results.  The
+host stacks' block paths attribute spans and emit events themselves,
+behind ``span is not None`` guards; with tracing off (the default) no
+span is passed, results are bit-identical and the replay's inline
+RAM-hit run is unchanged (see docs/OBSERVABILITY.md for the measured
+overhead).
 """
 
 from repro.obs.breakdown import (

@@ -28,10 +28,10 @@ nanosecond of a block I/O to exactly one component:
     per-victim invalidate messages (zero unless ``timing.directory``
     models them; the paper's default is instant invalidation).
 ``other``
-    anything the instrumentation does not attribute.  Zero for the
-    naive/lookaside/unified architectures (property-tested); whole-I/O
-    latency for architectures without instrumented fast paths (e.g. the
-    exclusive/migration extension).
+    anything the block paths do not attribute: the residue
+    :meth:`BreakdownCollector.record` folds in.  Zero on every
+    architecture (property-tested), so a non-zero value flags an
+    unattributed yield.
 
 Exactness: simulated time advances only at generator yields, so
 measuring ``sim.now`` deltas around every yield segment partitions a
@@ -65,9 +65,9 @@ class Span:
     """Mutable per-block attribution scratchpad.
 
     One span is reused across a thread's blocks (reset between blocks)
-    so the instrumented replay loop allocates nothing per block.  The
-    instrumented host-stack paths add nanoseconds into the component
-    fields as their yields complete.
+    so the traced replay driver allocates nothing per block.  The host
+    stacks' block paths add nanoseconds into the component fields as
+    their yields complete.
     """
 
     __slots__ = COMPONENTS

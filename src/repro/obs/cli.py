@@ -80,16 +80,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(args: argparse.Namespace) -> Optional[str]:
+    """A one-line message for option values no replay can use."""
+    if args.no_events and (args.trace_out or args.chrome_out):
+        return "--no-events leaves nothing for --trace-out/--chrome-out"
+    if args.max_events is not None and args.max_events < 0:
+        return "--max-events must be >= 0 (got %d)" % args.max_events
+    if args.scale is not None and args.scale < 1:
+        return "--scale must be >= 1 (got %d)" % args.scale
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_events and (args.trace_out or args.chrome_out):
-        print("--no-events leaves nothing for --trace-out/--chrome-out", file=sys.stderr)
+    error = _input_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     try:
         if args.trace is not None:
             from repro.traces.importers.detect import load_any
 
-            trace, _stats = load_any(args.trace)
+            try:
+                trace, _stats = load_any(args.trace)
+            except OSError as exc:  # a missing or unreadable file
+                print(str(exc), file=sys.stderr)
+                return 2
         else:
             from repro.experiments.common import DEFAULT_SCALE, baseline_trace
 

@@ -24,7 +24,7 @@ class EventKind:
     # application requests (machine.py replay driver)
     REQUEST_START = "request_start"
     REQUEST_FINISH = "request_finish"
-    # cache tiers (instrumented host stacks)
+    # cache tiers (host stack block paths, traced replays)
     TIER_HIT = "tier_hit"
     TIER_MISS = "tier_miss"
     WRITEBACK = "writeback"

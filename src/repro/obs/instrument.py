@@ -1,50 +1,18 @@
-"""Instrumented host stacks: event emission + exact span attribution.
+"""Wire an :class:`~repro.obs.Observation` into a built System.
 
-These subclasses mirror their parents' block-I/O paths *exactly* — same
-store mutations, same RNG draws, same yields in the same order — adding
-only (a) ``TraceEvent`` emission and (b) per-yield attribution into a
-:class:`~repro.obs.breakdown.Span`.  The simulation they produce is
-bit-identical to the uninstrumented run (differential-tested in
-``tests/test_obs.py``); keep each ``*_obs`` method in lockstep with its
-base-class twin when either changes.
-
-Attribution is exact because simulated time advances only at yields:
-fixed-cost yields (RAM charges, direct device/filer/net services) are
-attributed by their known value without reading the clock, and anything
-that can wait (wire acquisition, channel-limited devices, victim
-writebacks) is bracketed with ``sim.now`` deltas.  The span travels as
-an explicit argument, never stored on the stack — simulation threads of
-one host interleave freely and would clobber shared state.
-
-Only the three paper architectures have instrumented fast paths; the
-exclusive/migration extension falls back to whole-I/O ``other``
-attribution in the replay driver.
+Span attribution needs no wiring: the host stacks' block paths
+(:mod:`repro.core.host`, :mod:`repro.core.migration`) fill the span the
+traced replay driver passes them.  What needs wiring is the event
+stream — :func:`attach_observation` hands the Observation's recorder to
+every layer that emits events (hosts, segments, flash devices, filer,
+cache stores and the simulator's spawn hook).  :class:`StoreObserver`
+gives a :class:`~repro.cache.store.BlockStore` the context its events
+need (clock, host, tier name).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.cache.block import Medium
-from repro.core.architectures import Architecture
-from repro.core.host import (
-    LookasideStack,
-    NaiveStack,
-    UnifiedStack,
-    _PKT_ACK,
-    _PKT_DATA,
-    _PKT_REQUEST,
-    _after,
-    build_host_stack,
-)
-from repro.core.policies import PolicyKind
-from repro.obs.breakdown import Span
 from repro.obs.events import EventKind
-
-_TIER_HIT = EventKind.TIER_HIT
-_TIER_MISS = EventKind.TIER_MISS
-_QUEUE_ENTER = EventKind.QUEUE_ENTER
-_QUEUE_EXIT = EventKind.QUEUE_EXIT
 
 
 class StoreObserver:
@@ -80,508 +48,11 @@ class StoreObserver:
         )
 
 
-class _ObsStackMixin:
-    """Shared instrumented filer paths (layered + unified stacks)."""
-
-    def _filer_read_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of HostStack._filer_read."""
-        sim = self.sim
-        rec = self._obs_rec
-        segment = self.segment
-        wire, wire_time = segment.charge(_PKT_REQUEST, "up")
-        if not wire.try_acquire():
-            entered = sim.now
-            if rec is not None:
-                rec.emit(entered, _QUEUE_ENTER, self.host_id, block, tier=wire.name)
-            yield wire.acquire()
-            waited = sim.now - entered
-            span.filer_queue += waited
-            if rec is not None:
-                rec.emit(
-                    sim.now, _QUEUE_EXIT, self.host_id, block, tier=wire.name, dur=waited
-                )
-        yield wire_time
-        span.net += wire_time
-        wire.release()
-        service = self.filer.read_service_ns()
-        yield service
-        span.filer_service += service
-        wire, wire_time = segment.charge(_PKT_DATA, "down")
-        if not wire.try_acquire():
-            entered = sim.now
-            if rec is not None:
-                rec.emit(entered, _QUEUE_ENTER, self.host_id, block, tier=wire.name)
-            yield wire.acquire()
-            waited = sim.now - entered
-            span.filer_queue += waited
-            if rec is not None:
-                rec.emit(
-                    sim.now, _QUEUE_EXIT, self.host_id, block, tier=wire.name, dur=waited
-                )
-        yield wire_time
-        span.net += wire_time
-        wire.release()
-
-    def _filer_write_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of HostStack._filer_write."""
-        sim = self.sim
-        rec = self._obs_rec
-        segment = self.segment
-        wire, wire_time = segment.charge(_PKT_DATA, "up")
-        if not wire.try_acquire():
-            entered = sim.now
-            if rec is not None:
-                rec.emit(entered, _QUEUE_ENTER, self.host_id, block, tier=wire.name)
-            yield wire.acquire()
-            waited = sim.now - entered
-            span.filer_queue += waited
-            if rec is not None:
-                rec.emit(
-                    sim.now, _QUEUE_EXIT, self.host_id, block, tier=wire.name, dur=waited
-                )
-        yield wire_time
-        span.net += wire_time
-        wire.release()
-        service = self.filer.write_service_ns()
-        yield service
-        span.filer_service += service
-        wire, wire_time = segment.charge(_PKT_ACK, "down")
-        if not wire.try_acquire():
-            entered = sim.now
-            if rec is not None:
-                rec.emit(entered, _QUEUE_ENTER, self.host_id, block, tier=wire.name)
-            yield wire.acquire()
-            waited = sim.now - entered
-            span.filer_queue += waited
-            if rec is not None:
-                rec.emit(
-                    sim.now, _QUEUE_EXIT, self.host_id, block, tier=wire.name, dur=waited
-                )
-        yield wire_time
-        span.net += wire_time
-        wire.release()
-
-
-class _ObsLayeredMixin(_ObsStackMixin):
-    """Instrumented twins of the LayeredStack I/O paths."""
-
-    # --- read path ----------------------------------------------------
-
-    def read_block_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of LayeredStack.read_block."""
-        sim = self.sim
-        rec = self._obs_rec
-        if self._has_ram:
-            entry = self.ram.get(block)
-            if entry is not None:
-                if rec is not None:
-                    rec.emit(sim.now, _TIER_HIT, self.host_id, block, tier="ram")
-                admission = self._admission
-                if (
-                    admission is not None
-                    and admission.promote_on_hit(self.ram.ref_count(block))
-                    and self._flash_online()
-                    and self.flash.peek(block) is None
-                ):
-                    yield from self._install_flash_obs(block, False, span)
-                yield self._ram_read_ns
-                span.ram += self._ram_read_ns
-                return
-            if rec is not None:
-                rec.emit(sim.now, _TIER_MISS, self.host_id, block, tier="ram")
-        if self.flash is not None and self._flash_online():
-            fentry = self.flash.get(block)
-            if fentry is not None:
-                if rec is not None:
-                    rec.emit(sim.now, _TIER_HIT, self.host_id, block, tier="flash")
-                if self._flash_direct:
-                    service = self.flash_device.read_service_ns(block)
-                    yield service
-                    span.flash_read += service
-                else:
-                    started = sim.now
-                    yield from self.flash_device.read_block(block)
-                    span.flash_read += sim.now - started
-                yield from self._install_ram_obs(block, False, span)
-                return
-            if rec is not None:
-                rec.emit(sim.now, _TIER_MISS, self.host_id, block, tier="flash")
-            yield from self._filer_read_obs(block, span)
-            yield from self._install_flash_obs(block, False, span)
-            yield from self._install_ram_obs(block, False, span)
-            return
-        yield from self._filer_read_obs(block, span)
-        yield from self._install_ram_obs(block, False, span)
-
-    # --- write path ---------------------------------------------------
-
-    def write_block_obs(self, block: int, span: Span, measured: bool = True) -> Iterator:
-        """Instrumented twin of LayeredStack.write_block."""
-        dropped = self.directory.on_block_write(self.host_id, block, measured)
-        dir_stall = self._dir_stall
-        if dir_stall is not None:
-            cost = dir_stall[0] + dropped * dir_stall[1]
-            if cost:
-                if measured:
-                    self.directory.invalidation_latency_ns += cost
-                yield cost
-                span.invalidation += cost
-        if not self._has_ram:
-            if self.flash is not None:
-                yield from self._write_into_flash_obs(block, span)
-            else:
-                yield from self._filer_write_obs(block, span)
-            return
-        yield from self._install_ram_obs(block, True, span)
-        policy = self.config.ram_policy
-        if policy.kind is PolicyKind.SYNC:
-            yield from self._flush_ram_block_obs(block, span)
-        elif policy.kind is PolicyKind.ASYNC:
-            self._spawn(self._flush_ram_block(block), "ram-flush")
-        elif policy.kind is PolicyKind.DELAYED:
-            self._spawn(
-                _after(policy.flush_delay_ns, self._flush_ram_block(block)),
-                "ram-delayed-flush",
-            )
-
-    # --- RAM tier -----------------------------------------------------
-
-    def _install_ram_obs(self, block: int, dirty: bool, span: Span) -> Iterator:
-        """Instrumented twin of LayeredStack._install_ram.  Dirty-victim
-        writebacks are *other blocks'* data: their whole duration is
-        attributed to ``syncer_stall``."""
-        if not self._has_ram:
-            return
-        sim = self.sim
-        ram = self.ram
-        existing = ram.peek(block)
-        if existing is not None:
-            ram.get(block)  # touch + count the access pattern
-            if dirty:
-                ram.mark_dirty(block)
-            yield self._ram_write_ns
-            span.ram += self._ram_write_ns
-            return
-        while ram.is_full():
-            victim = ram.pop_victim()
-            if victim is None:
-                break
-            if self.flash is not None:
-                self.flash.unpin(victim.block)
-            if victim.dirty:
-                started = sim.now
-                yield from self._flush_evicted_ram_block(victim.block)
-                span.syncer_stall += sim.now - started
-            self._note_maybe_gone(victim.block)
-            installed = ram.peek(block)
-            if installed is not None:
-                if dirty:
-                    ram.mark_dirty(block)
-                yield self._ram_write_ns
-                span.ram += self._ram_write_ns
-                return
-        ram.put(block, Medium.RAM, dirty=dirty)
-        if self.flash is not None:
-            self.flash.pin(block)
-        self._note_present(block)
-        yield self._ram_write_ns
-        span.ram += self._ram_write_ns
-
-    def _flush_ram_block_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of LayeredStack._flush_ram_block (the
-        synchronous-policy flush of the application's *own* block, so
-        its cost decomposes into real components, not syncer_stall)."""
-        entry = self.ram.peek(block)
-        if entry is None or not entry.dirty:
-            return
-        self.ram.mark_clean(block)
-        yield from self._writeback_ram_data_obs(block, span)
-
-    def _writeback_ram_data_obs(self, block: int, span: Span) -> Iterator:
-        raise NotImplementedError
-
-    # --- flash tier -----------------------------------------------------
-
-    def _install_flash_obs(self, block: int, dirty: bool, span: Span) -> Iterator:
-        """Instrumented twin of LayeredStack._install_flash."""
-        if self.flash is None or not self._flash_online():
-            return True
-        sim = self.sim
-        existing = self.flash.peek(block)
-        admission = self._admission
-        if existing is None:
-            if admission is not None and not admission.admit_fill(
-                block, self.ram.ref_count(block), sim.now
-            ):
-                return False
-            yield from self._make_flash_room_obs(block, span)
-            if self.flash.peek(block) is None:
-                self.flash.put(
-                    block, Medium.FLASH, dirty=False, pinned=block in self.ram
-                )
-                self._note_present(block)
-        else:
-            self.flash.get(block)  # touch
-            if admission is not None:
-                admission.note_update(sim.now)
-        if self._flash_direct:
-            service = self.flash_device.write_service_ns(block)
-            yield service
-            span.flash_write += service
-        else:
-            started = sim.now
-            yield from self.flash_device.write_block(block)
-            span.flash_write += sim.now - started
-        if self.flash.peek(block) is None:
-            self.flash_device.trim_block(block)
-        elif dirty:
-            self.flash.mark_dirty(block)
-            cleaning = self._cleaning
-            if cleaning is not None:
-                cleaning.note_dirtied(block, sim.now)
-        return True
-
-    def _write_into_flash_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of LayeredStack._write_into_flash."""
-        if self.flash is not None and not self._flash_online():
-            yield from self._filer_write_obs(block, span)
-            return
-        admitted = yield from self._install_flash_obs(block, True, span)
-        if not admitted:
-            yield from self._filer_write_obs(block, span)
-            return
-        policy = self.config.flash_policy
-        if policy.kind is PolicyKind.SYNC:
-            yield from self._flush_flash_block_obs(block, span)
-        elif policy.kind is PolicyKind.ASYNC:
-            self._spawn(self._flush_flash_block(block), "flash-flush")
-        elif policy.kind is PolicyKind.DELAYED:
-            self._spawn(
-                _after(policy.flush_delay_ns, self._flush_flash_block(block)),
-                "flash-delayed-flush",
-            )
-
-    def _make_flash_room_obs(self, incoming: int, span: Span) -> Iterator:
-        """Instrumented twin of LayeredStack._make_flash_room (victim
-        writebacks are other blocks' data -> syncer_stall)."""
-        assert self.flash is not None
-        sim = self.sim
-        while self.flash.is_full():
-            victim = self.flash.pop_victim()
-            if victim is None:
-                break
-            self.flash_device.trim_block(victim.block)
-            if victim.dirty:
-                started = sim.now
-                yield from self._filer_write()
-                span.syncer_stall += sim.now - started
-            if victim.pinned:
-                ram_copy = self.ram.remove(victim.block)
-                if ram_copy is not None and ram_copy.dirty:
-                    started = sim.now
-                    yield from self._writeback_ram_data(victim.block)
-                    span.syncer_stall += sim.now - started
-            self._note_maybe_gone(victim.block)
-            if self.flash.peek(incoming) is not None:
-                return
-
-    def _flush_flash_block_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of LayeredStack._flush_flash_block."""
-        assert self.flash is not None
-        if not self._flash_online():
-            return
-        entry = self.flash.peek(block)
-        if entry is None or not entry.dirty:
-            return
-        self.flash.mark_clean(block)
-        yield from self._filer_write_obs(block, span)
-
-
-class ObsNaiveStack(_ObsLayeredMixin, NaiveStack):
-    """Instrumented naive architecture."""
-
-    def _writeback_ram_data_obs(self, block: int, span: Span) -> Iterator:
-        if self.flash is not None:
-            yield from self._write_into_flash_obs(block, span)
-        else:
-            yield from self._filer_write_obs(block, span)
-
-
-class ObsLookasideStack(_ObsLayeredMixin, LookasideStack):
-    """Instrumented lookaside architecture."""
-
-    def _writeback_ram_data_obs(self, block: int, span: Span) -> Iterator:
-        yield from self._filer_write_obs(block, span)
-        if self.flash is not None:
-            yield from self._install_flash_obs(block, False, span)
-
-
-class ObsUnifiedStack(_ObsStackMixin, UnifiedStack):
-    """Instrumented unified architecture."""
-
-    def read_block_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of UnifiedStack.read_block."""
-        sim = self.sim
-        rec = self._obs_rec
-        entry = self.cache.get(block)
-        if entry is not None:
-            if rec is not None:
-                rec.emit(sim.now, _TIER_HIT, self.host_id, block, tier="unified")
-            if entry.medium is Medium.RAM:
-                yield self._ram_read_ns
-                span.ram += self._ram_read_ns
-            elif self._flash_direct:
-                service = self.flash_device.read_service_ns(block)
-                yield service
-                span.flash_read += service
-            else:
-                started = sim.now
-                yield from self.flash_device.read_block(block)
-                span.flash_read += sim.now - started
-            return
-        if rec is not None:
-            rec.emit(sim.now, _TIER_MISS, self.host_id, block, tier="unified")
-        yield from self._filer_read_obs(block, span)
-        yield from self._install_obs(block, False, span)
-
-    def write_block_obs(self, block: int, span: Span, measured: bool = True) -> Iterator:
-        """Instrumented twin of UnifiedStack.write_block."""
-        dropped = self.directory.on_block_write(self.host_id, block, measured)
-        dir_stall = self._dir_stall
-        if dir_stall is not None:
-            cost = dir_stall[0] + dropped * dir_stall[1]
-            if cost:
-                if measured:
-                    self.directory.invalidation_latency_ns += cost
-                yield cost
-                span.invalidation += cost
-        sim = self.sim
-        rec = self._obs_rec
-        entry = self.cache.get(block)
-        if entry is not None:
-            if rec is not None:
-                rec.emit(sim.now, _TIER_HIT, self.host_id, block, tier="unified")
-            self.cache.mark_dirty(block)
-            medium = entry.medium
-            if medium is Medium.RAM:
-                yield self._ram_write_ns
-                span.ram += self._ram_write_ns
-            elif self._flash_direct:
-                service = self.flash_device.write_service_ns(block)
-                yield service
-                span.flash_write += service
-            else:
-                started = sim.now
-                yield from self.flash_device.write_block(block)
-                span.flash_write += sim.now - started
-            self._reclaim_if_gone(block, medium)
-        else:
-            if rec is not None:
-                rec.emit(sim.now, _TIER_MISS, self.host_id, block, tier="unified")
-            medium = yield from self._install_obs(block, True, span)
-            if medium is None:
-                yield from self._filer_write_obs(block, span)
-                return
-        policy = self._policy_for(medium)
-        if policy.kind is PolicyKind.SYNC:
-            yield from self._flush_block_obs(block, span)
-        elif policy.kind is PolicyKind.ASYNC:
-            self._spawn(self._flush_block(block), "unified-flush")
-        elif policy.kind is PolicyKind.DELAYED:
-            self._spawn(
-                _after(policy.flush_delay_ns, self._flush_block(block)),
-                "unified-delayed-flush",
-            )
-
-    def _install_obs(self, block: int, dirty: bool, span: Span) -> Iterator:
-        """Instrumented twin of UnifiedStack._install."""
-        if self.cache.capacity_blocks == 0:
-            return None
-        sim = self.sim
-        existing = self.cache.peek(block)
-        if existing is None:
-            while self.cache.is_full():
-                victim = self.cache.pop_victim()
-                if victim is None:
-                    break
-                self._release_medium(victim.medium)
-                if victim.medium is Medium.FLASH:
-                    self.flash_device.trim_block(victim.block)
-                if victim.dirty:
-                    started = sim.now
-                    yield from self._filer_write()
-                    span.syncer_stall += sim.now - started
-                if victim.block not in self.cache:
-                    self.directory.note_drop(self.host_id, victim.block)
-                existing = self.cache.peek(block)
-                if existing is not None:
-                    break
-        if existing is not None:
-            if dirty:
-                self.cache.mark_dirty(block)
-            yield from self._medium_write_obs(existing.medium, block, span)
-            self._reclaim_if_gone(block, existing.medium)
-            return existing.medium
-        medium = self._allocate_medium()
-        self.cache.put(block, medium, dirty=dirty)
-        self.directory.note_copy(self.host_id, block)
-        yield from self._medium_write_obs(medium, block, span)
-        self._reclaim_if_gone(block, medium)
-        return medium
-
-    def _medium_write_obs(self, medium: Medium, block: int, span: Span) -> Iterator:
-        """Instrumented twin of UnifiedStack._medium_write."""
-        if medium is Medium.RAM:
-            yield self._ram_write_ns
-            span.ram += self._ram_write_ns
-        elif self._flash_direct:
-            service = self.flash_device.write_service_ns(block)
-            yield service
-            span.flash_write += service
-        else:
-            started = self.sim.now
-            yield from self.flash_device.write_block(block)
-            span.flash_write += self.sim.now - started
-
-    def _flush_block_obs(self, block: int, span: Span) -> Iterator:
-        """Instrumented twin of UnifiedStack._flush_block."""
-        entry = self.cache.peek(block)
-        if entry is None or not entry.dirty:
-            return
-        self.cache.mark_clean(block)
-        yield from self._filer_write_obs(block, span)
-
-
-_OBS_STACKS = {
-    Architecture.NAIVE: ObsNaiveStack,
-    Architecture.LOOKASIDE: ObsLookasideStack,
-    Architecture.UNIFIED: ObsUnifiedStack,
-}
-
-
-def build_obs_host_stack(
-    sim, host_id, config, flash_device, segment, filer, directory, rng
-):
-    """Construct the instrumented stack for the configured architecture.
-
-    Architectures without instrumented fast paths (the exclusive/
-    migration extension) fall back to their plain stack; the replay
-    driver attributes their whole-I/O latency to ``other``.
-    """
-    cls = _OBS_STACKS.get(config.architecture)
-    if cls is None:
-        return build_host_stack(
-            sim, host_id, config, flash_device, segment, filer, directory, rng
-        )
-    return cls(sim, host_id, config, flash_device, segment, filer, directory, rng)
-
-
 def attach_observation(system, obs) -> None:
     """Wire an Observation's recorder into every layer of a built System.
 
-    A no-op for the event stream when the observation is breakdown-only;
-    span attribution needs no wiring (it rides the instrumented stacks'
-    arguments).
+    A no-op when the observation is breakdown-only: span attribution
+    needs no wiring (spans ride the block paths' arguments).
     """
     rec = obs.recorder
     if rec is None:
@@ -605,11 +76,4 @@ def attach_observation(system, obs) -> None:
             store.obs_hook = StoreObserver(rec, sim, host_id, tier_name)
 
 
-__all__ = [
-    "ObsNaiveStack",
-    "ObsLookasideStack",
-    "ObsUnifiedStack",
-    "StoreObserver",
-    "attach_observation",
-    "build_obs_host_stack",
-]
+__all__ = ["StoreObserver", "attach_observation"]

@@ -516,7 +516,7 @@ def check_inline_hit_identity(
     grid (sync/async/periodic 10, 30, 60/trickle/delayed on each tier),
     admission/cleaning-controller points and a shared-working-set fleet
     point is replayed twice — once with ``Observation(events=False)``
-    attached, which sends every block through the instrumented host
+    attached, which sends every block, span attached, through the host
     generators and never takes the inline run (the reference), and once
     plain — and the :func:`full_signature` of the two runs must agree
     down to histogram buckets and per-host breakdowns.

@@ -235,3 +235,22 @@ class TestObsCli:
 
         status = obs_cli.main(["--no-events", "--trace-out", "x.jsonl"])
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-events", "-1"], "--max-events must be >= 0"),
+            (["--scale", "0"], "--scale must be >= 1"),
+            (["--trace", "{tmp}/missing.trace"], "No such file or directory"),
+        ],
+        ids=["negative-max-events", "zero-scale", "missing-trace"],
+    )
+    def test_bad_input_exits_2_with_one_line(self, argv, message, tmp_path, capsys):
+        from repro.obs import cli as obs_cli
+
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert obs_cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert captured.err.count("\n") == 1

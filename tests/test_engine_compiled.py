@@ -4,8 +4,8 @@ The application-thread driver serves RAM hits inline when
 :func:`repro.engine.compiled.kernel_eligible` holds; it exists purely
 for speed, so it must not move a single result.  The reference for
 every identity below is the same replay with a breakdown-only
-Observation attached, which sends every block through the instrumented
-host generators and never takes the inline run.
+Observation attached, which sends every block through the host
+generators (with a span) and never takes the inline run.
 """
 
 from __future__ import annotations

@@ -9,8 +9,13 @@ the simulation itself (bit-identical results with tracing on and off).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,7 @@ from repro._units import MB
 from repro.core.architectures import Architecture
 from repro.core.policies import WritebackPolicy
 from repro.core.simulator import run_simulation
+from repro.net.directory import DirectoryTiming
 from repro.obs import (
     COMPONENTS,
     EventKind,
@@ -30,12 +36,15 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.events import TraceEvent
+from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.validation.differential import full_signature
 from tests.helpers import make_trace, tiny_config
 
 ARCHITECTURES = [
     Architecture.NAIVE,
     Architecture.LOOKASIDE,
     Architecture.UNIFIED,
+    Architecture.EXCLUSIVE,
 ]
 
 #: A sample of the paper's 7x7 writeback-policy grid (Figure 2's axes),
@@ -53,8 +62,6 @@ POLICY_SAMPLE = [
 
 def mixed_trace(n_ops: int = 600, seed: int = 3, span: int = 700):
     """A deterministic read/write mix with enough reuse to hit caches."""
-    import random
-
     rng = random.Random(seed)
     ops = []
     for _ in range(n_ops):
@@ -134,15 +141,18 @@ class TestBreakdownExactness:
         results = run_simulation(trace, config, n_hosts=2, obs=Observation())
         assert_exact_breakdown(results)
 
-    def test_exclusive_arch_falls_back_to_other(self):
-        # The EXCLUSIVE extension is uninstrumented: whole latencies
-        # land in the "other" component, and the sum stays exact.
+    def test_exclusive_arch_is_exact(self):
+        # The exclusive extension attributes through the same block
+        # paths as the paper architectures: nothing lands in "other".
         config = tiny_config(architecture=Architecture.EXCLUSIVE)
         results = run_simulation(mixed_trace(), config, obs=Observation())
         assert_exact_breakdown(results)
-        read_ns = results.breakdown.read_ns
-        assert read_ns["other"] == results.read_latency.total_ns
-        assert all(read_ns[c] == 0 for c in COMPONENTS if c != "other")
+        breakdown = results.breakdown
+        total = {c: breakdown.read_ns[c] + breakdown.write_ns[c] for c in COMPONENTS}
+        assert total["other"] == 0
+        assert total["ram"] > 0
+        assert total["net"] > 0
+        assert total["filer_service"] > 0
 
     def test_warmup_excluded_like_latency_stats(self):
         ops = [("r", b) for b in range(50)] * 2
@@ -347,3 +357,142 @@ class TestResultsSurface:
         table = breakdown_to_markdown(results.breakdown)
         assert "| component |" in table
         assert "**total**" in table
+
+
+# --- golden breakdown gate ----------------------------------------------
+#
+# The exactness tests above check only that the components sum to the
+# latency, so a change that swapped ``net`` and ``filer_service`` or
+# dropped a ``QUEUE_*`` event would pass them.  This gate pins, per
+# point, a digest of the breakdown, the event counters and the full
+# result signature.  Record the digests only for an intended change of
+# what a traced replay reports:
+#
+#     PYTHONPATH=src python -m tests.test_obs --write
+
+OBS_GOLDEN = Path(__file__).with_name("obs_golden.json")
+
+#: (name, ram policy, flash policy) — every policy kind on each axis
+GOLDEN_POLICIES = (
+    ("s-s", "s", "s"),
+    ("a-a", "a", "a"),
+    ("p1-p5", "p1", "p5"),
+    ("n-s", "n", "s"),
+    ("a-n", "a", "n"),
+)
+
+#: name -> (ram bytes, flash bytes): the working set fits in flash, or
+#: overflows both tiers (dirty-victim writebacks, syncer stalls)
+GOLDEN_SIZES = {
+    "large": (1 * MB, 8 * MB),
+    "small": (32 * 4096, 128 * 4096),
+}
+
+PAPER_ARCHITECTURES = (
+    Architecture.NAIVE,
+    Architecture.LOOKASIDE,
+    Architecture.UNIFIED,
+)
+
+
+def golden_trace(n_hosts: int = 1) -> Trace:
+    """Four threads per host of mixed 1-4 block requests over ~700
+    blocks: enough concurrency that the wires queue."""
+    rng = random.Random(17)
+    records = []
+    for _ in range(900):
+        records.append(
+            TraceRecord(
+                TraceOp.WRITE if rng.random() < 0.3 else TraceOp.READ,
+                rng.randrange(n_hosts),
+                rng.randrange(4),
+                0,
+                rng.randrange(700),
+                rng.randint(1, 4),
+            )
+        )
+    return Trace(records, [4096], warmup_records=100)
+
+
+def _golden_config(arch, size="small", policies=("p1", "p5"), **overrides):
+    ram_bytes, flash_bytes = GOLDEN_SIZES[size]
+    overrides.setdefault("ram_bytes", ram_bytes)
+    overrides.setdefault("flash_bytes", flash_bytes)
+    return tiny_config(
+        architecture=arch,
+        ram_policy=WritebackPolicy.parse(policies[0]),
+        flash_policy=WritebackPolicy.parse(policies[1]),
+        **overrides,
+    )
+
+
+def golden_obs_points():
+    """Every point of the gate: (name, config, n_hosts)."""
+    for arch in PAPER_ARCHITECTURES:
+        for pair, ram_spec, flash_spec in GOLDEN_POLICIES:
+            for size in GOLDEN_SIZES:
+                yield (
+                    "%s/%s/%s" % (arch.value, pair, size),
+                    _golden_config(arch, size, (ram_spec, flash_spec)),
+                    1,
+                )
+        yield "%s/parallelism1" % arch.value, _golden_config(
+            arch, flash_parallelism=1
+        ), 1
+        yield "%s/no-flash" % arch.value, _golden_config(arch, flash_bytes=0), 1
+        directory = _golden_config(arch)
+        directory = replace(
+            directory,
+            timing=directory.timing.with_directory(
+                DirectoryTiming(lookup_ns=500, invalidate_ns=2_000)
+            ),
+        )
+        yield "%s/2-hosts-directory" % arch.value, directory, 2
+    for arch in (Architecture.NAIVE, Architecture.LOOKASIDE):
+        yield "%s/probationary2" % arch.value, _golden_config(
+            arch, flash_admission="probationary:2"
+        ), 1
+        yield "%s/no-ram" % arch.value, _golden_config(arch, ram_bytes=0), 1
+
+
+def golden_obs_digest(config, n_hosts: int) -> str:
+    obs = Observation()
+    results = run_simulation(golden_trace(n_hosts), config, n_hosts=n_hosts, obs=obs)
+    payload = [results.breakdown.as_dict(), obs.counters(), full_signature(results)]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def golden_obs_digests():
+    return {
+        name: golden_obs_digest(config, n_hosts)
+        for name, config, n_hosts in golden_obs_points()
+    }
+
+
+class TestGoldenBreakdowns:
+    def test_every_digest_matches(self):
+        recorded = json.loads(OBS_GOLDEN.read_text())
+        found = golden_obs_digests()
+        assert sorted(found) == sorted(recorded)
+        assert {name for name in found if found[name] != recorded[name]} == set()
+
+    def test_gate_points_queue_and_stall(self):
+        # The gate is only as strong as what its points exercise: some
+        # replay must queue on a wire and some must stall on a victim.
+        config = _golden_config(Architecture.NAIVE, policies=("n", "s"))
+        obs = Observation()
+        results = run_simulation(golden_trace(), config, obs=obs)
+        breakdown = results.breakdown
+        assert obs.counters()[EventKind.QUEUE_ENTER] > 0
+        assert breakdown.read_ns["filer_queue"] > 0
+        assert breakdown.read_ns["syncer_stall"] + breakdown.write_ns["syncer_stall"] > 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        OBS_GOLDEN.write_text(
+            json.dumps(golden_obs_digests(), indent=1, sort_keys=True) + "\n"
+        )
+        print("wrote %s" % OBS_GOLDEN)
+    else:
+        sys.exit("usage: python -m tests.test_obs --write")
