@@ -2,9 +2,9 @@
 
 The paper models every cache as "a single LRU chain of blocks"; this
 package provides that structure (:class:`BlockStore` with the default
-:class:`LRUPolicy`) plus the alternative eviction policies (FIFO, CLOCK)
-used by the ablation benchmarks, and the per-store statistics the
-simulator reports.
+:class:`LRUPolicy`, whose block index is the chain) plus the
+alternative eviction policies (FIFO, CLOCK, SLRU) used by the ablation
+benchmarks, and the per-store statistics the simulator reports.
 
 Stores are *pure data structures*: they take no simulated time.  The
 host stack in :mod:`repro.core.host` orchestrates the latencies around

@@ -2,186 +2,185 @@
 
 The paper fixes LRU ("we use LRU") and explicitly leaves replacement
 policy out of its design space; :class:`LRUPolicy` is therefore the
-default everywhere.  FIFO and CLOCK are provided for the ablation
+default everywhere.  FIFO, CLOCK and SLRU are provided for the ablation
 benchmarks that quantify how much the paper's conclusions depend on
 that choice.
 
-A policy tracks membership order only — the store owns the entries.
+A policy owns its tier's block index: one map from block key to value
+(the store's :class:`~repro.cache.block.BlockEntry`, or ``None`` for a
+policy used on its own).  :class:`~repro.cache.store.BlockStore` looks
+blocks up in that same index, so no policy keeps a second per-entry
+map where the index order can be the eviction order:
 
-Ordering is kept in plain ``dict`` objects (insertion-ordered since
-Python 3.7), at one compact dict slot per entry: a move-to-end is
-``d[key] = d.pop(key)`` — this is the LRU chain the replay hot path
-hits once per 4 KB block.  Insert, touch and remove are O(1)
-amortized.  Taking the front key is not: ``next(iter(d))`` walks over
-every deleted slot at the front of the dict's entry table, and evicting
-from the front then inserting leaves those slots behind until the next
-resize compacts the table, so LRU, FIFO, CLOCK and SLRU victim
-selection costs time that grows with capacity.  On CPython 3.11.7 (a
-2-vCPU VM, three runs) one evict-and-insert took 0.4–0.5, 2.7–4.8,
-11–18 and 44–58 µs at 512, 4,096, 16,384 and 65,536 entries, against
-0.2–0.5 µs for an ``OrderedDict``; a touch took 88–531 ns as
-pop-and-set against 42–263 ns for ``OrderedDict.move_to_end``.
+* LRU and FIFO keep the index, an ``OrderedDict``, in eviction order
+  (front first).  An LRU touch is the index's ``move_to_end``; the
+  victim is the first entry not pinned or skipped.
+* CLOCK keeps its hand at the index front and its reference bits in a
+  set beside the index; a second chance moves the front entry to the
+  back.
+* SLRU keeps its order in two ``OrderedDict`` segments beside a plain
+  ``dict`` index; a demotion is ``popitem(last=False)``.
+
+Insert, touch and remove are O(1).  A victim pick costs one step per
+entry it passes over: the pinned or skipped ones in front of the
+victim and, for CLOCK, each referenced one it gives a second chance.
+An ``OrderedDict`` finds its front in O(1); a plain ``dict`` would walk
+every slot that evictions from its front had deleted, so a victim pick
+would grow with capacity (DESIGN.md §14 has the measurements, and
+``benchmarks/eviction_scaling.py`` gates them).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from itertools import chain
 from typing import Callable, Dict, Iterator, Optional
 
 from repro.errors import CacheError
 
 
 class EvictionPolicy:
-    """Interface: maintains an ordering over block keys.
+    """Interface: an eviction order over the keys of a block index.
 
-    Subclasses implement the four mutation hooks plus victim selection.
+    ``index`` maps every tracked key to its value.  The base class
+    keeps ``index`` in eviction order, front first, which is all LRU
+    and FIFO need; CLOCK and SLRU override what they order otherwise.
     ``victim(skip)`` returns the best eviction candidate whose key does
     not satisfy ``skip`` (used to honor pinned entries); it returns
-    ``None`` only when every tracked key is skipped.
+    ``None`` only when every tracked key is skipped.  Neither it nor
+    :meth:`victim_unpinned` removes the victim.
     """
 
-    __slots__ = ()
+    __slots__ = ("index",)
 
-    def insert(self, key: int) -> None:
-        raise NotImplementedError
+    def __init__(self) -> None:
+        self.index: Dict[int, object] = OrderedDict()
+
+    def insert(self, key: int, value: object = None) -> None:
+        index = self.index
+        if key in index:
+            raise CacheError(
+                "%s insert of already-present key %d" % (type(self).__name__, key)
+            )
+        index[key] = value
 
     def touch(self, key: int) -> None:
         raise NotImplementedError
 
-    def remove(self, key: int) -> None:
-        raise NotImplementedError
+    def remove(self, key: int) -> object:
+        """Stop tracking ``key``; returns its index value."""
+        return self.index.pop(key)
 
     def victim(self, skip: Optional[Callable[[int], bool]] = None) -> Optional[int]:
-        raise NotImplementedError
+        if skip is None:
+            return next(iter(self.index), None)
+        for key in self.index:
+            if not skip(key):
+                return key
+        return None
+
+    def victim_unpinned(self) -> Optional[int]:
+        """``victim`` skipping keys whose index value is pinned: the
+        store's eviction path, where index values are block entries."""
+        for key, entry in self.index.items():
+            if not entry.pinned:
+                return key
+        return None
+
+    def desync(self) -> Optional[str]:
+        """How the policy's own order disagrees with its index, or
+        ``None``.  An index kept in eviction order cannot disagree."""
+        return None
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return len(self.index)
 
     def __iter__(self) -> Iterator[int]:
         """Iterate keys from eviction-candidate end to most-protected end."""
-        raise NotImplementedError
+        return iter(self.index)
 
 
 class LRUPolicy(EvictionPolicy):
     """Least-recently-used ordering — the paper's single LRU chain.
 
-    Built on an insertion-ordered ``dict``: the front is the LRU end,
-    and a touch re-inserts the key at the MRU end.
+    The index front is the LRU end; a touch moves the key to the MRU
+    end.  ``touch`` is the index's own ``move_to_end``, bound once, so a
+    hit costs one C call.
     """
 
-    __slots__ = ("_order",)
+    __slots__ = ("touch",)
 
     def __init__(self) -> None:
-        self._order: Dict[int, None] = {}
-
-    def insert(self, key: int) -> None:
-        if key in self._order:
-            raise CacheError("LRU insert of already-present key %d" % key)
-        self._order[key] = None
-
-    def touch(self, key: int) -> None:
-        order = self._order
-        order[key] = order.pop(key)
-
-    def remove(self, key: int) -> None:
-        del self._order[key]
-
-    def victim(self, skip: Optional[Callable[[int], bool]] = None) -> Optional[int]:
-        if skip is None:
-            return next(iter(self._order), None)
-        for key in self._order:
-            if not skip(key):
-                return key
-        return None
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._order)
+        super().__init__()
+        self.touch = self.index.move_to_end
 
 
 class FIFOPolicy(EvictionPolicy):
     """First-in-first-out: insertion order, never reordered by touches."""
 
-    __slots__ = ("_order",)
-
-    def __init__(self) -> None:
-        self._order: Dict[int, None] = {}
-
-    def insert(self, key: int) -> None:
-        if key in self._order:
-            raise CacheError("FIFO insert of already-present key %d" % key)
-        self._order[key] = None
+    __slots__ = ()
 
     def touch(self, key: int) -> None:
         # FIFO ignores reuse.
-        if key not in self._order:
+        if key not in self.index:
             raise CacheError("FIFO touch of absent key %d" % key)
-
-    def remove(self, key: int) -> None:
-        del self._order[key]
-
-    def victim(self, skip: Optional[Callable[[int], bool]] = None) -> Optional[int]:
-        if skip is None:
-            return next(iter(self._order), None)
-        for key in self._order:
-            if not skip(key):
-                return key
-        return None
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._order)
 
 
 class ClockPolicy(EvictionPolicy):
     """Second-chance (CLOCK) approximation of LRU.
 
     Entries carry a reference bit set on touch.  Victim selection sweeps
-    a circular hand, clearing reference bits until it finds an entry
-    with the bit unset (and not skipped).
+    a circular hand — the index front — moving each referenced entry to
+    the back with its bit cleared until it finds an entry with the bit
+    unset (and not skipped).  A skipped entry moves to the back with
+    its bit kept.
     """
 
-    __slots__ = ("_refbit",)
+    __slots__ = ("_refs",)
 
     def __init__(self) -> None:
-        # Insertion-ordered dict as circular buffer: hand is the front.
-        self._refbit: Dict[int, bool] = {}
-
-    def insert(self, key: int) -> None:
-        if key in self._refbit:
-            raise CacheError("CLOCK insert of already-present key %d" % key)
-        self._refbit[key] = False
+        super().__init__()
+        #: keys whose reference bit is set
+        self._refs = set()
 
     def touch(self, key: int) -> None:
-        self._refbit[key] = True
+        if key not in self.index:
+            raise CacheError("CLOCK touch of absent key %d" % key)
+        self._refs.add(key)
 
-    def remove(self, key: int) -> None:
-        del self._refbit[key]
+    def remove(self, key: int) -> object:
+        self._refs.discard(key)
+        return self.index.pop(key)
 
     def victim(self, skip: Optional[Callable[[int], bool]] = None) -> Optional[int]:
-        if not self._refbit:
-            return None
+        index = self.index
+        refs = self._refs
+        rotate = index.move_to_end
         # Two sweeps suffice: the first clears reference bits.
-        for _sweep in range(2):
-            for _ in range(len(self._refbit)):
-                key, referenced = next(iter(self._refbit.items()))
-                if (skip is None or not skip(key)) and not referenced:
-                    return key
-                # Give a second chance (or skip a pinned entry) by
-                # rotating it to the back with the bit cleared.
-                del self._refbit[key]
-                self._refbit[key] = False if not (skip and skip(key)) else referenced
+        for _ in range(2 * len(index)):
+            key = next(iter(index))
+            if skip is not None and skip(key):
+                rotate(key)
+            elif key in refs:
+                refs.discard(key)
+                rotate(key)
+            else:
+                return key
         # Everything was skipped.
         return None
 
-    def __len__(self) -> int:
-        return len(self._refbit)
+    def victim_unpinned(self) -> Optional[int]:
+        index = self.index
+        return self.victim(lambda key: index[key].pinned)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._refbit)
+    def desync(self) -> Optional[str]:
+        stray = self._refs.difference(self.index)
+        if stray:
+            return "CLOCK reference bits set for %d keys outside the index, e.g. %s" % (
+                len(stray),
+                sorted(stray)[:8],
+            )
+        return None
 
 
 class SLRUPolicy(EvictionPolicy):
@@ -194,7 +193,8 @@ class SLRUPolicy(EvictionPolicy):
     sweep never displaces the protected set.
 
     ``protected_capacity`` bounds the protected segment; the store
-    passes a fraction of its capacity via :func:`_make_policy`.
+    passes a fraction of its capacity via :func:`_make_policy`.  The
+    segments hold the order, so the index is a plain ``dict``.
     """
 
     __slots__ = ("protected_capacity", "_probation", "_protected")
@@ -202,34 +202,36 @@ class SLRUPolicy(EvictionPolicy):
     def __init__(self, protected_capacity: int = 64) -> None:
         if protected_capacity < 1:
             raise CacheError("protected capacity must be >= 1")
+        self.index = {}
         self.protected_capacity = protected_capacity
-        self._probation: Dict[int, None] = {}
-        self._protected: Dict[int, None] = {}
+        self._probation: Dict[int, None] = OrderedDict()
+        self._protected: Dict[int, None] = OrderedDict()
 
-    def insert(self, key: int) -> None:
-        if key in self._probation or key in self._protected:
-            raise CacheError("SLRU insert of already-present key %d" % key)
+    def insert(self, key: int, value: object = None) -> None:
+        super().insert(key, value)
         self._probation[key] = None
 
     def touch(self, key: int) -> None:
         protected = self._protected
         if key in protected:
-            protected[key] = protected.pop(key)
+            protected.move_to_end(key)
             return
-        if key not in self._probation:
+        probation = self._probation
+        if key not in probation:
             raise CacheError("SLRU touch of absent key %d" % key)
-        del self._probation[key]
+        del probation[key]
         protected[key] = None
         while len(protected) > self.protected_capacity:
-            demoted = next(iter(protected))
-            del protected[demoted]
-            self._probation[demoted] = None  # back as probationary MRU
+            demoted, _ = protected.popitem(last=False)
+            probation[demoted] = None  # back as probationary MRU
 
-    def remove(self, key: int) -> None:
+    def remove(self, key: int) -> object:
+        value = self.index.pop(key)
         if key in self._probation:
             del self._probation[key]
         else:
             del self._protected[key]
+        return value
 
     def victim(self, skip: Optional[Callable[[int], bool]] = None) -> Optional[int]:
         for segment in (self._probation, self._protected):
@@ -238,12 +240,28 @@ class SLRUPolicy(EvictionPolicy):
                     return key
         return None
 
-    def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
+    def victim_unpinned(self) -> Optional[int]:
+        index = self.index
+        return self.victim(lambda key: index[key].pinned)
+
+    def desync(self) -> Optional[str]:
+        index = self.index
+        probation = self._probation
+        protected = self._protected
+        if (
+            len(probation) + len(protected) == len(index)
+            and probation.keys().isdisjoint(protected)
+            and all(key in index for key in chain(probation, protected))
+        ):
+            return None
+        return "SLRU segments hold %d + %d keys that do not partition the %d-key index" % (
+            len(probation),
+            len(protected),
+            len(index),
+        )
 
     def __iter__(self) -> Iterator[int]:
-        yield from self._probation
-        yield from self._protected
+        return chain(self._probation, self._protected)
 
 
 def _make_policy(name: str, capacity_blocks: int = 0) -> EvictionPolicy:

@@ -6,6 +6,12 @@ the host stack charges device latencies around calls to it.
 
 Key design points:
 
+* **One index in eviction order.**  The store's block map is its
+  eviction policy's index (see :mod:`repro.cache.policy`): for LRU an
+  ``OrderedDict`` whose front is the LRU end, so a lookup, a touch
+  (``move_to_end``) and a victim pick each use that one structure, and
+  none of them grows with capacity.
+
 * **Eviction is two-phase.**  ``pop_victim`` removes and returns the
   victim entry; if it is dirty the *caller* performs the (simulated-
   time) writeback before filling the freed buffer.  The victim leaves
@@ -36,12 +42,12 @@ class BlockStore:
         "capacity_blocks",
         "name",
         "_entries",
+        "_get",
         "_dirty",
         "lifetime_insertions",
         "lifetime_departures",
         "_policy",
         "stats",
-        "_pinned",
         "_touch",
         "_refs",
         "obs_hook",
@@ -57,25 +63,26 @@ class BlockStore:
             raise CacheError("capacity must be >= 0, got %d" % capacity_blocks)
         self.capacity_blocks = capacity_blocks
         self.name = name
-        entries: Dict[int, BlockEntry] = {}
-        self._entries = entries
+        if isinstance(policy, str):
+            policy = _make_policy(policy, capacity_blocks)
+        elif len(policy):
+            raise CacheError("%s: the eviction policy must start empty" % name)
+        self._policy = policy
+        #: block -> BlockEntry: the policy's index, in its eviction order
+        self._entries: Dict[int, BlockEntry] = policy.index
+        # Bound once: an OrderedDict instance has a __dict__, so each
+        # ``_entries.get`` attribute lookup would search it first.
+        self._get = policy.index.get
         self._dirty: Set[int] = set()
         # Lifetime occupancy accounting, never reset at the warmup
         # boundary (unlike ``stats``): the invariant checkers verify
         # insertions - departures == occupancy over the store's life.
         self.lifetime_insertions = 0
         self.lifetime_departures = 0
-        if isinstance(policy, str):
-            policy = _make_policy(policy, capacity_blocks)
-        self._policy = policy
         self.stats = CacheStats()
-        # Persistent victim-selection predicate: ``_entries`` is never
-        # rebound, so one closure serves every pop_victim call instead
-        # of allocating fresh closures on the eviction hot path.
-        self._pinned = lambda key: entries[key].pinned
         # Bound-method shortcut for the per-lookup promote (the policy
         # never changes after construction).
-        self._touch = self._policy.touch
+        self._touch = policy.touch
         #: per-block reference ledger for probationary flash admission;
         #: None (and zero-cost) unless :meth:`enable_ref_ledger` ran.
         self._refs: Optional[Dict[int, int]] = None
@@ -100,7 +107,7 @@ class BlockStore:
         """
         stats = self.stats
         stats.lookups += 1
-        entry = self._entries.get(block)
+        entry = self._get(block)
         if entry is None:
             stats.misses += 1
             return None
@@ -111,7 +118,7 @@ class BlockStore:
 
     def peek(self, block: int) -> Optional[BlockEntry]:
         """Look up without touching the eviction order or the statistics."""
-        return self._entries.get(block)
+        return self._get(block)
 
     # --- insertion and eviction ---------------------------------------
 
@@ -142,8 +149,7 @@ class BlockStore:
                 % (self.name, self.capacity_blocks)
             )
         entry = BlockEntry(block, medium=medium, dirty=dirty, pinned=pinned)
-        self._entries[block] = entry
-        self._policy.insert(block)
+        self._policy.insert(block, entry)
         if dirty:
             self._dirty.add(block)
         self.stats.insertions += 1
@@ -163,9 +169,8 @@ class BlockStore:
         last resort).  ``None`` is returned only for an empty store.
         """
         policy = self._policy
-        pinned = self._pinned
         if skip is None:
-            victim = policy.victim(pinned)
+            victim = policy.victim_unpinned()
         else:
             entries = self._entries
             victim = policy.victim(
@@ -175,7 +180,7 @@ class BlockStore:
                 # Every unpinned entry was skip-excluded: prefer
                 # overriding the skip filter over evicting a pinned
                 # entry.
-                victim = policy.victim(pinned)
+                victim = policy.victim_unpinned()
         if victim is None:
             victim = policy.victim(skip)
             if victim is None:
@@ -204,8 +209,7 @@ class BlockStore:
         return entry
 
     def _remove_entry(self, block: int) -> BlockEntry:
-        entry = self._entries.pop(block)
-        self._policy.remove(block)
+        entry = self._policy.remove(block)
         self._dirty.discard(block)
         if self._refs is not None:
             # Probation resets on departure: a block evicted from this
@@ -230,7 +234,7 @@ class BlockStore:
         """Mark a block clean, counting a writeback only on the
         dirty-to-clean transition (a redundant pass over an already
         clean block wrote nothing back)."""
-        entry = self._entries.get(block)
+        entry = self._get(block)
         if entry is None or not entry.dirty:
             return
         entry.dirty = False
@@ -281,12 +285,12 @@ class BlockStore:
 
     def pin(self, block: int) -> None:
         """Protect a block from eviction (no-op if absent)."""
-        entry = self._entries.get(block)
+        entry = self._get(block)
         if entry is not None:
             entry.pinned = True
 
     def unpin(self, block: int) -> None:
-        entry = self._entries.get(block)
+        entry = self._get(block)
         if entry is not None:
             entry.pinned = False
 

@@ -14,7 +14,6 @@ import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.block import Medium
-from repro.cache.policy import LRUPolicy
 from repro.core.config import SimConfig
 from repro.core.consistency import ConsistencyDirectory
 from repro.core.restart import RestartSpec
@@ -313,12 +312,13 @@ class System:
             stats = store.stats
             dirty_add = store._dirty.add
             touch = store._touch
-            # An LRU touch moves the block to the order's MRU end here.
-            policy = store._policy
-            order = policy._order if type(policy) is LRUPolicy else None
         else:
             resident = writable = {}  # every block takes the generators
-            stats = dirty_add = touch = order = None
+            stats = dirty_add = touch = None
+        # Bound once: the store's index is an OrderedDict, whose
+        # instance __dict__ every ``.get`` attribute lookup would search.
+        resident_get = resident.get
+        writable_get = writable.get
         ram = Medium.RAM
         # Pending: fast-forwarded measured read and write hits, and every
         # inline hit (for the store's counters).
@@ -346,21 +346,18 @@ class System:
         for measured, rows in ((False, warmup_rows), (True, measured_rows)):
             for op, start, nb in rows:
                 if op:
-                    table, hit_ns = writable, ram_write_ns
+                    lookup, hit_ns = writable_get, ram_write_ns
                 else:
-                    table, hit_ns = resident, ram_read_ns
+                    lookup, hit_ns = resident_get, ram_read_ns
                 request_start = now = sim.now
                 for block in range(start, start + nb):
-                    entry = table.get(block)
+                    entry = lookup(block)
                     if entry is not None and entry.medium is ram:
                         if op:
                             on_block_write(host_id, block, measured)
                             entry.dirty = True
                             dirty_add(block)
-                        if order is None:
-                            touch(block)
-                        else:
-                            order[block] = order.pop(block)
+                        touch(block)
                         hits += 1
                         when = now + hit_ns
                         if hit_ns > 0 and (not heap or when < heap[0][0]):

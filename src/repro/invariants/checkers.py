@@ -34,7 +34,10 @@ def check_store(store, now: Optional[int] = None) -> None:
 
     * occupancy never exceeds capacity;
     * the explicit dirty set agrees with per-entry ``dirty`` flags;
-    * the eviction policy tracks exactly the resident keys;
+    * the eviction policy's own order agrees with the block index (the
+      store's entries are the policy's index, so LRU and FIFO agree by
+      construction; SLRU's segments must partition the index and
+      CLOCK's reference bits must lie inside it);
     * entries know their own block number;
     * lifetime ``insertions - departures == occupancy`` (the lifetime
       counters are never reset, unlike ``stats``);
@@ -60,16 +63,9 @@ def check_store(store, now: Optional[int] = None) -> None:
             only_in_set=sorted(store._dirty - dirty_flags)[:8],
             only_in_flags=sorted(dirty_flags - store._dirty)[:8],
         )
-    policy_keys = list(store._policy)
-    if len(policy_keys) != occupancy or set(policy_keys) != set(store._entries):
-        fail(
-            name,
-            "eviction policy tracks %d keys but the store holds %d entries"
-            % (len(policy_keys), occupancy),
-            now,
-            policy_only=sorted(set(policy_keys) - set(store._entries))[:8],
-            store_only=sorted(set(store._entries) - set(policy_keys))[:8],
-        )
+    desync = store._policy.desync()
+    if desync is not None:
+        fail(name, "eviction policy out of step with the index: %s" % desync, now)
     for block, entry in store._entries.items():
         if entry.block != block:
             fail(

@@ -36,6 +36,7 @@ documented no-op there.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro._units import SECOND
@@ -247,15 +248,15 @@ class AggressiveCleanController(CleaningController):
         self.low_blocks = min(int(capacity * spec.low_fraction), self.high_blocks - 1)
         #: drains spawned but not yet finished (1:1 with ``_draining``)
         self.pending = 0
-        # dirty blocks in first-dirtied order (re-dirty moves to back)
-        self._order: Dict[int, None] = {}
+        # dirty blocks in first-dirtied order (re-dirty moves to back);
+        # an OrderedDict, so each drain scan starts at the front in O(1)
+        self._order: Dict[int, None] = OrderedDict()
         self._draining: set = set()
 
     def note_dirtied(self, block: int, now: int) -> None:
         order = self._order
-        if block in order:
-            del order[block]
         order[block] = None
+        order.move_to_end(block)
         self._recheck()
 
     def _recheck(self) -> None:

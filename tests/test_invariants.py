@@ -73,8 +73,21 @@ class TestCheckStore:
         assert info.value.snapshot["only_in_set"] == [1]
 
     def test_policy_desync_detected(self):
-        store = self.make()
-        store._policy.remove(2)
+        store = BlockStore(4, "slru", name="probe")
+        store.put(1)
+        store.put(2)
+        store.get(2)  # promoted to the protected segment
+        check_store(store)
+        del store._policy._protected[2]  # dropped behind the store's back
+        with pytest.raises(InvariantViolation, match="policy"):
+            check_store(store)
+
+    def test_clock_reference_bit_desync_detected(self):
+        store = BlockStore(4, "clock", name="probe")
+        store.put(1)
+        store.get(1)
+        check_store(store)
+        store._policy._refs.add(9)  # a reference bit for an absent block
         with pytest.raises(InvariantViolation, match="policy"):
             check_store(store)
 
