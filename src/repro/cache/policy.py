@@ -21,6 +21,16 @@ map where the index order can be the eviction order:
 * SLRU keeps its order in two ``OrderedDict`` segments beside a plain
   ``dict`` index; a demotion is ``popitem(last=False)``.
 
+The store's eviction path asks each policy for two fused operations:
+:meth:`~EvictionPolicy.add` inserts a key the caller has checked is
+absent (LRU binds it to the index's own ``__setitem__``, so a fill
+costs no policy frame at all), and
+:meth:`~EvictionPolicy.pop_unpinned` removes and returns the first
+entry in eviction order that is not pinned.  For LRU and FIFO that is
+one scan of the index; CLOCK and SLRU share one fallback, their own
+``victim`` pick and then ``remove``.  The store never asks which
+policy it holds.
+
 Insert, touch and remove are O(1).  A victim pick costs one step per
 entry it passes over: the pinned or skipped ones in front of the
 victim and, for CLOCK, each referenced one it gives a second chance.
@@ -47,8 +57,8 @@ class EvictionPolicy:
     and FIFO need; CLOCK and SLRU override what they order otherwise.
     ``victim(skip)`` returns the best eviction candidate whose key does
     not satisfy ``skip`` (used to honor pinned entries); it returns
-    ``None`` only when every tracked key is skipped.  Neither it nor
-    :meth:`victim_unpinned` removes the victim.
+    ``None`` only when every tracked key is skipped.  It does not
+    remove the victim; :meth:`pop_unpinned` does.
     """
 
     __slots__ = ("index",)
@@ -57,12 +67,16 @@ class EvictionPolicy:
         self.index: Dict[int, object] = OrderedDict()
 
     def insert(self, key: int, value: object = None) -> None:
-        index = self.index
-        if key in index:
+        if key in self.index:
             raise CacheError(
                 "%s insert of already-present key %d" % (type(self).__name__, key)
             )
-        index[key] = value
+        self.add(key, value)
+
+    def add(self, key: int, value: object = None) -> None:
+        """:meth:`insert` without the duplicate check, for a caller that
+        has made it (the store's ``put``)."""
+        self.index[key] = value
 
     def touch(self, key: int) -> None:
         raise NotImplementedError
@@ -79,13 +93,23 @@ class EvictionPolicy:
                 return key
         return None
 
-    def victim_unpinned(self) -> Optional[int]:
-        """``victim`` skipping keys whose index value is pinned: the
+    def pop_unpinned(self) -> Optional[object]:
+        """Remove and return the index value of ``victim`` skipping keys
+        whose value is pinned, or ``None`` when every value is: the
         store's eviction path, where index values are block entries."""
-        for key, entry in self.index.items():
+        index = self.index
+        for key, entry in index.items():
             if not entry.pinned:
-                return key
+                del index[key]
+                return entry
         return None
+
+    def _pop_victim_unpinned(self) -> Optional[object]:
+        """:meth:`pop_unpinned` for a policy whose eviction order is not
+        its index order: its own ``victim`` pick, then ``remove``."""
+        index = self.index
+        key = self.victim(lambda key: index[key].pinned)
+        return None if key is None else self.remove(key)
 
     def desync(self) -> Optional[str]:
         """How the policy's own order disagrees with its index, or
@@ -104,15 +128,17 @@ class LRUPolicy(EvictionPolicy):
     """Least-recently-used ordering — the paper's single LRU chain.
 
     The index front is the LRU end; a touch moves the key to the MRU
-    end.  ``touch`` is the index's own ``move_to_end``, bound once, so a
-    hit costs one C call.
+    end.  ``touch`` is the index's own ``move_to_end`` and ``add`` its
+    ``__setitem__``, each bound once, so a hit or a fill costs one C
+    call.
     """
 
-    __slots__ = ("touch",)
+    __slots__ = ("touch", "add")
 
     def __init__(self) -> None:
         super().__init__()
         self.touch = self.index.move_to_end
+        self.add = self.index.__setitem__
 
 
 class FIFOPolicy(EvictionPolicy):
@@ -169,9 +195,7 @@ class ClockPolicy(EvictionPolicy):
         # Everything was skipped.
         return None
 
-    def victim_unpinned(self) -> Optional[int]:
-        index = self.index
-        return self.victim(lambda key: index[key].pinned)
+    pop_unpinned = EvictionPolicy._pop_victim_unpinned
 
     def desync(self) -> Optional[str]:
         stray = self._refs.difference(self.index)
@@ -207,8 +231,8 @@ class SLRUPolicy(EvictionPolicy):
         self._probation: Dict[int, None] = OrderedDict()
         self._protected: Dict[int, None] = OrderedDict()
 
-    def insert(self, key: int, value: object = None) -> None:
-        super().insert(key, value)
+    def add(self, key: int, value: object = None) -> None:
+        self.index[key] = value
         self._probation[key] = None
 
     def touch(self, key: int) -> None:
@@ -240,9 +264,7 @@ class SLRUPolicy(EvictionPolicy):
                     return key
         return None
 
-    def victim_unpinned(self) -> Optional[int]:
-        index = self.index
-        return self.victim(lambda key: index[key].pinned)
+    pop_unpinned = EvictionPolicy._pop_victim_unpinned
 
     def desync(self) -> Optional[str]:
         index = self.index

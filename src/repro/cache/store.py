@@ -11,6 +11,13 @@ Key design points:
   ``OrderedDict`` whose front is the LRU end, so a lookup, a touch
   (``move_to_end``) and a victim pick each use that one structure, and
   none of them grows with capacity.
+* **One operation per decision.**  ``BlockStore.peek`` *is* the
+  index's bound ``get`` (a C call), and the host stacks test membership
+  and fullness with ``in`` and ``len`` on ``_entries``, the index
+  itself.  ``put`` costs one store frame and the policy's ``add`` (no
+  frame at all for LRU); ``pop_victim`` one store frame and the
+  policy's ``pop_unpinned``.  The store never branches on its
+  policy's type.
 
 * **Eviction is two-phase.**  ``pop_victim`` removes and returns the
   victim entry; if it is dirty the *caller* performs the (simulated-
@@ -42,7 +49,9 @@ class BlockStore:
         "capacity_blocks",
         "name",
         "_entries",
-        "_get",
+        "peek",
+        "_add",
+        "_pop_unpinned",
         "_dirty",
         "lifetime_insertions",
         "lifetime_departures",
@@ -70,9 +79,14 @@ class BlockStore:
         self._policy = policy
         #: block -> BlockEntry: the policy's index, in its eviction order
         self._entries: Dict[int, BlockEntry] = policy.index
-        # Bound once: an OrderedDict instance has a __dict__, so each
-        # ``_entries.get`` attribute lookup would search it first.
-        self._get = policy.index.get
+        #: ``peek(block)``: look up without touching the eviction order
+        #: or the statistics.  The index's own ``get``, bound once (an
+        #: OrderedDict instance has a __dict__, so each ``_entries.get``
+        #: attribute lookup would search it first).
+        self.peek: Callable[[int], Optional[BlockEntry]] = policy.index.get
+        # The policy's fused operations, bound once (it never changes).
+        self._add = policy.add
+        self._pop_unpinned = policy.pop_unpinned
         self._dirty: Set[int] = set()
         # Lifetime occupancy accounting, never reset at the warmup
         # boundary (unlike ``stats``): the invariant checkers verify
@@ -107,7 +121,7 @@ class BlockStore:
         """
         stats = self.stats
         stats.lookups += 1
-        entry = self._get(block)
+        entry = self.peek(block)
         if entry is None:
             stats.misses += 1
             return None
@@ -115,10 +129,6 @@ class BlockStore:
         if touch:
             self._touch(block)
         return entry
-
-    def peek(self, block: int) -> Optional[BlockEntry]:
-        """Look up without touching the eviction order or the statistics."""
-        return self._get(block)
 
     # --- insertion and eviction ---------------------------------------
 
@@ -141,15 +151,16 @@ class BlockStore:
 
         Callers evict first (``pop_victim``) when :meth:`is_full`.
         """
-        if block in self._entries:
+        entries = self._entries
+        if block in entries:
             raise CacheError("%s: duplicate insert of block %d" % (self.name, block))
-        if len(self._entries) >= self.capacity_blocks:
+        if len(entries) >= self.capacity_blocks:
             raise CacheError(
                 "%s: insert into full store (capacity %d); evict first"
                 % (self.name, self.capacity_blocks)
             )
-        entry = BlockEntry(block, medium=medium, dirty=dirty, pinned=pinned)
-        self._policy.insert(block, entry)
+        entry = BlockEntry(block, medium, dirty, pinned)
+        self._add(block, entry)
         if dirty:
             self._dirty.add(block)
         self.stats.insertions += 1
@@ -168,39 +179,57 @@ class BlockStore:
         (evicting a pinned entry beats deadlock, but it is strictly the
         last resort).  ``None`` is returned only for an empty store.
         """
-        policy = self._policy
         if skip is None:
-            victim = policy.victim_unpinned()
+            entry = self._pop_unpinned()
         else:
             entries = self._entries
-            victim = policy.victim(
+            victim = self._policy.victim(
                 lambda key: entries[key].pinned or skip(key)
             )
-            if victim is None:
+            if victim is not None:
+                entry = self._policy.remove(victim)
+            else:
                 # Every unpinned entry was skip-excluded: prefer
                 # overriding the skip filter over evicting a pinned
                 # entry.
-                victim = policy.victim_unpinned()
-        if victim is None:
+                entry = self._pop_unpinned()
+        if entry is None:
+            policy = self._policy
             victim = policy.victim(skip)
             if victim is None:
                 victim = policy.victim(None)
                 if victim is None:
                     return None
-        entry = self._remove_entry(victim)
-        self.stats.evictions += 1
+            entry = policy.remove(victim)
+        # The departure bookkeeping of ``remove``, inline: this is the
+        # eviction path.
+        block = entry.block
+        self._dirty.discard(block)
+        refs = self._refs
+        if refs is not None:
+            refs.pop(block, None)
+        self.lifetime_departures += 1
+        stats = self.stats
+        stats.evictions += 1
         if entry.dirty:
-            self.stats.dirty_evictions += 1
+            stats.dirty_evictions += 1
         hook = self.obs_hook
         if hook is not None:
-            hook.evicted(entry.block, entry.dirty)
+            hook.evicted(block, entry.dirty)
         return entry
 
     def remove(self, block: int, invalidation: bool = False) -> Optional[BlockEntry]:
         """Drop a block (e.g. on cross-host invalidation); None if absent."""
         if block not in self._entries:
             return None
-        entry = self._remove_entry(block)
+        entry = self._policy.remove(block)
+        self._dirty.discard(block)
+        refs = self._refs
+        if refs is not None:
+            # Probation resets on departure: a block evicted from this
+            # tier must re-earn its references after re-insertion.
+            refs.pop(block, None)
+        self.lifetime_departures += 1
         if invalidation:
             self.stats.invalidations += 1
             hook = self.obs_hook
@@ -208,20 +237,10 @@ class BlockStore:
                 hook.invalidated(block)
         return entry
 
-    def _remove_entry(self, block: int) -> BlockEntry:
-        entry = self._policy.remove(block)
-        self._dirty.discard(block)
-        if self._refs is not None:
-            # Probation resets on departure: a block evicted from this
-            # tier must re-earn its references after re-insertion.
-            self._refs.pop(block, None)
-        self.lifetime_departures += 1
-        return entry
-
     def clear(self) -> None:
         """Empty the store (models a crash of a volatile cache)."""
         for block in list(self._entries):
-            self._remove_entry(block)
+            self.remove(block)
 
     # --- dirty management ---------------------------------------------
 
@@ -234,7 +253,7 @@ class BlockStore:
         """Mark a block clean, counting a writeback only on the
         dirty-to-clean transition (a redundant pass over an already
         clean block wrote nothing back)."""
-        entry = self._get(block)
+        entry = self.peek(block)
         if entry is None or not entry.dirty:
             return
         entry.dirty = False
@@ -260,7 +279,7 @@ class BlockStore:
         Off (and zero-cost: ``_touch`` stays the raw policy method) by
         default.  When enabled, every touching :meth:`get` hit counts
         one reference; the count resets when the block leaves the store
-        (see :meth:`_remove_entry`).  Idempotent.
+        (see :meth:`remove`).  Idempotent.
         """
         if self._refs is not None:
             return
@@ -285,12 +304,12 @@ class BlockStore:
 
     def pin(self, block: int) -> None:
         """Protect a block from eviction (no-op if absent)."""
-        entry = self._get(block)
+        entry = self.peek(block)
         if entry is not None:
             entry.pinned = True
 
     def unpin(self, block: int) -> None:
-        entry = self._get(block)
+        entry = self.peek(block)
         if entry is not None:
             entry.pinned = False
 

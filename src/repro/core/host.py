@@ -28,6 +28,17 @@ process needed the buffer; this is what makes the ``n`` policy degrade
 once a cache fills ("multiple threads doing evictions contend for the
 network, convoy, and slow down").
 
+Tier decisions (DESIGN.md §15): every block not served inline by the
+replay driver — a miss, a flash hit, a write, a flush, an eviction —
+takes these generators, so each decision is one operation on the
+tier's block index (``BlockStore._entries``).  A lookup that must not
+touch or count is ``store.peek``, the index's bound ``get``;
+membership and fullness are ``in`` and ``len`` on the index; pinning
+or unpinning a flash twin is one ``peek`` and a flag store; and
+``_make_flash_room`` is entered only when the flash tier is full.
+Only the counted operations (``get``, ``put``, ``pop_victim``,
+``remove``, ``mark_dirty``, ``mark_clean``) are store calls.
+
 Span attribution (:mod:`repro.obs`): every block-path generator takes
 an optional trailing :class:`~repro.obs.breakdown.Span`.  The traced
 replay driver passes one per block; only behind ``span is not None``
@@ -152,10 +163,6 @@ class HostStack:
         #: the flash tier is offline (recovering) before this time
         self.flash_online_at = 0
         directory.register_host(host_id, self.drop_block)
-
-    def _flash_online(self) -> bool:
-        """Whether the flash tier exists and has finished recovering."""
-        return self.flash_device is not None and self.sim.now >= self.flash_online_at
 
     def apply_restart(self, volatile_flash: bool, scan_ns_per_block: int) -> None:
         """Crash/reboot the host's caches (see repro.core.restart)."""
@@ -326,13 +333,11 @@ class LayeredStack(HostStack):
 
     # --- presence bookkeeping for the consistency directory ---------------
 
-    def _note_present(self, block: int) -> None:
-        self.directory.note_copy(self.host_id, block)
-
     def _note_maybe_gone(self, block: int) -> None:
-        if block in self.ram:
+        if block in self.ram._entries:
             return
-        if self.flash is not None and block in self.flash:
+        flash = self.flash
+        if flash is not None and block in flash._entries:
             return
         self.directory.note_drop(self.host_id, block)
 
@@ -386,7 +391,7 @@ class LayeredStack(HostStack):
                 if (
                     admission is not None
                     and admission.promote_on_hit(self.ram.ref_count(block))
-                    and self._flash_online()
+                    and self.sim.now >= self.flash_online_at
                     and self.flash.peek(block) is None
                 ):
                     # Probation served: this hit crosses the reference
@@ -399,8 +404,9 @@ class LayeredStack(HostStack):
                 return
             if span is not None:
                 self._emit_tier(_TIER_MISS, block, "ram")
-        if self.flash is not None and self._flash_online():
-            fentry = self.flash.get(block)
+        flash = self.flash
+        if flash is not None and self.sim.now >= self.flash_online_at:
+            fentry = flash.get(block)
             if fentry is not None:
                 if span is not None:
                     self._emit_tier(_TIER_HIT, block, "flash")
@@ -481,12 +487,16 @@ class LayeredStack(HostStack):
             if span is not None:
                 span.ram += self._ram_write_ns
             return
-        while ram.is_full():
+        resident = ram._entries
+        flash = self.flash
+        while len(resident) >= ram.capacity_blocks:
             victim = ram.pop_victim()
             if victim is None:
                 break
-            if self.flash is not None:
-                self.flash.unpin(victim.block)
+            if flash is not None:
+                twin = flash.peek(victim.block)
+                if twin is not None:
+                    twin.pinned = False
             if victim.dirty:
                 # The victim is already out of the RAM index.
                 started = self.sim.now
@@ -505,9 +515,11 @@ class LayeredStack(HostStack):
                     span.ram += self._ram_write_ns
                 return
         ram.put(block, Medium.RAM, dirty=dirty)
-        if self.flash is not None:
-            self.flash.pin(block)
-        self._note_present(block)
+        if flash is not None:
+            twin = flash.peek(block)
+            if twin is not None:
+                twin.pinned = True
+        self.directory.note_copy(self.host_id, block)
         yield self._ram_write_ns
         if span is not None:
             span.ram += self._ram_write_ns
@@ -534,23 +546,25 @@ class LayeredStack(HostStack):
         rejected a *fill* (nothing was written to flash), True in every
         other case (updates of resident blocks are never rejected).
         """
-        if self.flash is None or not self._flash_online():
+        flash = self.flash
+        if flash is None or self.sim.now < self.flash_online_at:
             return True
-        existing = self.flash.peek(block)
+        existing = flash.peek(block)
         admission = self._admission
         if existing is None:
             if admission is not None and not admission.admit_fill(
                 block, self.ram.ref_count(block), self.sim.now
             ):
                 return False
-            yield from self._make_flash_room(block, span)
-            if self.flash.peek(block) is None:
-                self.flash.put(
-                    block, Medium.FLASH, dirty=False, pinned=block in self.ram
+            if len(flash._entries) >= flash.capacity_blocks:
+                yield from self._make_flash_room(block, span)
+            if flash.peek(block) is None:
+                flash.put(
+                    block, Medium.FLASH, dirty=False, pinned=block in self.ram._entries
                 )
-                self._note_present(block)
+                self.directory.note_copy(self.host_id, block)
         else:
-            self.flash.get(block)  # touch
+            flash.get(block)  # touch
             if admission is not None:
                 admission.note_update(self.sim.now)
         if self._flash_direct:
@@ -567,10 +581,10 @@ class LayeredStack(HostStack):
         # write; if so there is nothing left to mark (the stale data is
         # simply gone, as on a real device) — tell the device so an
         # FTL-backed model reclaims the page.
-        if self.flash.peek(block) is None:
+        if flash.peek(block) is None:
             self.flash_device.trim_block(block)
         elif dirty:
-            self.flash.mark_dirty(block)
+            flash.mark_dirty(block)
             cleaning = self._cleaning
             if cleaning is not None:
                 cleaning.note_dirtied(block, self.sim.now)
@@ -578,7 +592,7 @@ class LayeredStack(HostStack):
 
     def _write_into_flash(self, block: int, span: Optional[Span] = None) -> Iterator:
         """Write *dirty* data into flash, then honor the flash policy."""
-        if self.flash is not None and not self._flash_online():
+        if self.flash is not None and self.sim.now < self.flash_online_at:
             # Recovering: the flash cannot accept writebacks, so dirty
             # data goes straight to the filer (§3.8's availability gap).
             yield from self._filer_write(block, span)
@@ -603,10 +617,14 @@ class LayeredStack(HostStack):
 
     def _make_flash_room(self, incoming: int, span: Optional[Span] = None) -> Iterator:
         """Evict flash victims until there is room; dirty victims'
-        writebacks stall the caller (``syncer_stall`` in a span)."""
-        assert self.flash is not None
-        while self.flash.is_full():
-            victim = self.flash.pop_victim()
+        writebacks stall the caller (``syncer_stall`` in a span).
+
+        The caller runs it only on a full tier, so a fill with room to
+        spare creates no generator."""
+        flash = self.flash
+        resident = flash._entries
+        while len(resident) >= flash.capacity_blocks:
+            victim = flash.pop_victim()
             if victim is None:
                 break
             self.flash_device.trim_block(victim.block)
@@ -626,13 +644,12 @@ class LayeredStack(HostStack):
                     if span is not None:
                         span.syncer_stall += self.sim.now - started
             self._note_maybe_gone(victim.block)
-            if self.flash.peek(incoming) is not None:
+            if flash.peek(incoming) is not None:
                 return
 
     def _flush_flash_block(self, block: int, span: Optional[Span] = None) -> Iterator:
         """Flush one dirty flash block to the filer."""
-        assert self.flash is not None
-        if not self._flash_online():
+        if self.sim.now < self.flash_online_at:
             # "It cannot flush dirty data ... until afterwards."
             return
         entry = self.flash.peek(block)
@@ -876,12 +893,14 @@ class UnifiedStack(HostStack):
     def _install(self, block: int, dirty: bool, span: Optional[Span] = None) -> Iterator:
         """Insert a block; returns the medium it landed in (or None when
         the cache has zero capacity)."""
-        if self.cache.capacity_blocks == 0:
+        cache = self.cache
+        if cache.capacity_blocks == 0:
             return None
-        existing = self.cache.peek(block)
+        existing = cache.peek(block)
         if existing is None:
-            while self.cache.is_full():
-                victim = self.cache.pop_victim()
+            resident = cache._entries
+            while len(resident) >= cache.capacity_blocks:
+                victim = cache.pop_victim()
                 if victim is None:
                     break
                 self._release_medium(victim.medium)
@@ -894,19 +913,19 @@ class UnifiedStack(HostStack):
                         span.syncer_stall += self.sim.now - started
                 # The victim may have been re-fetched by another thread
                 # during the writeback; only report it gone if it is.
-                if victim.block not in self.cache:
+                if victim.block not in resident:
                     self.directory.note_drop(self.host_id, victim.block)
-                existing = self.cache.peek(block)
+                existing = cache.peek(block)
                 if existing is not None:
                     break
         if existing is not None:
             if dirty:
-                self.cache.mark_dirty(block)
+                cache.mark_dirty(block)
             yield from self._medium_write(existing.medium, block, span)
             self._reclaim_if_gone(block, existing.medium)
             return existing.medium
         medium = self._allocate_medium()
-        self.cache.put(block, medium, dirty=dirty)
+        cache.put(block, medium, dirty=dirty)
         self.directory.note_copy(self.host_id, block)
         yield from self._medium_write(medium, block, span)
         self._reclaim_if_gone(block, medium)

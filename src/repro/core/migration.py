@@ -64,9 +64,10 @@ class MigrationStack(HostStack):
     # --- presence bookkeeping -----------------------------------------
 
     def _note_maybe_gone(self, block: int) -> None:
-        if block in self.ram:
+        if block in self.ram._entries:
             return
-        if self.flash is not None and block in self.flash:
+        flash = self.flash
+        if flash is not None and block in flash._entries:
             return
         self.directory.note_drop(self.host_id, block)
 
@@ -110,7 +111,7 @@ class MigrationStack(HostStack):
             if span is not None:
                 span.ram += self.timing.ram_read_ns
             return
-        if self.flash is not None and self._flash_online():
+        if self.flash is not None and self.sim.now >= self.flash_online_at:
             fentry = self.flash.get(block)
             if fentry is not None:
                 # Promote: read from flash, move to RAM (exclusive).
@@ -177,17 +178,19 @@ class MigrationStack(HostStack):
             if stale is not None:
                 self.flash_device.trim_block(block)
                 dirty = dirty or stale.dirty
-        existing = self.ram.peek(block)
+        ram = self.ram
+        existing = ram.peek(block)
         if existing is not None:
-            self.ram.get(block)
+            ram.get(block)
             if dirty:
-                self.ram.mark_dirty(block)
+                ram.mark_dirty(block)
             yield self.timing.ram_write_ns
             if span is not None:
                 span.ram += self.timing.ram_write_ns
             return
-        while self.ram.is_full():
-            victim = self.ram.pop_victim()
+        resident = ram._entries
+        while len(resident) >= ram.capacity_blocks:
+            victim = ram.pop_victim()
             if victim is None:
                 break
             # Demotion happens off the critical path — a staging buffer
@@ -197,7 +200,7 @@ class MigrationStack(HostStack):
             # RAM-speed writes that §7.1 identifies as the layered
             # designs' advantage.)
             self._spawn(self._demote(victim.block, victim.dirty), "migr-demote")
-        self.ram.put(block, Medium.RAM, dirty=dirty)
+        ram.put(block, Medium.RAM, dirty=dirty)
         self.directory.note_copy(self.host_id, block)
         yield self.timing.ram_write_ns
         if span is not None:
@@ -205,7 +208,7 @@ class MigrationStack(HostStack):
 
     def _demote(self, block: int, dirty: bool) -> Iterator:
         """Move an evicted RAM block down into the flash tier."""
-        if self.flash is None or not self._flash_online():
+        if self.flash is None or self.sim.now < self.flash_online_at:
             # No flash, or the flash is recovering: dirty data must
             # still reach the filer; clean data is simply dropped.
             if dirty:
@@ -215,8 +218,8 @@ class MigrationStack(HostStack):
         yield from self._demote_install(block, dirty)
 
     def _demote_install(self, block: int, dirty: bool, span: Optional[Span] = None) -> Iterator:
-        assert self.flash is not None
-        if block in self.ram:
+        ram_resident = self.ram._entries
+        if block in ram_resident:
             # The block was re-referenced (and re-installed in RAM)
             # while this demotion waited; installing the stale copy in
             # flash would both duplicate it and resurrect old data.
@@ -224,8 +227,10 @@ class MigrationStack(HostStack):
                 # Don't lose dirtiness the newer copy doesn't know about.
                 self.ram.mark_dirty(block)
             return
-        while self.flash.is_full() and self.flash.peek(block) is None:
-            victim = self.flash.pop_victim()
+        flash = self.flash
+        resident = flash._entries
+        while len(resident) >= flash.capacity_blocks and block not in resident:
+            victim = flash.pop_victim()
             if victim is None:
                 break
             self.flash_device.trim_block(victim.block)
@@ -235,21 +240,21 @@ class MigrationStack(HostStack):
                 if span is not None:
                     span.syncer_stall += self.sim.now - started
             self._note_maybe_gone(victim.block)
-        if block in self.ram:
+        if block in ram_resident:
             # Re-referenced while this demotion waited on the eviction
             # writeback above: the RAM copy wins (exclusivity).
             if dirty and not self.ram.peek(block).dirty:
                 self.ram.mark_dirty(block)
             return
-        if self.flash.peek(block) is None:
-            self.flash.put(block, Medium.FLASH, dirty=dirty)
+        if flash.peek(block) is None:
+            flash.put(block, Medium.FLASH, dirty=dirty)
         elif dirty:
-            self.flash.mark_dirty(block)
+            flash.mark_dirty(block)
         started = self.sim.now
         yield from self.flash_device.write_block(block)
         if span is not None:
             span.flash_write += self.sim.now - started
-        if self.flash.peek(block) is None:
+        if flash.peek(block) is None:
             # Evicted (or wiped by a restart) while the device write was
             # in flight: the host holds nothing, so registering it as a
             # holder would leave a stale directory entry.
@@ -261,7 +266,7 @@ class MigrationStack(HostStack):
         self, store: BlockStore, block: int, span: Optional[Span] = None
     ) -> Iterator:
         """Write one dirty block back to the filer."""
-        if store is self.flash and not self._flash_online():
+        if store is self.flash and self.sim.now < self.flash_online_at:
             return  # cannot flush from a recovering flash (§3.8)
         entry = store.peek(block)
         if entry is None or not entry.dirty:

@@ -227,19 +227,9 @@ class Simulator:
         process = Process(self, gen, name)
         if self.trace_hook is not None:
             self.trace_hook(process.name)
-        self._schedule_resume_at(self.now, process)
-        return process
-
-    def _schedule_resume(self, process: Process, value: Any = None) -> None:
-        self._schedule_resume_at(self.now, process, value)
-
-    def _schedule_resume_at(self, when: int, process: Process, value: Any = None) -> None:
-        if when < self.now:
-            raise SimulationError(
-                "cannot schedule in the past (%d < %d)" % (when, self.now)
-            )
         self._seq += 1
-        heappush(self._heap, (when, self._seq, process, value))
+        heappush(self._heap, (self.now, self._seq, process, None))
+        return process
 
     # --- execution ---------------------------------------------------
 

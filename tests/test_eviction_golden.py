@@ -8,6 +8,13 @@ the sha256 of each replay's :func:`full_signature` to equal the one
 recorded in ``tests/eviction_golden.json``.  At the ``small`` size the
 flash tier evicts on most misses, so a changed victim shows.
 
+The host-path points pin the block path's less-travelled branches at
+the ``small`` size: the FTL model (a trimmed page is reclaimed), a
+crash and a recovery scan at the measurement boundary (the flash tier
+is offline until the scan ends), write-budget admission, persistent
+flash metadata, invalidation traffic on the 16-host fleet and a flash
+device with one channel.
+
 It needs no pytest::
 
     PYTHONPATH=src python tests/test_eviction_golden.py          # check
@@ -23,12 +30,13 @@ import json
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro._units import MB
 from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
 from repro.core.policies import WritebackPolicy
+from repro.core.restart import RestartSpec
 from repro.core.simulator import run_simulation
 from repro.experiments.common import baseline_config
 from repro.fsmodel.impressions import ImpressionsConfig
@@ -84,13 +92,17 @@ def _config(policy: str, architecture: str, size: str, **overrides) -> SimConfig
     )
 
 
-def golden_points() -> Iterator[Tuple[str, int, SimConfig]]:
-    """Every ``(name, n_hosts, config)`` point of the identity matrix."""
+Point = Tuple[str, int, SimConfig, Optional[RestartSpec]]
+
+
+def golden_points() -> Iterator[Point]:
+    """Every ``(name, n_hosts, config, restart)`` point of the identity
+    matrix."""
     for policy in POLICIES:
         for architecture in ARCHITECTURES:
             for size in SIZES:
                 name = "%s %s %s" % (policy, architecture, size)
-                yield name, 1, _config(policy, architecture, size)
+                yield name, 1, _config(policy, architecture, size), None
     # ACP drains a dirty backlog that only it cleans (flash policy n);
     # lookaside flash never holds dirty data, so there it must stay idle.
     for architecture in ("naive", "lookaside"):
@@ -98,21 +110,50 @@ def golden_points() -> Iterator[Tuple[str, int, SimConfig]]:
             config = _config(
                 "lru", architecture, size, flash_policy=WritebackPolicy.none()
             ).with_policies(flash_cleaning=AggressiveClean(high_fraction=0.25))
-            yield "lru %s %s acp" % (architecture, size), 1, config
-    yield "lru naive small 16h", 16, _config("lru", "naive", "small")
+            yield "lru %s %s acp" % (architecture, size), 1, config, None
+    yield "lru naive small 16h", 16, _config("lru", "naive", "small"), None
+    yield from host_path_points()
 
 
-def point_digest(n_hosts: int, config: SimConfig) -> str:
+def host_path_points() -> Iterator[Point]:
+    """Block-path branches no other absolute-digest gate pins."""
+    for architecture in ("naive", "lookaside", "unified"):
+        config = _config("lru", architecture, "small", ftl_model=True)
+        yield "lru %s small ftl" % architecture, 1, config, None
+    restarts = (
+        ("crash", RestartSpec.crash_volatile()),
+        ("recover", RestartSpec.recover_persistent()),
+    )
+    for label, restart in restarts:
+        for architecture in ("naive", "lookaside", "exclusive"):
+            config = _config("lru", architecture, "small")
+            yield "lru %s small %s" % (architecture, label), 1, config, restart
+    # 4 MB/s admits about a third of the fills on this trace.
+    for architecture in ("naive", "lookaside"):
+        config = _config("lru", architecture, "small", flash_admission="budget:4M")
+        yield "lru %s small budget" % architecture, 1, config, None
+    config = _config("lru", "naive", "small", persistent_flash=True)
+    yield "lru naive small persistent", 1, config, None
+    config = _config("lru", "naive", "small", model_invalidation_traffic=True)
+    yield "lru naive small 16h invalidation-traffic", 16, config, None
+    for architecture in ("unified", "exclusive"):
+        config = _config("lru", architecture, "small", flash_parallelism=1)
+        yield "lru %s small parallelism1" % architecture, 1, config, None
+
+
+def point_digest(
+    n_hosts: int, config: SimConfig, restart: Optional[RestartSpec] = None
+) -> str:
     trace = _trace() if n_hosts == 1 else _fleet_trace()
-    result = run_simulation(trace, config, n_hosts=n_hosts)
+    result = run_simulation(trace, config, n_hosts=n_hosts, restart=restart)
     encoded = json.dumps(full_signature(result), sort_keys=True).encode()
     return hashlib.sha256(encoded).hexdigest()
 
 
 def golden_digests() -> Dict[str, str]:
     return {
-        name: point_digest(n_hosts, config)
-        for name, n_hosts, config in golden_points()
+        name: point_digest(n_hosts, config, restart)
+        for name, n_hosts, config, restart in golden_points()
     }
 
 
