@@ -13,11 +13,15 @@ and across CPython versions.
 It exits 1 when a workload's run fails its own checks, when
 ``engine.events_per_block`` or ``engine.resumes_per_block`` differs
 from the committed value (the event order is part of the results), or
-when ``cache.calls_per_block`` or ``host.calls_per_block`` rises above
-its committed ceiling: each tier decision on the block path is one
-operation on the tier's index, and a helper hop that creeps back shows
-here first.  The ceilings sit at least 5 % above the counts measured
-when they were set.
+when ``cache.calls_per_block``, ``host.calls_per_block`` or, on the
+single-host workloads, ``consistency.calls_per_block`` rises above its
+committed ceiling: each tier decision on the block path is one
+operation on the tier's index, a filer round trip is one generator
+frame of the network segment, a single host's directory sees only its
+``on_block_write`` calls, and a helper hop that creeps back shows here
+first.  The ceilings sit at least 5 % above the counts measured when
+they were set.  ``net.calls_per_block`` is not capped: the round trip's
+generator resumptions count under ``net/``.
 
 Usage::
 
@@ -49,12 +53,20 @@ ENGINE = {
         "engine.resumes_per_block": 7.139957264957265,
     },
 }
-#: workload -> the most Python calls per block into ``cache/`` and
-#: ``core/host.py``.
+#: workload -> the most Python calls per block into ``cache/``,
+#: ``core/host.py`` and (one host) ``core/consistency.py``.
 CEILINGS = {
-    "hit_heavy": {"cache.calls_per_block": 0.58, "host.calls_per_block": 1.70},
-    "miss_heavy": {"cache.calls_per_block": 8.0, "host.calls_per_block": 17.3},
-    "fleet_writes": {"cache.calls_per_block": 7.5, "host.calls_per_block": 25.3},
+    "hit_heavy": {
+        "cache.calls_per_block": 0.58,
+        "host.calls_per_block": 1.18,
+        "consistency.calls_per_block": 0.053,
+    },
+    "miss_heavy": {
+        "cache.calls_per_block": 8.0,
+        "host.calls_per_block": 11.8,
+        "consistency.calls_per_block": 0.33,
+    },
+    "fleet_writes": {"cache.calls_per_block": 7.5, "host.calls_per_block": 19.5},
 }
 
 
@@ -93,7 +105,7 @@ def main() -> int:
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1
-    print("ok: engine counts identical, cache and host calls under their ceilings")
+    print("ok: engine counts identical, every call count under its ceiling")
     return 0
 
 

@@ -29,6 +29,14 @@ thousands:
   host id rather than a dict, so a 1 000-host registration is one
   array fill.
 
+With one host there is nothing to track: a write can only find its own
+host's copy, so :meth:`ConsistencyDirectory.on_block_write` returns 0
+whatever the holder map holds.  Such a directory reports
+``tracks_copies = False`` and the host stacks then skip ``note_copy``
+and ``note_drop`` on every install and eviction, leaving the holder
+map empty; block writes are still counted.  The single-host figures (2–10 of the paper)
+pay nothing for the two-host experiments' bookkeeping.
+
 At the paper's default (zero directory latency, any shard count) the
 observable behavior — counters, drop order, traffic-hook messages — is
 bit-identical to the original unsharded implementation; the
@@ -88,10 +96,15 @@ class ConsistencyDirectory:
     """Tracks block copies across hosts and performs invalidation."""
 
     __slots__ = ("n_hosts", "n_shards", "_shards", "_shard_mask", "_droppers",
-                 "invalidation_latency_ns", "traffic_hook", "conflict_watch")
+                 "invalidation_latency_ns", "traffic_hook", "conflict_watch",
+                 "tracks_copies")
 
     def __init__(self, n_hosts: int, n_shards: Optional[int] = None) -> None:
         self.n_hosts = n_hosts
+        #: whether the host stacks report copies (``note_copy`` and
+        #: ``note_drop``): only with two or more hosts can a write find
+        #: another host's copy to invalidate.
+        self.tracks_copies = n_hosts >= 2
         if n_shards is None:
             env = os.environ.get(SHARDS_ENV, "").strip()
             if env:

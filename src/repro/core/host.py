@@ -71,28 +71,18 @@ from repro.errors import ConfigError
 from repro.filer.server import Filer
 from repro.flash.device import FlashDevice
 from repro.net.link import NetworkSegment
-from repro.net.packet import Packet
 from repro.obs.breakdown import Span
 from repro.obs.events import EventKind
 
 _SYNCER_RUN = EventKind.SYNCER_RUN
 _TIER_HIT = EventKind.TIER_HIT
 _TIER_MISS = EventKind.TIER_MISS
-_QUEUE_ENTER = EventKind.QUEUE_ENTER
-_QUEUE_EXIT = EventKind.QUEUE_EXIT
 
 
 def _after(delay_ns: int, gen: Iterator) -> Iterator:
     """Run a process generator after a delay (delayed-flush helper)."""
     yield delay_ns
     yield from gen
-
-
-#: The three protocol packet shapes, hoisted so the per-block I/O paths
-#: skip the classmethod + singleton-cache lookup.
-_PKT_REQUEST = Packet.request()
-_PKT_DATA = Packet.data_block()
-_PKT_ACK = Packet.ack()
 
 
 class HostStack:
@@ -109,7 +99,6 @@ class HostStack:
         "config",
         "flash_device",
         "segment",
-        "filer",
         "directory",
         "rng",
         "timing",
@@ -117,6 +106,9 @@ class HostStack:
         "_ram_write_ns",
         "_has_ram",
         "_dir_stall",
+        "_track_copies",
+        "_filer_read",
+        "_filer_write",
         "_obs_rec",
         "flash_online_at",
     )
@@ -132,12 +124,17 @@ class HostStack:
         directory: ConsistencyDirectory,
         rng: random.Random,
     ) -> None:
+        if segment.filer is not filer:
+            raise ConfigError("host %d's segment does not lead to its filer" % host_id)
         self.sim = sim
         self.host_id = host_id
         self.config = config
         self.flash_device = flash_device
         self.segment = segment
-        self.filer = filer
+        # The filer round trips are the segment's (request leg, filer
+        # service, reply leg in one generator frame).
+        self._filer_read = segment.read
+        self._filer_write = segment.write
         self.directory = directory
         self.rng = rng
         self.timing = config.timing
@@ -155,6 +152,10 @@ class HostStack:
             if directory_timing.is_instant
             else (directory_timing.lookup_ns, directory_timing.invalidate_ns)
         )
+        # With one host no write can find another host's copy, so the
+        # directory keeps no holder map and the tiers skip note_copy and
+        # _note_maybe_gone (DESIGN.md §16).
+        self._track_copies = directory.tracks_copies
         #: observability event sink (a repro.obs EventRecorder),
         #: attached by repro.obs.instrument.attach_observation; read by
         #: syncer rounds and, behind ``span is not None``, by the
@@ -214,94 +215,37 @@ class HostStack:
         if rec is not None:
             rec.emit(self.sim.now, kind, self.host_id, block, tier=tier)
 
-    def _queue_for(self, wire, block: int, span: Span) -> Iterator:
-        """Wait for a busy wire, attributing the wait to ``filer_queue``."""
-        sim = self.sim
-        rec = self._obs_rec
-        entered = sim.now
-        if rec is not None:
-            rec.emit(entered, _QUEUE_ENTER, self.host_id, block, tier=wire.name)
-        yield wire.acquire()
-        waited = sim.now - entered
-        span.filer_queue += waited
-        if rec is not None:
-            rec.emit(
-                sim.now, _QUEUE_EXIT, self.host_id, block, tier=wire.name, dur=waited
-            )
-
-    # --- filer access over the private segment -------------------------------
-
-    def _filer_read(self, block: int, span: Optional[Span] = None) -> Iterator:
-        """One block read from the filer: request packet, service, data packet.
-
-        The segment occupancy and filer service are folded into this
-        frame (via :meth:`NetworkSegment.charge` and
-        :meth:`Filer.read_service_ns`) instead of delegating to nested
-        generators — this path runs once per cache miss.
-        """
-        segment = self.segment
-        wire, up_ns = segment.charge(_PKT_REQUEST, "up")
-        if not wire.try_acquire():
-            if span is None:
-                yield wire.acquire()
-            else:
-                yield from self._queue_for(wire, block, span)
-        yield up_ns
-        wire.release()
-        service_ns = self.filer.read_service_ns()
-        yield service_ns
-        wire, down_ns = segment.charge(_PKT_DATA, "down")
-        if not wire.try_acquire():
-            if span is None:
-                yield wire.acquire()
-            else:
-                yield from self._queue_for(wire, block, span)
-        yield down_ns
-        wire.release()
-        if span is not None:
-            span.net += up_ns + down_ns
-            span.filer_service += service_ns
-
-    def _filer_write(self, block: int, span: Optional[Span] = None) -> Iterator:
-        """One block write to the filer: data packet, service, ack."""
-        segment = self.segment
-        wire, up_ns = segment.charge(_PKT_DATA, "up")
-        if not wire.try_acquire():
-            if span is None:
-                yield wire.acquire()
-            else:
-                yield from self._queue_for(wire, block, span)
-        yield up_ns
-        wire.release()
-        service_ns = self.filer.write_service_ns()
-        yield service_ns
-        wire, down_ns = segment.charge(_PKT_ACK, "down")
-        if not wire.try_acquire():
-            if span is None:
-                yield wire.acquire()
-            else:
-                yield from self._queue_for(wire, block, span)
-        yield down_ns
-        wire.release()
-        if span is not None:
-            span.net += up_ns + down_ns
-            span.filer_service += service_ns
-
-    # --- background flush helper ------------------------------------------
-
-    def _spawn(self, gen: Iterator, name: str) -> None:
-        self.sim.spawn(gen, name="%s.h%d" % (name, self.host_id))
+    def _flush_name(self, policy, label: str) -> Optional[str]:
+        """The process name of the flush a write spawns under ``policy``
+        (``<label>-flush.h<id>`` async, ``<label>-delayed-flush.h<id>``
+        delayed), built once per stack; None for a policy that spawns
+        none."""
+        if policy.kind is PolicyKind.ASYNC:
+            return "%s-flush.h%d" % (label, self.host_id)
+        if policy.kind is PolicyKind.DELAYED:
+            return "%s-delayed-flush.h%d" % (label, self.host_id)
+        return None
 
 
 class LayeredStack(HostStack):
     """Shared implementation of the two layered architectures
     (naive and lookaside), which differ only in where RAM writebacks go."""
 
-    __slots__ = ("ram", "flash", "_flash_direct", "_admission", "_cleaning")
+    __slots__ = (
+        "ram",
+        "flash",
+        "_flash_direct",
+        "_admission",
+        "_cleaning",
+        "_ram_flush_name",
+        "_flash_flush_name",
+    )
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         config = self.config
+        self._ram_flush_name = self._flush_name(config.ram_policy, "ram")
+        self._flash_flush_name = self._flush_name(config.flash_policy, "flash")
         self.ram = BlockStore(config.ram_blocks, config.eviction_policy, name="ram")
         self.flash: Optional[BlockStore] = None
         if config.has_flash:
@@ -462,11 +406,11 @@ class LayeredStack(HostStack):
         if policy.kind is PolicyKind.SYNC:
             yield from self._flush_ram_block(block, span)
         elif policy.kind is PolicyKind.ASYNC:
-            self._spawn(self._flush_ram_block(block), "ram-flush")
+            self.sim.spawn(self._flush_ram_block(block), self._ram_flush_name)
         elif policy.kind is PolicyKind.DELAYED:
-            self._spawn(
+            self.sim.spawn(
                 _after(policy.flush_delay_ns, self._flush_ram_block(block)),
-                "ram-delayed-flush",
+                self._ram_flush_name,
             )
         # periodic/trickle/none: the block stays dirty for the
         # syncer/eviction path.
@@ -503,7 +447,8 @@ class LayeredStack(HostStack):
                 yield from self._writeback_ram_data(victim.block)
                 if span is not None:
                     span.syncer_stall += self.sim.now - started
-            self._note_maybe_gone(victim.block)
+            if self._track_copies:
+                self._note_maybe_gone(victim.block)
             # Re-check: another thread may have installed our block
             # while the writeback was in flight.
             installed = ram.peek(block)
@@ -519,7 +464,8 @@ class LayeredStack(HostStack):
             twin = flash.peek(block)
             if twin is not None:
                 twin.pinned = True
-        self.directory.note_copy(self.host_id, block)
+        if self._track_copies:
+            self.directory.note_copy(self.host_id, block)
         yield self._ram_write_ns
         if span is not None:
             span.ram += self._ram_write_ns
@@ -562,7 +508,8 @@ class LayeredStack(HostStack):
                 flash.put(
                     block, Medium.FLASH, dirty=False, pinned=block in self.ram._entries
                 )
-                self.directory.note_copy(self.host_id, block)
+                if self._track_copies:
+                    self.directory.note_copy(self.host_id, block)
         else:
             flash.get(block)  # touch
             if admission is not None:
@@ -608,11 +555,11 @@ class LayeredStack(HostStack):
         if policy.kind is PolicyKind.SYNC:
             yield from self._flush_flash_block(block, span)
         elif policy.kind is PolicyKind.ASYNC:
-            self._spawn(self._flush_flash_block(block), "flash-flush")
+            self.sim.spawn(self._flush_flash_block(block), self._flash_flush_name)
         elif policy.kind is PolicyKind.DELAYED:
-            self._spawn(
+            self.sim.spawn(
                 _after(policy.flush_delay_ns, self._flush_flash_block(block)),
-                "flash-delayed-flush",
+                self._flash_flush_name,
             )
 
     def _make_flash_room(self, incoming: int, span: Optional[Span] = None) -> Iterator:
@@ -643,7 +590,8 @@ class LayeredStack(HostStack):
                     yield from self._writeback_ram_data(victim.block)
                     if span is not None:
                         span.syncer_stall += self.sim.now - started
-            self._note_maybe_gone(victim.block)
+            if self._track_copies:
+                self._note_maybe_gone(victim.block)
             if flash.peek(incoming) is not None:
                 return
 
@@ -687,6 +635,8 @@ class LayeredStack(HostStack):
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
         dirty_set = store._dirty
+        spawn = self.sim.spawn
+        name = "%s.h%d" % ("trickle-flush" if trickle else "syncer-flush", self.host_id)
 
         def tick() -> None:
             if not dirty_set:
@@ -701,13 +651,10 @@ class LayeredStack(HostStack):
             if trickle:
                 spacing = period_ns // len(dirty)
                 for index, block in enumerate(dirty):
-                    self._spawn(
-                        _after(index * spacing, flush_block(block)),
-                        "trickle-flush",
-                    )
+                    spawn(_after(index * spacing, flush_block(block)), name)
             else:
                 for block in dirty:
-                    self._spawn(flush_block(block), "syncer-flush")
+                    spawn(flush_block(block), name)
 
         return period_ns, tick
 
@@ -755,11 +702,20 @@ class UnifiedStack(HostStack):
     are never migrated between media.
     """
 
-    __slots__ = ("cache", "_free_ram", "_free_flash", "_flash_direct")
+    __slots__ = (
+        "cache",
+        "_free_ram",
+        "_free_flash",
+        "_flash_direct",
+        "_ram_flush_name",
+        "_flash_flush_name",
+    )
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         config = self.config
+        self._ram_flush_name = self._flush_name(config.ram_policy, "unified")
+        self._flash_flush_name = self._flush_name(config.flash_policy, "unified")
         total = config.ram_blocks + config.flash_blocks
         self.cache = BlockStore(total, config.eviction_policy, name="unified")
         self._free_ram = config.ram_blocks
@@ -806,13 +762,6 @@ class UnifiedStack(HostStack):
             yield from self.flash_device.write_block(block)
             if span is not None:
                 span.flash_write += self.sim.now - started
-
-    def _policy_for(self, medium: Medium):
-        """Dirty blocks in RAM buffers follow the RAM policy; dirty
-        blocks in flash buffers follow the flash policy."""
-        if medium is Medium.RAM:
-            return self.config.ram_policy
-        return self.config.flash_policy
 
     # --- public paths -------------------------------------------------------
 
@@ -870,15 +819,21 @@ class UnifiedStack(HostStack):
                 # Cache of zero capacity: write straight to the filer.
                 yield from self._filer_write(block, span)
                 return
-        policy = self._policy_for(medium)
+        # Dirty blocks in RAM buffers follow the RAM policy; dirty
+        # blocks in flash buffers follow the flash policy.
+        if medium is Medium.RAM:
+            policy = self.config.ram_policy
+            name = self._ram_flush_name
+        else:
+            policy = self.config.flash_policy
+            name = self._flash_flush_name
         if policy.kind is PolicyKind.SYNC:
             yield from self._flush_block(block, span)
         elif policy.kind is PolicyKind.ASYNC:
-            self._spawn(self._flush_block(block), "unified-flush")
+            self.sim.spawn(self._flush_block(block), name)
         elif policy.kind is PolicyKind.DELAYED:
-            self._spawn(
-                _after(policy.flush_delay_ns, self._flush_block(block)),
-                "unified-delayed-flush",
+            self.sim.spawn(
+                _after(policy.flush_delay_ns, self._flush_block(block)), name
             )
 
     def drop_block(self, block: int) -> None:
@@ -913,7 +868,7 @@ class UnifiedStack(HostStack):
                         span.syncer_stall += self.sim.now - started
                 # The victim may have been re-fetched by another thread
                 # during the writeback; only report it gone if it is.
-                if victim.block not in resident:
+                if self._track_copies and victim.block not in resident:
                     self.directory.note_drop(self.host_id, victim.block)
                 existing = cache.peek(block)
                 if existing is not None:
@@ -926,7 +881,8 @@ class UnifiedStack(HostStack):
             return existing.medium
         medium = self._allocate_medium()
         cache.put(block, medium, dirty=dirty)
-        self.directory.note_copy(self.host_id, block)
+        if self._track_copies:
+            self.directory.note_copy(self.host_id, block)
         yield from self._medium_write(medium, block, span)
         self._reclaim_if_gone(block, medium)
         return medium
@@ -961,6 +917,8 @@ class UnifiedStack(HostStack):
         period_ns = policy.period_ns
         cache = self.cache
         dirty_set = cache._dirty
+        spawn = self.sim.spawn
+        name = "unified-syncer-flush.h%d" % self.host_id
 
         def tick() -> None:
             if not dirty_set:
@@ -981,10 +939,7 @@ class UnifiedStack(HostStack):
                 )
             spacing = period_ns // len(dirty) if trickle else 0
             for index, block in enumerate(dirty):
-                self._spawn(
-                    _after(index * spacing, self._flush_block(block)),
-                    "unified-syncer-flush",
-                )
+                spawn(_after(index * spacing, self._flush_block(block)), name)
 
         return period_ns, tick
 

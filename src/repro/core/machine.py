@@ -83,7 +83,11 @@ class System:
         self.hosts: List[HostStack] = []
         for host_id in range(n_hosts):
             segment = NetworkSegment(
-                self.sim, config.timing.network, name="net.h%d" % host_id
+                self.sim,
+                config.timing.network,
+                name="net.h%d" % host_id,
+                filer=self.filer,
+                host_id=host_id,
             )
             device: Optional[FlashDevice] = None
             if config.has_flash:

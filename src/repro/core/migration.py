@@ -47,11 +47,13 @@ from repro.obs.breakdown import Span
 class MigrationStack(HostStack):
     """Exclusive two-tier cache with demotion/promotion migration."""
 
-    __slots__ = ("ram", "flash")
+    __slots__ = ("ram", "flash", "_ram_flush_name", "_demote_name")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         config = self.config
+        self._ram_flush_name = self._flush_name(config.ram_policy, "migr")
+        self._demote_name = "migr-demote.h%d" % self.host_id
         self.ram = BlockStore(config.ram_blocks, config.eviction_policy, name="ram")
         self.flash = None
         if config.has_flash:
@@ -154,11 +156,11 @@ class MigrationStack(HostStack):
         if policy.kind is PolicyKind.SYNC:
             yield from self._flush_block(self.ram, block, span)
         elif policy.kind is PolicyKind.ASYNC:
-            self._spawn(self._flush_block(self.ram, block), "migr-flush")
+            self.sim.spawn(self._flush_block(self.ram, block), self._ram_flush_name)
         elif policy.kind is PolicyKind.DELAYED:
-            self._spawn(
+            self.sim.spawn(
                 _after(policy.flush_delay_ns, self._flush_block(self.ram, block)),
-                "migr-delayed-flush",
+                self._ram_flush_name,
             )
 
     # --- tier internals -------------------------------------------------------
@@ -199,9 +201,12 @@ class MigrationStack(HostStack):
             # pay a flash write, and the architecture would lose the
             # RAM-speed writes that §7.1 identifies as the layered
             # designs' advantage.)
-            self._spawn(self._demote(victim.block, victim.dirty), "migr-demote")
+            self.sim.spawn(
+                self._demote(victim.block, victim.dirty), self._demote_name
+            )
         ram.put(block, Medium.RAM, dirty=dirty)
-        self.directory.note_copy(self.host_id, block)
+        if self._track_copies:
+            self.directory.note_copy(self.host_id, block)
         yield self.timing.ram_write_ns
         if span is not None:
             span.ram += self.timing.ram_write_ns
@@ -213,7 +218,8 @@ class MigrationStack(HostStack):
             # still reach the filer; clean data is simply dropped.
             if dirty:
                 yield from self._filer_write(block)
-            self._note_maybe_gone(block)
+            if self._track_copies:
+                self._note_maybe_gone(block)
             return
         yield from self._demote_install(block, dirty)
 
@@ -239,7 +245,8 @@ class MigrationStack(HostStack):
                 yield from self._filer_write(victim.block)
                 if span is not None:
                     span.syncer_stall += self.sim.now - started
-            self._note_maybe_gone(victim.block)
+            if self._track_copies:
+                self._note_maybe_gone(victim.block)
         if block in ram_resident:
             # Re-referenced while this demotion waited on the eviction
             # writeback above: the RAM copy wins (exclusivity).
@@ -259,7 +266,7 @@ class MigrationStack(HostStack):
             # in flight: the host holds nothing, so registering it as a
             # holder would leave a stale directory entry.
             self.flash_device.trim_block(block)
-        else:
+        elif self._track_copies:
             self.directory.note_copy(self.host_id, block)
 
     def _flush_block(
@@ -288,6 +295,8 @@ class MigrationStack(HostStack):
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
         dirty_set = store._dirty
+        spawn = self.sim.spawn
+        name = "migr-syncer-flush.h%d" % self.host_id
 
         def tick() -> None:
             if not dirty_set:
@@ -295,9 +304,6 @@ class MigrationStack(HostStack):
             dirty = list(dirty_set)
             spacing = period_ns // len(dirty) if trickle else 0
             for index, block in enumerate(dirty):
-                self._spawn(
-                    _after(index * spacing, self._flush_block(store, block)),
-                    "migr-syncer-flush",
-                )
+                spawn(_after(index * spacing, self._flush_block(store, block)), name)
 
         return period_ns, tick

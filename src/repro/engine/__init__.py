@@ -1,10 +1,16 @@
 """Discrete-event simulation kernel.
 
 A deliberately small, fast kernel in the style of SimPy: simulation
-*processes* are Python generators that ``yield`` either an integer delay
-(nanoseconds) or a :class:`Completion` to wait on.  Shared contention
-points (the network segment, optionally the flash device) are modeled
-with :class:`Resource`; pure-latency devices use plain timeouts.
+*processes* are Python generators that ``yield`` an integer delay
+(nanoseconds), a :class:`Completion` to wait on, or a
+:class:`WaitQueue` to park in until a busy server releases them.
+
+Shared contention points are FIFO servers whose busy callers park in a
+:class:`WaitQueue`: the network segment's two capacity-1 wires run
+that protocol inline (:class:`repro.net.link.NetworkSegment`, which
+also owns the filer round trip), and a flash device with limited
+internal parallelism queues on a :class:`Resource`.  Pure-latency
+devices use plain timeouts.
 
 Typical usage::
 
@@ -20,10 +26,18 @@ Typical usage::
     sim.run()
 """
 
-from repro.engine.events import Completion
+from repro.engine.events import Completion, WaitQueue
 from repro.engine.simulation import Process, Simulator
 from repro.engine.periodic import spawn_periodic
 from repro.engine.resources import Resource
 from repro.engine.rng import RngStreams
 
-__all__ = ["Completion", "Process", "Simulator", "Resource", "RngStreams", "spawn_periodic"]
+__all__ = [
+    "Completion",
+    "Process",
+    "Simulator",
+    "Resource",
+    "RngStreams",
+    "WaitQueue",
+    "spawn_periodic",
+]

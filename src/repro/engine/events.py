@@ -1,14 +1,20 @@
-"""One-shot completion events for the simulation kernel.
+"""Synchronization primitives of the simulation kernel.
 
-A :class:`Completion` is the kernel's only synchronization primitive:
-a one-shot event that processes may ``yield`` to suspend until some
-other process (or the kernel itself) fires it.  Firing delivers an
-optional value, which becomes the result of the ``yield`` expression
-in every waiting process.
+A :class:`Completion` is a one-shot event that processes may ``yield``
+to suspend until some other process (or the kernel itself) fires it.
+Firing delivers an optional value, which becomes the result of the
+``yield`` expression in every waiting process.
+
+A :class:`WaitQueue` is a FIFO queue of parked processes, the queue of
+a server (a network wire, a :class:`~repro.engine.resources.Resource`):
+a process that finds the server busy yields the queue and parks, and
+the server's release resumes the first waiter.  Parking allocates
+nothing, where waiting on a grant completion would allocate one.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, List
 
 from repro.errors import SimulationError
@@ -71,6 +77,34 @@ class Completion:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self.fired else "pending"
         return "<Completion %s waiters=%d>" % (state, len(self._waiters))
+
+
+class WaitQueue(deque):
+    """A FIFO queue of parked processes.
+
+    Beside an ``int`` delay and a :class:`Completion`, the third thing
+    a process may yield.  A process that yields a ``WaitQueue`` is
+    appended to it and stays parked, counted in
+    :attr:`Simulator.blocked_processes` like a waiter on an unfired
+    :class:`Completion`, until the queue's owner calls
+    :meth:`wake_first`.  That resumes the longest-parked process at the
+    current simulated time with the same ``(now, seq, process, value)``
+    heap push that firing a completion makes for its waiter, so parking
+    here instead of waiting on a per-waiter grant completion moves no
+    event.
+
+    The kernel recognizes the exact type (``type(command) is
+    WaitQueue``), as it does ``int``.  A process must yield the queue in
+    the same step that found its server busy; waiters nobody wakes stay
+    blocked, which :meth:`Simulator.run_until_complete` reports as a
+    deadlock.
+    """
+
+    __slots__ = ()
+
+    def wake_first(self, value: Any = None) -> None:
+        """Resume the longest-parked process with ``value``."""
+        self.popleft()._resume_soon(value)
 
 
 def all_of(completions: List[Completion]) -> Completion:

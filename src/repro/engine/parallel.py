@@ -199,16 +199,6 @@ def _group_slice(ref, group: Tuple[int, ...]) -> CompiledTrace:
     return sliced
 
 
-def _resource_busy(resource) -> int:
-    """Effective busy nanoseconds of a Resource at its sim's clock (the
-    numerator of ``Resource.utilization``, shipped raw so the parent
-    can divide by the *global* clock)."""
-    busy = resource.busy_time
-    if resource._busy_since is not None:  # pragma: no cover - drained runs
-        busy += resource._sim.now - resource._busy_since
-    return busy
-
-
 def _collect_aux(system: System) -> Dict[str, object]:
     """Raw integers behind the float fields the parent must recompute
     globally (group-level floats have group-local denominators)."""
@@ -232,10 +222,10 @@ def _collect_aux(system: System) -> Dict[str, object]:
             wa_factors.append(None)
             ftl_meters.append(None)
     return {
-        "segment_busy": [
-            (_resource_busy(seg._up), _resource_busy(seg._down))
-            for seg in system.segments
-        ],
+        # Each wire's busy nanoseconds (the numerators of
+        # ``NetworkSegment.utilization``), shipped raw so the parent can
+        # divide by the *global* clock.
+        "segment_busy": [seg.busy_ns() for seg in system.segments],
         "wa_factors": wa_factors,
         "ftl_meters": ftl_meters,
         "wa_pages": (host_pages, flash_pages, seen_ftl),

@@ -1,10 +1,10 @@
 """Contended resources for the simulation kernel.
 
 :class:`Resource` is a FIFO semaphore: up to ``capacity`` holders at a
-time, strict arrival-order granting.  The paper's network segments
-("each segment can carry one packet at a time") are ``capacity=1``
-resources; a flash device with limited internal parallelism is a
-``capacity=k`` resource.
+time, strict arrival-order granting.  A flash device with limited
+internal parallelism is a ``capacity=k`` resource.  (The network
+segment's two capacity-1 wires run the same protocol inline, in
+:mod:`repro.net.link`.)
 
 The idiomatic usage inside a process generator::
 
@@ -16,14 +16,18 @@ The idiomatic usage inside a process generator::
 
 (The ``try/finally`` matters only for processes that can be interrupted;
 the cache stack's I/O paths never are, so they use the plain form.)
+
+An acquire that finds every slot taken parks the process in the
+resource's :class:`~repro.engine.events.WaitQueue`; :meth:`release`
+hands the slot straight to the first waiter and resumes it, so a queued
+acquire allocates nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import Optional, Union
 
-from repro.engine.events import Completion
+from repro.engine.events import Completion, WaitQueue
 from repro.engine.simulation import Simulator
 from repro.errors import SimulationError
 
@@ -31,9 +35,8 @@ from repro.errors import SimulationError
 class Resource:
     """A FIFO semaphore with ``capacity`` concurrent holders.
 
-    Tracks simple utilization statistics: total acquisitions, total
-    time-weighted queue length, and busy time, which the simulator's
-    results use to report network utilization.
+    Tracks simple utilization statistics: total acquisitions and busy
+    time (:meth:`utilization`).
     """
 
     __slots__ = (
@@ -41,7 +44,8 @@ class Resource:
         "capacity",
         "name",
         "_in_use",
-        "_queue",
+        "_waiters",
+        "_granted",
         "total_acquisitions",
         "_busy_since",
         "busy_time",
@@ -54,7 +58,12 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: Deque[Completion] = deque()
+        #: processes parked until a slot frees, in arrival order
+        self._waiters = WaitQueue()
+        #: what an acquire that finds a free slot returns: a fired
+        #: completion, so the yield resumes in place with this resource
+        self._granted = Completion()
+        self._granted.fire(self)
         # statistics
         self.total_acquisitions = 0
         self._busy_since: Optional[int] = None
@@ -62,28 +71,26 @@ class Resource:
 
     # --- core protocol ----------------------------------------------
 
-    def acquire(self) -> Completion:
-        """Request a slot; the returned completion fires when granted.
+    def acquire(self) -> Union[Completion, WaitQueue]:
+        """Request a slot; yield the result at once to wait for it.
 
-        The caller *must* later call :meth:`release` exactly once per
-        granted acquire.
+        A free slot is granted now and the yield resumes in place; a
+        full resource returns its wait queue, where the yielding process
+        parks until a :meth:`release` hands it the slot.  Either way the
+        yield's value is this resource.  The caller *must* later call
+        :meth:`release` exactly once per granted acquire.
         """
-        grant = Completion()
-        if self._in_use < self.capacity:
-            self._grant(grant)
-        else:
-            self._queue.append(grant)
-        return grant
+        if self.try_acquire():
+            return self._granted
+        return self._waiters
 
     def try_acquire(self) -> bool:
         """Uncontended fast path: grant a free slot synchronously.
 
         Returns True (slot granted, :meth:`release` owed) without
-        allocating a :class:`Completion` or touching the event heap when
-        a slot is free; False when the resource is at capacity, in which
-        case the caller must fall back to :meth:`acquire` and wait.
-        Identical semantics to an ``acquire()`` whose grant fires
-        immediately — only the bookkeeping objects are skipped.
+        touching the event heap when a slot is free; False when the
+        resource is at capacity, in which case the caller must fall
+        back to :meth:`acquire` and wait.
         """
         if self._in_use < self.capacity:
             if self._in_use == 0 and self._busy_since is None:
@@ -97,19 +104,15 @@ class Resource:
         """Release a previously granted slot, waking the next waiter."""
         if self._in_use <= 0:
             raise SimulationError("release() of %r without matching acquire" % self.name)
+        if self._waiters:
+            # Hand the slot over: it stays in use, the waiter resumes.
+            self.total_acquisitions += 1
+            self._waiters.wake_first(self)
+            return
         self._in_use -= 1
-        if self._queue:
-            self._grant(self._queue.popleft())
-        elif self._in_use == 0 and self._busy_since is not None:
+        if self._in_use == 0 and self._busy_since is not None:
             self.busy_time += self._sim.now - self._busy_since
             self._busy_since = None
-
-    def _grant(self, grant: Completion) -> None:
-        if self._in_use == 0 and self._busy_since is None:
-            self._busy_since = self._sim.now
-        self._in_use += 1
-        self.total_acquisitions += 1
-        grant.fire(self)
 
     # --- introspection ----------------------------------------------
 
@@ -120,8 +123,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of acquire requests still waiting."""
-        return len(self._queue)
+        """Number of processes still waiting for a slot."""
+        return len(self._waiters)
 
     def utilization(self) -> float:
         """Fraction of simulated time the resource has been non-idle."""
@@ -140,7 +143,7 @@ class Resource:
             yield from link.use(packet_time)
         """
         if not self.try_acquire():
-            yield self.acquire()
+            yield self._waiters
         yield service_time
         self.release()
 
@@ -149,5 +152,5 @@ class Resource:
             self.name,
             self._in_use,
             self.capacity,
-            len(self._queue),
+            len(self._waiters),
         )

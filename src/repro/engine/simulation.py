@@ -6,7 +6,10 @@ yielding one of:
 
 * an ``int`` — suspend for that many nanoseconds;
 * a :class:`~repro.engine.events.Completion` — suspend until it fires;
-  the fired value becomes the result of the ``yield``.
+  the fired value becomes the result of the ``yield``;
+* a :class:`~repro.engine.events.WaitQueue` — park in a server's FIFO
+  queue until the server's release resumes it with
+  :meth:`~repro.engine.events.WaitQueue.wake_first`.
 
 Processes compose with ``yield from``, which is how the cache stack
 builds multi-step I/O paths out of small helper generators.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Generator, Iterator, List, Optional, Tuple
 
-from repro.engine.events import Completion
+from repro.engine.events import Completion, WaitQueue
 from repro.errors import SimulationError
 
 #: The generator type processes are built from.
@@ -48,7 +51,8 @@ class Process:
         self._finished = False
         self._result: Any = None
         self.name = name or getattr(gen, "__name__", "process")
-        #: waiting on an unfired Completion (kernel leak accounting)
+        #: waiting on an unfired Completion or parked in a WaitQueue
+        #: (kernel leak accounting)
         self._blocked = False
 
     @property
@@ -165,6 +169,12 @@ class Process:
                     sim._seq += 1
                     heappush(sim._heap, (sim.now, sim._seq, self, None))
                     return
+            elif type(command) is WaitQueue:
+                # Park in a busy server's queue; its release resumes us.
+                self._blocked = True
+                sim.blocked_processes += 1
+                command.append(self)
+                return
             elif isinstance(command, Completion):
                 if command.fired:
                     # Same-time wakeup fast path: resume in place.
@@ -181,8 +191,8 @@ class Process:
                 try:
                     command = gen.throw(
                         SimulationError(
-                            "process %r yielded %r; expected int delay or"
-                            " Completion" % (self.name, command)
+                            "process %r yielded %r; expected int delay,"
+                            " Completion or WaitQueue" % (self.name, command)
                         )
                     )
                 except StopIteration as stop:
@@ -212,8 +222,9 @@ class Simulator:
         #: unbounded); gates the trampoline's time fast-forward so a
         #: bounded run never advances past its horizon.
         self._until: Optional[int] = None
-        #: processes currently suspended on an unfired Completion; when
-        #: the heap drains this must be zero or waiters leaked.
+        #: processes currently suspended on an unfired Completion or
+        #: parked in a WaitQueue; when the heap drains this must be zero
+        #: or waiters leaked.
         self.blocked_processes: int = 0
         #: optional observability callback, called with each spawned
         #: process's name (None when tracing is off — the common case
@@ -285,6 +296,11 @@ class Simulator:
                             self._seq += 1
                             heappush(heap, (self.now, self._seq, process, None))
                             break
+                        if type(command) is WaitQueue:
+                            process._blocked = True
+                            self.blocked_processes += 1
+                            command.append(process)
+                            break
                         if isinstance(command, Completion):
                             if command.fired:
                                 value = command.value
@@ -295,8 +311,8 @@ class Simulator:
                             break
                         process._throw_step(
                             SimulationError(
-                                "process %r yielded %r; expected int delay or"
-                                " Completion" % (process.name, command)
+                                "process %r yielded %r; expected int delay,"
+                                " Completion or WaitQueue" % (process.name, command)
                             )
                         )
                         break

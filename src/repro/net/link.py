@@ -1,18 +1,61 @@
-"""The network segment: one packet at a time, base + per-bit latency."""
+"""The network segment: two FIFO wires and the filer round trip.
+
+PAPER.md §3: "each segment can carry one packet at a time, and each I/O
+request uses one packet in each direction", each packet paying a fixed
+latency plus a small time per bit of block data.  A host's private
+segment is full duplex, so each direction is one capacity-1 FIFO
+server, a :class:`_Wire`.  :class:`NetworkSegment` owns both wires and
+runs the wire protocol itself: a block's round trip to the filer
+(:meth:`NetworkSegment.read`, :meth:`NetworkSegment.write`) is one
+generator frame that sends the request leg, charges the filer's
+service and returns the reply leg, with each leg's acquire and release
+written out in that frame.
+
+The wire protocol, per packet:
+
+* count the packet (``packets_sent``, ``payload_bytes_sent``) and, with
+  an event recorder attached, emit ``NET_XFER`` at issue;
+* an idle wire (``busy_since is None``) is taken at once and its busy
+  period starts now; a busy wire parks the process in the wire's
+  :class:`~repro.engine.events.WaitQueue`;
+* hold the wire for the packet's wire time (computed once per packet
+  shape, at construction);
+* release: hand the wire to the first parked process, which resumes at
+  this instant, or, with nobody waiting, close the busy period into
+  the integer ``busy_time``.
+
+A wire behaves exactly as a capacity-1
+:class:`~repro.engine.resources.Resource` would, with no helper frame
+per packet: the same heap pushes in the same order and the same busy
+nanoseconds (DESIGN.md §16).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from repro._units import NS
-from repro.engine.resources import Resource
+from repro.engine.events import WaitQueue
 from repro.engine.simulation import Simulator
 from repro.errors import ConfigError
 from repro.net.packet import Packet
 from repro.obs.events import EventKind
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.filer.server import Filer
+    from repro.obs.breakdown import Span
+
 _NET_XFER = EventKind.NET_XFER
+_QUEUE_ENTER = EventKind.QUEUE_ENTER
+_QUEUE_EXIT = EventKind.QUEUE_EXIT
+
+#: The protocol's three packet shapes: a read is request up, data down;
+#: a write is data up, ack down.
+_PKT_REQUEST = Packet.request()
+_PKT_DATA = Packet.data_block()
+_PKT_ACK = Packet.ack()
+_DATA_BYTES = _PKT_DATA.payload_bytes
 
 
 @dataclass(frozen=True)
@@ -40,22 +83,54 @@ class NetworkTiming:
         return cls()
 
 
+class _Wire:
+    """One direction of a segment: a capacity-1 FIFO server.
+
+    ``busy_since`` is the start of the open busy period (None while the
+    wire is idle), ``busy_time`` the integer nanoseconds of every closed
+    busy period, and ``waiters`` the processes parked until the wire
+    frees, in arrival order.
+    """
+
+    __slots__ = ("name", "busy_since", "busy_time", "waiters")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.busy_since: Optional[int] = None
+        self.busy_time = 0
+        self.waiters = WaitQueue()
+
+    def busy_ns(self, now: int) -> int:
+        """Busy nanoseconds up to ``now``, the open period included."""
+        busy = self.busy_time
+        if self.busy_since is not None:
+            busy += now - self.busy_since
+        return busy
+
+
 class NetworkSegment:
     """A private host↔filer segment: one packet at a time per direction.
 
-    The paper's model is "each I/O request uses one packet in each
-    direction"; the segment is full duplex, so the host→filer wire
-    (requests, write data) and the filer→host wire (read data, acks)
-    serialize independently.  Convoys still form: threads evicting
-    dirty blocks queue on the host→filer wire.
+    The host→filer wire (``up``: requests, write data) and the
+    filer→host wire (``down``: read data, acks) serialize independently.
+    Convoys still form: threads evicting dirty blocks queue on the
+    host→filer wire.
+
+    ``filer`` is the server behind the segment; :meth:`read` and
+    :meth:`write` need it, :meth:`transfer` does not.  ``host_id``
+    labels the segment's queue events.
     """
 
     __slots__ = (
         "_sim",
         "timing",
+        "filer",
+        "host_id",
         "_up",
         "_down",
-        "_wire_time",
+        "_request_ns",
+        "_data_ns",
+        "_ack_ns",
         "name",
         "packets_sent",
         "payload_bytes_sent",
@@ -67,40 +142,152 @@ class NetworkSegment:
         sim: Simulator,
         timing: Optional[NetworkTiming] = None,
         name: str = "net",
+        filer: Optional["Filer"] = None,
+        host_id: int = 0,
     ) -> None:
         self._sim = sim
-        self.timing = timing or NetworkTiming.paper_default()
-        self._up = Resource(sim, capacity=1, name=name + ".up")
-        self._down = Resource(sim, capacity=1, name=name + ".down")
-        #: wire time memo keyed by payload size — the protocol uses
-        #: three packet shapes, so this avoids recomputing the
-        #: float-multiply-and-round on every hot-path transfer.
-        self._wire_time: dict = {}
+        self.timing = timing = timing or NetworkTiming.paper_default()
+        self.filer = filer
+        self.host_id = host_id
+        self._up = _Wire(name + ".up")
+        self._down = _Wire(name + ".down")
+        self._request_ns = timing.packet_time_ns(_PKT_REQUEST)
+        self._data_ns = timing.packet_time_ns(_PKT_DATA)
+        self._ack_ns = timing.packet_time_ns(_PKT_ACK)
         self.name = name
         self.packets_sent = 0
         self.payload_bytes_sent = 0
         #: observability sink (an EventRecorder); None when tracing is
-        #: off — the hot-path charge() then pays a single branch.
+        #: off — each packet then pays a single branch.
         self.obs = None
 
-    def _wire_for(self, direction: str) -> Resource:
-        if direction == "up":
-            return self._up
-        if direction == "down":
-            return self._down
-        raise ConfigError("direction must be 'up' or 'down', got %r" % (direction,))
+    # --- the filer round trip ----------------------------------------
 
-    def charge(self, packet: Packet, direction: str) -> "tuple[Resource, int]":
-        """Account for one packet and return ``(wire, wire_time_ns)``.
+    def read(self, block: int, span: Optional["Span"] = None) -> Iterator:
+        """Process generator: read one block from the filer.
 
-        Non-generator half of :meth:`transfer`: callers that fold the
-        wire occupancy into their own process frame (the host stack's
-        filer paths) call this, then acquire/hold/release the returned
-        wire themselves.  ``up`` is host→filer, ``down`` is filer→host.
+        A request packet up, the filer's read service, a data packet
+        down.  With a ``span``, time parked for a busy wire goes to
+        ``filer_queue`` (bracketed by ``QUEUE_ENTER``/``QUEUE_EXIT``
+        events when a recorder is attached), the two wire times to
+        ``net`` and the service to ``filer_service``.
         """
-        payload = packet.payload_bytes
+        sim = self._sim
+        obs = self.obs
+        wire = self._up
+        up_ns = self._request_ns
         self.packets_sent += 1
-        self.payload_bytes_sent += payload
+        if obs is not None:
+            # ts marks packet *issue* (queueing for the wire, if any,
+            # happens after); dur is the pure wire time.
+            obs.emit(sim.now, _NET_XFER, tier=wire.name, dur=up_ns)
+        if wire.busy_since is None:
+            wire.busy_since = sim.now
+        elif span is None:
+            yield wire.waiters
+        else:
+            yield from self._park(wire, block, span)
+        yield up_ns
+        if wire.waiters:
+            wire.waiters.wake_first()
+        else:
+            wire.busy_time += sim.now - wire.busy_since
+            wire.busy_since = None
+        service_ns = self.filer.read_service_ns()
+        yield service_ns
+        wire = self._down
+        down_ns = self._data_ns
+        self.packets_sent += 1
+        self.payload_bytes_sent += _DATA_BYTES
+        if obs is not None:
+            obs.emit(sim.now, _NET_XFER, tier=wire.name, dur=down_ns)
+        if wire.busy_since is None:
+            wire.busy_since = sim.now
+        elif span is None:
+            yield wire.waiters
+        else:
+            yield from self._park(wire, block, span)
+        yield down_ns
+        if wire.waiters:
+            wire.waiters.wake_first()
+        else:
+            wire.busy_time += sim.now - wire.busy_since
+            wire.busy_since = None
+        if span is not None:
+            span.net += up_ns + down_ns
+            span.filer_service += service_ns
+
+    def write(self, block: int, span: Optional["Span"] = None) -> Iterator:
+        """Process generator: write one block to the filer.
+
+        A data packet up, the filer's write service, an ack down; a
+        ``span`` is filled as in :meth:`read`.
+        """
+        sim = self._sim
+        obs = self.obs
+        wire = self._up
+        up_ns = self._data_ns
+        self.packets_sent += 1
+        self.payload_bytes_sent += _DATA_BYTES
+        if obs is not None:
+            obs.emit(sim.now, _NET_XFER, tier=wire.name, dur=up_ns)
+        if wire.busy_since is None:
+            wire.busy_since = sim.now
+        elif span is None:
+            yield wire.waiters
+        else:
+            yield from self._park(wire, block, span)
+        yield up_ns
+        if wire.waiters:
+            wire.waiters.wake_first()
+        else:
+            wire.busy_time += sim.now - wire.busy_since
+            wire.busy_since = None
+        service_ns = self.filer.write_service_ns()
+        yield service_ns
+        wire = self._down
+        down_ns = self._ack_ns
+        self.packets_sent += 1
+        if obs is not None:
+            obs.emit(sim.now, _NET_XFER, tier=wire.name, dur=down_ns)
+        if wire.busy_since is None:
+            wire.busy_since = sim.now
+        elif span is None:
+            yield wire.waiters
+        else:
+            yield from self._park(wire, block, span)
+        yield down_ns
+        if wire.waiters:
+            wire.waiters.wake_first()
+        else:
+            wire.busy_time += sim.now - wire.busy_since
+            wire.busy_since = None
+        if span is not None:
+            span.net += up_ns + down_ns
+            span.filer_service += service_ns
+
+    def _park(self, wire: _Wire, block: int, span: "Span") -> Iterator:
+        """Wait for a busy wire, attributing the wait to ``filer_queue``."""
+        sim = self._sim
+        rec = self.obs
+        entered = sim.now
+        if rec is not None:
+            rec.emit(entered, _QUEUE_ENTER, self.host_id, block, tier=wire.name)
+        yield wire.waiters
+        waited = sim.now - entered
+        span.filer_queue += waited
+        if rec is not None:
+            rec.emit(
+                sim.now, _QUEUE_EXIT, self.host_id, block, tier=wire.name, dur=waited
+            )
+
+    # --- one packet ----------------------------------------------------
+
+    def transfer(self, packet: Packet, direction: str = "up") -> Iterator:
+        """Process generator: occupy one direction of the segment for
+        the packet's wire time (``up`` is host→filer, ``down``
+        filer→host).  The invalidation messages use it; they share the
+        wires with the round trips."""
         if direction == "up":
             wire = self._up
         elif direction == "down":
@@ -109,33 +296,44 @@ class NetworkSegment:
             raise ConfigError(
                 "direction must be 'up' or 'down', got %r" % (direction,)
             )
-        wire_time = self._wire_time.get(payload)
-        if wire_time is None:
-            wire_time = self.timing.packet_time_ns(packet)
-            self._wire_time[payload] = wire_time
+        sim = self._sim
+        wire_ns = self.timing.packet_time_ns(packet)
+        self.packets_sent += 1
+        self.payload_bytes_sent += packet.payload_bytes
         obs = self.obs
         if obs is not None:
-            # ts marks packet *issue* (queueing for the wire, if any,
-            # happens after); dur is the pure wire time.
-            obs.emit(self._sim.now, _NET_XFER, tier=wire.name, dur=wire_time)
-        return wire, wire_time
+            obs.emit(sim.now, _NET_XFER, tier=wire.name, dur=wire_ns)
+        if wire.busy_since is None:
+            wire.busy_since = sim.now
+        else:
+            yield wire.waiters
+        yield wire_ns
+        if wire.waiters:
+            wire.waiters.wake_first()
+        else:
+            wire.busy_time += sim.now - wire.busy_since
+            wire.busy_since = None
 
-    def transfer(self, packet: Packet, direction: str = "up") -> Iterator:
-        """Process generator: occupy one direction of the segment for
-        the packet's wire time."""
-        wire, wire_time = self.charge(packet, direction)
-        if not wire.try_acquire():
-            yield wire.acquire()
-        yield wire_time
-        wire.release()
+    # --- accounting ------------------------------------------------------
+
+    def busy_ns(self) -> Tuple[int, int]:
+        """Busy nanoseconds of the up and down wires so far (the
+        numerators of :meth:`utilization`)."""
+        now = self._sim.now
+        return self._up.busy_ns(now), self._down.busy_ns(now)
 
     def utilization(self) -> float:
         """Mean busy fraction of the two directions."""
-        return (self._up.utilization() + self._down.utilization()) / 2.0
+        now = self._sim.now
+        if now == 0:
+            return 0.0
+        up, down = self.busy_ns()
+        return (up / now + down / now) / 2.0
 
     @property
     def queue_length(self) -> int:
-        return self._up.queue_length + self._down.queue_length
+        """Processes parked for either wire."""
+        return len(self._up.waiters) + len(self._down.waiters)
 
     def reset_counters(self) -> None:
         self.packets_sent = 0

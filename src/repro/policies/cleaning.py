@@ -201,10 +201,11 @@ class CleaningController:
 
 
 class AgedCleanController(CleaningController):
-    __slots__ = ("_dirtied_at",)
+    __slots__ = ("_dirtied_at", "_flush_name")
 
     def __init__(self, spec: AgedClean, stack) -> None:
         super().__init__(spec, stack)
+        self._flush_name = "aged-flush.h%d" % stack.host_id
         # block -> last-dirtied timestamp, insertion-ordered oldest
         # first; entries of since-cleaned blocks are pruned lazily.
         self._dirtied_at: Dict[int, int] = {}
@@ -225,12 +226,14 @@ class AgedCleanController(CleaningController):
             now = stack.sim.now
             idle_ns = self.spec.idle_ns
             flush_block = stack._flush_flash_block
+            spawn = stack.sim.spawn
+            name = self._flush_name
             dirtied = self._dirtied_at
             for block in dirty_set:
                 # Unknown blocks (defensive) count as infinitely idle.
                 if now - dirtied.get(block, 0) >= idle_ns:
                     self.flushes += 1
-                    stack._spawn(flush_block(block), "aged-flush")
+                    spawn(flush_block(block), name)
         # Bound the ledger: drop entries for blocks no longer dirty.
         if len(self._dirtied_at) > 2 * len(dirty_set) + 64:
             self._dirtied_at = {
@@ -239,10 +242,13 @@ class AgedCleanController(CleaningController):
 
 
 class AggressiveCleanController(CleaningController):
-    __slots__ = ("high_blocks", "low_blocks", "pending", "_order", "_draining")
+    __slots__ = (
+        "high_blocks", "low_blocks", "pending", "_order", "_draining", "_drain_name",
+    )
 
     def __init__(self, spec: AggressiveClean, stack) -> None:
         super().__init__(spec, stack)
+        self._drain_name = "acp-drain.h%d" % stack.host_id
         capacity = self.store.capacity_blocks
         self.high_blocks = max(1, int(capacity * spec.high_fraction))
         self.low_blocks = min(int(capacity * spec.low_fraction), self.high_blocks - 1)
@@ -291,7 +297,7 @@ class AggressiveCleanController(CleaningController):
             draining.add(target)
             self.pending += 1
             self.flushes += 1
-            stack._spawn(self._drain(target), "acp-drain")
+            stack.sim.spawn(self._drain(target), self._drain_name)
 
     def _drain(self, block: int) -> Iterator:
         try:

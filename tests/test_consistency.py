@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core.architectures import Architecture
 from repro.core.consistency import ConsistencyDirectory
+from repro.core.machine import System
+
+from tests.helpers import tiny_config
 
 
 def directory_with_hosts(n=2):
@@ -149,6 +153,38 @@ class TestTrafficHook:
         assert directory.copies_invalidated == 1
         assert directory.holders_of(7) == set()
         assert messages == []
+
+
+class TestSingleHostDirectory:
+    """With one host no write can find another host's copy, so the
+    directory tracks none; block writes are still counted."""
+
+    def test_tracks_copies_from_two_hosts(self):
+        assert not ConsistencyDirectory(1).tracks_copies
+        assert ConsistencyDirectory(2).tracks_copies
+        assert ConsistencyDirectory(64).tracks_copies
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_one_host_keeps_no_holders_but_counts_writes(self, architecture):
+        system = System(tiny_config(architecture=architecture), 1)
+        directory = system.directory
+        host = system.hosts[0]
+
+        def worker():
+            for block in range(12):
+                yield from host.read_block(block)
+                yield from host.write_block(block, measured=block % 3 != 0)
+
+        system.sim.run_until_complete(worker())
+        assert all(not shard.holders for shard in directory._shards)
+        assert directory.block_writes == 8
+        assert directory.writes_requiring_invalidation == 0
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_two_hosts_track_copies(self, architecture):
+        system = System(tiny_config(architecture=architecture), 2)
+        system.sim.run_until_complete(system.hosts[0].read_block(5))
+        assert system.directory.holders_of(5) == {0}
 
 
 class TestRestartHolderState:

@@ -1,8 +1,9 @@
-"""Tests for the Completion synchronization primitive."""
+"""Tests for the kernel's synchronization primitives: Completion and
+WaitQueue."""
 
 import pytest
 
-from repro.engine.events import Completion, all_of
+from repro.engine.events import Completion, WaitQueue, all_of
 from repro.engine.simulation import Simulator
 from repro.errors import SimulationError
 
@@ -163,3 +164,109 @@ class TestAllOf:
         # implementation created it already fired.
         assert "already" in all_of.__doc__ and "fired" in all_of.__doc__
         assert all_of([]).fired
+
+
+class TestWaitQueue:
+    """A process that yields a WaitQueue parks until ``wake_first``."""
+
+    def test_waiters_resume_fifo_at_the_release_instant(self):
+        sim = Simulator()
+        queue = WaitQueue()
+        log = []
+
+        def waiter(tag):
+            value = yield queue
+            log.append((tag, sim.now, value))
+
+        def releaser():
+            yield 100
+            queue.wake_first("x")
+            yield 50
+            queue.wake_first("y")
+            queue.wake_first()
+
+        for tag in "abc":
+            sim.spawn(waiter(tag))
+        sim.spawn(releaser())
+        sim.run()
+        assert log == [("a", 100, "x"), ("b", 150, "y"), ("c", 150, None)]
+
+    def test_blocked_processes_rise_and_fall_with_waiters(self):
+        sim = Simulator()
+        queue = WaitQueue()
+
+        def waiter():
+            yield queue
+
+        for _ in range(3):
+            sim.spawn(waiter())
+        sim.run()
+        assert sim.blocked_processes == 3
+        assert len(queue) == 3
+        queue.wake_first()
+        assert sim.blocked_processes == 2
+        sim.run()
+        assert sim.blocked_processes == 2
+        queue.wake_first()
+        queue.wake_first()
+        sim.run()
+        assert sim.blocked_processes == 0
+        assert not queue
+
+    def test_waiter_never_woken_is_a_deadlock(self):
+        sim = Simulator()
+        queue = WaitQueue()
+
+        def proc():
+            yield queue
+
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run_until_complete(proc())
+        assert sim.blocked_processes == 1
+
+    def test_bounded_run_parks_and_resumes(self):
+        sim = Simulator()
+        queue = WaitQueue()
+        log = []
+
+        def waiter():
+            yield 10
+            value = yield queue
+            log.append((sim.now, value))
+
+        def releaser():
+            yield 40
+            queue.wake_first("go")
+
+        sim.spawn(waiter())
+        sim.spawn(releaser())
+        assert sim.run(until=20) == 20
+        assert sim.blocked_processes == 1
+        assert len(queue) == 1
+        sim.run(until=100)
+        assert log == [(40, "go")]
+        assert sim.blocked_processes == 0
+
+    def test_wake_pushes_the_entry_a_fired_completion_pushes(self):
+        """Parking on a queue instead of a per-waiter grant completion
+        moves no event: the resume is the same heap entry."""
+        pushed = []
+        for make in (Completion, WaitQueue):
+            sim = Simulator()
+            gate = make()
+
+            def proc(gate=gate):
+                yield 5
+                yield gate
+
+            process = sim.spawn(proc())
+            sim.run()
+            assert sim.blocked_processes == 1
+            assert sim._heap == []
+            if make is Completion:
+                gate.fire("v")
+            else:
+                gate.wake_first("v")
+            ((when, seq, resumed, value),) = sim._heap
+            pushed.append((when, seq, resumed is process, value, sim.blocked_processes))
+        assert pushed[0] == pushed[1] == (5, 2, True, "v", 0)

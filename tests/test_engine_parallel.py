@@ -347,6 +347,22 @@ class TestParallelReplayIdentity:
         assert full_signature(serial) == full_signature(merged)
 
 
+class TestSegmentBusyMeters:
+    def test_group_ships_each_segments_busy_ns(self):
+        """A replay group ships each segment's raw wire busy time, from
+        which the parent recomputes the serial utilization."""
+        from repro.core.machine import System
+
+        system = System(tiny_config(), 4, check_invariants=False)
+        system.replay(_eligible_multihost_trace(seed=5))
+        shipped = par._collect_aux(system)["segment_busy"]
+        assert shipped == [segment.busy_ns() for segment in system.segments]
+        now = system.sim.now
+        for (up, down), segment in zip(shipped, system.segments):
+            assert up > 0 and down > 0
+            assert (up / now + down / now) / 2.0 == segment.utilization()
+
+
 class TestEligibilityGates:
     def _reason(self, trace, config, **kwargs):
         options = dict(

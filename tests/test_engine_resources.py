@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.events import WaitQueue
 from repro.engine.resources import Resource
 from repro.engine.simulation import Simulator
 from repro.errors import SimulationError
@@ -106,6 +107,33 @@ class TestResourceAccounting:
         sim.spawn(hold(sim, link, 100, log, "c"))
         sim.run(until=50)
         assert link.queue_length == 2
+
+
+class TestResourceParking:
+    def test_queued_acquire_parks_in_the_wait_queue(self):
+        sim = Simulator()
+        link = Resource(sim, capacity=1)
+        granted = []
+
+        def holder():
+            granted.append((yield link.acquire()))
+            yield 10
+            link.release()
+
+        sim.spawn(holder())
+        sim.spawn(holder())
+        sim.run(until=5)
+        assert link.queue_length == 1
+        assert sim.blocked_processes == 1
+        # A full resource hands out its queue, not a grant completion.
+        assert type(link.acquire()) is WaitQueue
+        sim.run()
+        # Free and queued acquires both resume with the resource.
+        assert granted == [link, link]
+        assert link.total_acquisitions == 2
+        assert link.in_use == 0
+        assert sim.blocked_processes == 0
+        assert sim.now == 20
 
 
 class TestResourceErrors:

@@ -4,7 +4,8 @@ Every host stack, whatever its placement strategy, must maintain the
 same global invariants under arbitrary interleaved workloads:
 
 * capacities are never exceeded;
-* the consistency directory's holder sets match actual residency;
+* the consistency directory's holder sets match actual residency
+  (with two hosts: a one-host directory tracks no copies);
 * invalidation empties every tier;
 * no dirty data is silently dropped on the write path (every written
   block is either still dirty somewhere or was written to the filer).
@@ -38,7 +39,7 @@ OPS = st.lists(
 POLICIES = st.sampled_from(["s", "a", "p0.001", "t0.001", "d0.001", "n"])
 
 
-def build_system(architecture, ram_policy_label, flash_policy_label):
+def build_system(architecture, ram_policy_label, flash_policy_label, n_hosts=1):
     config = tiny_config(
         architecture=architecture,
         ram_bytes=8 * KB,     # 2 blocks
@@ -46,7 +47,7 @@ def build_system(architecture, ram_policy_label, flash_policy_label):
         ram_policy=WritebackPolicy.parse(ram_policy_label),
         flash_policy=WritebackPolicy.parse(flash_policy_label),
     )
-    return System(config, 1)
+    return System(config, n_hosts)
 
 
 def resident_blocks(host):
@@ -102,7 +103,9 @@ def test_capacities_respected(architecture, ram_policy, flash_policy, ops):
     ops=OPS,
 )
 def test_directory_matches_residency(architecture, ram_policy, flash_policy, ops):
-    system = build_system(architecture, ram_policy, flash_policy)
+    # Two hosts, so the directory tracks copies; host 1 stays idle.
+    system = build_system(architecture, ram_policy, flash_policy, n_hosts=2)
+    assert system.directory.tracks_copies
     host = run_ops(system, ops)
     resident = resident_blocks(host)
     for block in resident:

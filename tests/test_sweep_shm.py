@@ -15,7 +15,9 @@ Three properties are audited here, per ``repro.sweep``'s contract:
 
 from __future__ import annotations
 
+import os
 import pickle
+import re
 import time
 from pathlib import Path
 
@@ -38,10 +40,18 @@ SHM_DIR = Path("/dev/shm")
 
 
 def shm_names() -> set:
-    """Names of live ``repro-ct-*`` segments (POSIX shm namespace)."""
+    """Names of the live ``repro-ct-*`` segments this process created.
+
+    A sweep's parent process creates every segment, and each name
+    carries its creator's pid (``sweep._shm_segment_name``:
+    ``repro-ct-<tag>-<pid>-<n>``), so a replay running beside the test
+    in another process cannot change the set, while every segment this
+    test's own sweeps leak still shows.
+    """
     if not SHM_DIR.is_dir():
         pytest.skip("no /dev/shm to audit")
-    return {entry.name for entry in SHM_DIR.glob("*repro-ct-*")}
+    own = re.compile(r"repro-ct-[0-9a-f]+-%d-[0-9]+$" % os.getpid())
+    return {entry.name for entry in SHM_DIR.glob("*repro-ct-*") if own.search(entry.name)}
 
 
 needs_shm = pytest.mark.skipif(
