@@ -13,13 +13,13 @@ and across CPython versions.
 It exits 1 when a workload's run fails its own checks, when
 ``engine.events_per_block`` or ``engine.resumes_per_block`` differs
 from the committed value (the event order is part of the results), or
-when ``cache.calls_per_block``, ``host.calls_per_block`` or, on the
-single-host workloads, ``consistency.calls_per_block`` rises above its
-committed ceiling: each tier decision on the block path is one
-operation on the tier's index, a filer round trip is one generator
-frame of the network segment, a single host's directory sees only its
-``on_block_write`` calls, and a helper hop that creeps back shows here
-first.  The ceilings sit at least 5 % above the counts measured when
+when ``cache.calls_per_block``, ``host.calls_per_block`` or
+``consistency.calls_per_block`` rises above its committed ceiling: each
+tier decision on the block path is one operation on the tier's index,
+a filer round trip is one generator frame of the network segment, a
+single host's directory sees only its ``on_block_write`` calls, a fleet
+host notes each copy it holds once, and a helper hop that creeps back
+shows here first.  The ceilings sit at least 5 % above the counts measured when
 they were set.  ``net.calls_per_block`` is not capped: the round trip's
 generator resumptions count under ``net/``.
 
@@ -54,7 +54,7 @@ ENGINE = {
     },
 }
 #: workload -> the most Python calls per block into ``cache/``,
-#: ``core/host.py`` and (one host) ``core/consistency.py``.
+#: ``core/host.py`` and ``core/consistency.py``.
 CEILINGS = {
     "hit_heavy": {
         "cache.calls_per_block": 0.58,
@@ -66,7 +66,11 @@ CEILINGS = {
         "host.calls_per_block": 11.8,
         "consistency.calls_per_block": 0.33,
     },
-    "fleet_writes": {"cache.calls_per_block": 7.5, "host.calls_per_block": 19.5},
+    "fleet_writes": {
+        "cache.calls_per_block": 7.5,
+        "host.calls_per_block": 19.5,
+        "consistency.calls_per_block": 1.54,
+    },
 }
 
 

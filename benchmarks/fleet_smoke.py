@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Fleet-scale consistency smoke benchmark (CI gate).
 
-Proves the fleet-scale claims of the sharded consistency directory and
-the multi-tenant scenario family, with hard exits rather than advisory
+Proves the fleet-scale claims of the consistency directory and the
+multi-tenant scenario family, with hard exits rather than advisory
 prints:
 
 1. **Fleet-size construction.**  Building a 1000-host :class:`System`
-   (sharded directory, slotted host stacks) must finish inside a
+   (one holder map, slotted host stacks) must finish inside a
    wall-clock budget and a tracemalloc heap budget; ``drop_host`` over
    a populated directory must also stay fast.  A regression to
    per-host dict scans or unslotted per-instance dicts blows either
@@ -90,7 +90,6 @@ def phase_build_scale(n_hosts: int, budget_s: float, budget_mb: int) -> Dict:
     build_s = built - started
     return {
         "hosts": n_hosts,
-        "shards": directory.n_shards,
         "build_wall_s": round(build_s, 4),
         "drop_host_wall_s": round(dropped - drop_started, 4),
         "budget_s": budget_s,
@@ -204,11 +203,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     build = report["build_scale"]
     print(
-        "build-scale: %d hosts (%d shards) in %.3fs (budget %.1fs), "
+        "build-scale: %d hosts in %.3fs (budget %.1fs), "
         "drop_host %.3fs, peak heap %.1f MB (budget %d MB)"
         % (
             build["hosts"],
-            build["shards"],
             build["build_wall_s"],
             build["budget_s"],
             build["drop_host_wall_s"],

@@ -16,15 +16,12 @@ and 12).
 Beyond the paper's two hosts this module scales to fleets of
 thousands:
 
-* **Sharding.**  State lives in an array of :class:`_DirectoryShard`
-  objects keyed by ``block & (n_shards - 1)`` (``n_shards`` is a power
-  of two), each with its own holder map and counters.  Shard counters
-  are merged at report time through summing properties, so callers see
-  one directory regardless of the shard count.
 * **Bitmask holders.**  The per-block holder set is a plain ``int``
   bitmask (bit *i* set ⇔ host *i* holds a copy) instead of a
   ``set`` — one machine word for fleets up to word size, and still a
-  single arbitrary-precision int beyond it.
+  single arbitrary-precision int beyond it.  One ``holders`` dict maps
+  every tracked block to its mask; at 64 hosts a replay runs as fast on
+  it as on a map split into 64 shards (DESIGN.md §10).
 * **Flat registration.**  Dropper callbacks live in a list indexed by
   host id rather than a dict, so a 1 000-host registration is one
   array fill.
@@ -36,50 +33,13 @@ whatever the holder map holds.  Such a directory reports
 and ``note_drop`` on every install and eviction, leaving the holder
 map empty; block writes are still counted.  The single-host figures (2–10 of the paper)
 pay nothing for the two-host experiments' bookkeeping.
-
-At the paper's default (zero directory latency, any shard count) the
-observable behavior — counters, drop order, traffic-hook messages — is
-bit-identical to the original unsharded implementation; the
-differential harness pins this.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.errors import ParallelReplayConflict
-
-#: Fleets at or below this size keep a single shard — the paper-scale
-#: fast path, with no indexing arithmetic worth amortizing.
-_SINGLE_SHARD_MAX_HOSTS = 8
-
-#: Default shard count for larger fleets (must be a power of two).
-_DEFAULT_SHARDS = 64
-
-#: Environment override for the automatic shard count (power of two).
-#: The differential harness uses it to replay one trace single-sharded
-#: and multi-sharded and pin the results bit-identical; explicit
-#: ``n_shards`` arguments win over the environment.
-SHARDS_ENV = "REPRO_DIRECTORY_SHARDS"
-
-
-class _DirectoryShard:
-    """One shard of the directory: a holder map plus its own counters."""
-
-    __slots__ = (
-        "holders",
-        "block_writes",
-        "writes_requiring_invalidation",
-        "copies_invalidated",
-    )
-
-    def __init__(self) -> None:
-        # block -> bitmask of host ids holding a copy in any tier
-        self.holders: Dict[int, int] = {}
-        self.block_writes = 0
-        self.writes_requiring_invalidation = 0
-        self.copies_invalidated = 0
 
 
 def _decode_mask(mask: int) -> Set[int]:
@@ -95,29 +55,23 @@ def _decode_mask(mask: int) -> Set[int]:
 class ConsistencyDirectory:
     """Tracks block copies across hosts and performs invalidation."""
 
-    __slots__ = ("n_hosts", "n_shards", "_shards", "_shard_mask", "_droppers",
-                 "invalidation_latency_ns", "traffic_hook", "conflict_watch",
-                 "tracks_copies")
+    __slots__ = ("n_hosts", "holders", "block_writes",
+                 "writes_requiring_invalidation", "copies_invalidated",
+                 "_droppers", "invalidation_latency_ns", "traffic_hook",
+                 "conflict_watch", "tracks_copies")
 
-    def __init__(self, n_hosts: int, n_shards: Optional[int] = None) -> None:
+    def __init__(self, n_hosts: int) -> None:
         self.n_hosts = n_hosts
         #: whether the host stacks report copies (``note_copy`` and
         #: ``note_drop``): only with two or more hosts can a write find
         #: another host's copy to invalidate.
         self.tracks_copies = n_hosts >= 2
-        if n_shards is None:
-            env = os.environ.get(SHARDS_ENV, "").strip()
-            if env:
-                n_shards = int(env)
-            else:
-                n_shards = 1 if n_hosts <= _SINGLE_SHARD_MAX_HOSTS else _DEFAULT_SHARDS
-        if n_shards < 1 or n_shards & (n_shards - 1):
-            raise ValueError("n_shards must be a power of two, got %r" % n_shards)
-        self.n_shards = n_shards
-        self._shards: Tuple[_DirectoryShard, ...] = tuple(
-            _DirectoryShard() for _ in range(n_shards)
-        )
-        self._shard_mask = n_shards - 1
+        #: block -> bitmask of the host ids holding a copy in any tier
+        self.holders: Dict[int, int] = {}
+        #: measured application block writes
+        self.block_writes = 0
+        self.writes_requiring_invalidation = 0
+        self.copies_invalidated = 0
         # host id -> callback(block) dropping the block from that host's
         # caches; a flat slot array so fleet-size registration stays cheap.
         self._droppers: List[Optional[Callable[[int], None]]] = [None] * n_hosts
@@ -149,7 +103,7 @@ class ConsistencyDirectory:
         """A host now holds a copy of ``block`` (in any tier)."""
         if self.conflict_watch is not None and block in self.conflict_watch:
             raise ParallelReplayConflict(host_id, block)
-        holders = self._shards[block & self._shard_mask].holders
+        holders = self.holders
         bit = 1 << host_id
         mask = holders.get(block)
         if mask is None:
@@ -163,7 +117,7 @@ class ConsistencyDirectory:
         The host stack calls this only when the block has left *every*
         tier on that host.
         """
-        holders = self._shards[block & self._shard_mask].holders
+        holders = self.holders
         mask = holders.get(block)
         if mask is not None:
             mask &= ~(1 << host_id)
@@ -182,24 +136,21 @@ class ConsistencyDirectory:
         counters fire.
         """
         keep = ~(1 << host_id)
-        for shard in self._shards:
-            holders = shard.holders
-            dead = []
-            for block, mask in holders.items():
-                stripped = mask & keep
-                if stripped != mask:
-                    if stripped:
-                        holders[block] = stripped
-                    else:
-                        dead.append(block)
-            for block in dead:
-                del holders[block]
+        holders = self.holders
+        dead = []
+        for block, mask in holders.items():
+            stripped = mask & keep
+            if stripped != mask:
+                if stripped:
+                    holders[block] = stripped
+                else:
+                    dead.append(block)
+        for block in dead:
+            del holders[block]
 
     def holders_of(self, block: int) -> Set[int]:
         """The hosts currently holding a copy (a snapshot)."""
-        return _decode_mask(
-            self._shards[block & self._shard_mask].holders.get(block, 0)
-        )
+        return _decode_mask(self.holders.get(block, 0))
 
     # --- invalidation -----------------------------------------------------
 
@@ -214,10 +165,9 @@ class ConsistencyDirectory:
         Threads interleave freely, so the phase is a per-record
         property, not a global clock.
         """
-        shard = self._shards[block & self._shard_mask]
         if measured:
-            shard.block_writes += 1
-        holders = shard.holders
+            self.block_writes += 1
+        holders = self.holders
         mask = holders.get(block)
         writer_bit = 1 << writer_host
         if not mask or mask == writer_bit:
@@ -249,36 +199,11 @@ class ConsistencyDirectory:
                     # has no caches to invalidate over the wire.
                     hook(writer_host, host)
         if measured:
-            shard.writes_requiring_invalidation += 1
-            shard.copies_invalidated += count
+            self.writes_requiring_invalidation += 1
+            self.copies_invalidated += count
         return count
 
     # --- reporting -----------------------------------------------------------
-
-    @property
-    def block_writes(self) -> int:
-        """Measured application block writes (merged across shards)."""
-        return sum(shard.block_writes for shard in self._shards)
-
-    @property
-    def writes_requiring_invalidation(self) -> int:
-        return sum(shard.writes_requiring_invalidation for shard in self._shards)
-
-    @property
-    def copies_invalidated(self) -> int:
-        return sum(shard.copies_invalidated for shard in self._shards)
-
-    def shard_counters(self) -> List[Tuple[int, int, int]]:
-        """Per-shard ``(block_writes, writes_requiring_invalidation,
-        copies_invalidated)`` triples, in shard order."""
-        return [
-            (
-                shard.block_writes,
-                shard.writes_requiring_invalidation,
-                shard.copies_invalidated,
-            )
-            for shard in self._shards
-        ]
 
     @property
     def invalidation_fraction(self) -> float:
@@ -291,8 +216,7 @@ class ConsistencyDirectory:
 
     def reset_counters(self) -> None:
         """Zero the measured counters (used by tests and restarts)."""
-        for shard in self._shards:
-            shard.block_writes = 0
-            shard.writes_requiring_invalidation = 0
-            shard.copies_invalidated = 0
+        self.block_writes = 0
+        self.writes_requiring_invalidation = 0
+        self.copies_invalidated = 0
         self.invalidation_latency_ns = 0

@@ -460,11 +460,11 @@ class LayeredStack(HostStack):
                     span.ram += self._ram_write_ns
                 return
         ram.put(block, Medium.RAM, dirty=dirty)
-        if flash is not None:
-            twin = flash.peek(block)
-            if twin is not None:
-                twin.pinned = True
-        if self._track_copies:
+        twin = None if flash is None else flash.peek(block)
+        if twin is not None:
+            # The flash copy already set this host's holder bit.
+            twin.pinned = True
+        elif self._track_copies:
             self.directory.note_copy(self.host_id, block)
         yield self._ram_write_ns
         if span is not None:
@@ -505,10 +505,10 @@ class LayeredStack(HostStack):
             if len(flash._entries) >= flash.capacity_blocks:
                 yield from self._make_flash_room(block, span)
             if flash.peek(block) is None:
-                flash.put(
-                    block, Medium.FLASH, dirty=False, pinned=block in self.ram._entries
-                )
-                if self._track_copies:
+                pinned = block in self.ram._entries
+                flash.put(block, Medium.FLASH, dirty=False, pinned=pinned)
+                # A RAM copy already set this host's holder bit.
+                if not pinned and self._track_copies:
                     self.directory.note_copy(self.host_id, block)
         else:
             flash.get(block)  # touch

@@ -68,8 +68,8 @@ class System:
         self.sim = Simulator()
         # Observability: an explicit Observation wins; otherwise
         # config.trace_events creates one internally (the sweep path).
-        # The host stacks are the same either way: the traced driver
-        # passes each block a span, which the stacks fill.
+        # The host stacks are the same either way: with an Observation
+        # the replay driver passes each block a span, which they fill.
         if obs is None and config.trace_events:
             from repro.obs import Observation
 
@@ -130,15 +130,12 @@ class System:
         if config.model_invalidation_traffic:
             self.directory.traffic_hook = self._send_invalidation_message
         self.metrics = MetricsCollector(timeline_bucket_ns=timeline_bucket_ns)
-        self.metrics.measuring = True  # the replay driver gates on warmup
         # Per-host collectors: consolidation workloads (different
         # scenarios per host) need per-host latency, not just the fleet
         # aggregate.
-        self.host_metrics: List[MetricsCollector] = []
-        for _ in range(n_hosts):
-            collector = MetricsCollector()
-            collector.measuring = True
-            self.host_metrics.append(collector)
+        self.host_metrics: List[MetricsCollector] = [
+            MetricsCollector() for _ in range(n_hosts)
+        ]
         self._blocks_until_measurement = 0
         self._active_threads = 0
         self._measurement_started_at: Optional[int] = None
@@ -228,15 +225,10 @@ class System:
         if self._blocks_until_measurement == 0:
             self._begin_measurement()
         self._active_threads = len(plan)
-        recorded = self.obs is not None or self.metrics.read_timeline is not None
         for host_id, thread_id, warmup_rows, measured_rows in plan:
-            stack = self.hosts[host_id]
-            if recorded:
-                process = self._thread_process_obs(
-                    stack, thread_id, warmup_rows, measured_rows
-                )
-            else:
-                process = self._thread_process(stack, warmup_rows, measured_rows)
+            process = self._thread_process(
+                self.hosts[host_id], thread_id, warmup_rows, measured_rows
+            )
             self.sim.spawn(process, name="app.h%d" % host_id)
         # Syncers and cleaners tick while application threads are live
         # and wind down afterwards, letting the event queue drain.
@@ -262,7 +254,9 @@ class System:
         if self.invariants is not None:
             self.invariants.final()
 
-    def _thread_process(self, stack: HostStack, warmup_rows, measured_rows):
+    def _thread_process(
+        self, stack: HostStack, thread_id: int, warmup_rows, measured_rows
+    ):
         """One application thread: issue its rows in order, one I/O at a
         time.
 
@@ -285,7 +279,14 @@ class System:
         flushed before every suspension and every ``_record_completed``.
         Nothing else runs in between, so no other code ever sees them
         part-way and the flushed totals equal per-block updates bit for
-        bit.  Every other block records its latency directly.  See
+        bit.  Every other block records its latency directly.
+
+        An attached Observation or a latency timeline turns the inline
+        run off, so every block takes the generators.  With an
+        Observation each block carries a reused
+        :class:`~repro.obs.breakdown.Span`, which the stack fills with
+        exact component attribution, and each request emits start and
+        finish events; a timeline records every measured read.  See
         DESIGN.md §9.
         """
         sim = self.sim
@@ -304,8 +305,20 @@ class System:
         host_writes = host_m.write_latency
         request_reads = fleet.read_request_latency
         request_writes = fleet.write_request_latency
+        timeline = fleet.read_timeline
         ram_read_ns = stack._ram_read_ns
         ram_write_ns = stack._ram_write_ns
+        obs = self.obs
+        if obs is None:
+            span = rec = record_span = None
+        else:
+            from repro.obs.breakdown import Span
+            from repro.obs.events import EventKind
+
+            span = Span()
+            rec = obs.recorder
+            collector = obs.breakdown_collector
+            record_span = collector.record if collector is not None else None
         if kernel_eligible(self):
             store = stack.cache if isinstance(stack, UnifiedStack) else stack.ram
             resident = store._entries
@@ -354,6 +367,17 @@ class System:
                 else:
                     lookup, hit_ns = resident_get, ram_read_ns
                 request_start = now = sim.now
+                if rec is not None:
+                    rec.emit(
+                        now,
+                        EventKind.REQUEST_START,
+                        host_id,
+                        info={
+                            "thread": thread_id,
+                            "op": "w" if op else "r",
+                            "blocks": nb,
+                        },
+                    )
                 for block in range(start, start + nb):
                     entry = lookup(block)
                     if entry is not None and entry.medium is ram:
@@ -377,10 +401,12 @@ class System:
                     else:
                         if reads or writes or hits:
                             flush()
+                        if span is not None:
+                            span.reset()
                         if op:
-                            yield from write_block(block, measured)
+                            yield from write_block(block, measured, span)
                         else:
-                            yield from read_block(block)
+                            yield from read_block(block, span)
                     latency = sim.now - now
                     now = sim.now
                     if measured:
@@ -394,88 +420,28 @@ class System:
                             host_reads.record_n(latency, 1)
                             fleet.blocks_read += 1
                             host_m.blocks_read += 1
+                            if timeline is not None:
+                                origin = fleet.measurement_start_ns or 0
+                                timeline.record(max(0, now - origin), latency)
+                        if record_span is not None:
+                            record_span(op, latency, span)
                 if measured:
                     if op:
                         request_writes.record_n(now - request_start, 1)
                     else:
                         request_reads.record_n(now - request_start, 1)
+                if rec is not None:
+                    rec.emit(
+                        now,
+                        EventKind.REQUEST_FINISH,
+                        host_id,
+                        dur=now - request_start,
+                        info={"thread": thread_id},
+                    )
                 if check_invariants or self._measurement_started_at is None:
                     flush()
                     record_completed(nb)
         flush()
-        self._active_threads -= 1
-
-    def _thread_process_obs(
-        self, stack: HostStack, thread_id: int, warmup_rows, measured_rows
-    ):
-        """One application thread with per-block records: the driver of
-        replays with an Observation attached or a latency timeline.
-
-        Adds request start/finish events and passes every block a
-        reusable :class:`~repro.obs.breakdown.Span`, which the stack's
-        ``read_block``/``write_block`` fill with exact component
-        attribution.  Latencies go through the collectors'
-        ``record_block``, which also keeps the timeline.
-        """
-        from repro.obs.breakdown import Span
-        from repro.obs.events import EventKind
-
-        sim = self.sim
-        obs = self.obs
-        rec = obs.recorder if obs is not None else None
-        collector = obs.breakdown_collector if obs is not None else None
-        record_span = collector.record if collector is not None else None
-        read_block = stack.read_block
-        write_block = stack.write_block
-        metrics = self.metrics
-        record_fleet_block = metrics.record_block
-        record_request = metrics.record_request
-        record_host_block = self.host_metrics[stack.host_id].record_block
-        record_completed = self._record_completed
-        host_id = stack.host_id
-        start_kind = EventKind.REQUEST_START
-        finish_kind = EventKind.REQUEST_FINISH
-        span = Span()
-        for measured, rows in ((False, warmup_rows), (True, measured_rows)):
-            for op, start, nb in rows:
-                is_write = op != 0
-                request_start = sim.now
-                if rec is not None:
-                    rec.emit(
-                        request_start,
-                        start_kind,
-                        host_id,
-                        info={
-                            "thread": thread_id,
-                            "op": "w" if is_write else "r",
-                            "blocks": nb,
-                        },
-                    )
-                for block in range(start, start + nb):
-                    span.reset()
-                    block_start = sim.now
-                    if is_write:
-                        yield from write_block(block, measured, span)
-                    else:
-                        yield from read_block(block, span)
-                    if measured:
-                        now = sim.now
-                        latency = now - block_start
-                        record_fleet_block(is_write, latency, at_ns=now)
-                        record_host_block(is_write, latency)
-                        if record_span is not None:
-                            record_span(is_write, latency, span)
-                if measured:
-                    record_request(is_write, sim.now - request_start)
-                if rec is not None:
-                    rec.emit(
-                        sim.now,
-                        finish_kind,
-                        host_id,
-                        dur=sim.now - request_start,
-                        info={"thread": thread_id},
-                    )
-                record_completed(nb)
         self._active_threads -= 1
 
     # --- reporting inputs ----------------------------------------------------

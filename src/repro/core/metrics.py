@@ -387,11 +387,11 @@ class TimelineStat:
 
 
 class MetricsCollector:
-    """All per-run application-level metrics, with warmup gating.
+    """All per-run application-level metrics.
 
-    ``measuring`` starts False; the simulation driver flips it once
-    every warmup record has completed.  Block-level latencies recorded
-    while it is False are discarded.
+    The replay driver (``System._thread_process``) records only the
+    blocks and requests of measured trace records; warmup records are
+    replayed but never reach a collector.
 
     ``timeline_bucket_ns`` (optional) additionally records read
     latencies into time buckets relative to the measurement start.
@@ -399,9 +399,9 @@ class MetricsCollector:
     ``sketch_error`` attaches a :class:`PercentileSketch` at that
     relative-error bound to every latency accumulator; ``None`` (the
     default) defers to the ``REPRO_METRICS_SKETCH`` environment
-    variable (off unless set).  Sketches ride along with the normal
-    inlined-fast-path recording — ``LatencyStat.record`` feeds them —
-    and never affect result signatures.
+    variable (off unless set).  Sketches ride along with the replay
+    driver's recording — ``LatencyStat.record_n`` feeds them — and
+    never affect result signatures.
     """
 
     def __init__(
@@ -417,7 +417,6 @@ class MetricsCollector:
                 return LatencyStat()
             return LatencyStat(sketch=PercentileSketch(sketch_error))
 
-        self.measuring = False
         self.read_latency = stat()
         self.write_latency = stat()
         # request-level latencies (whole multi-block operations)
@@ -430,36 +429,8 @@ class MetricsCollector:
             TimelineStat(timeline_bucket_ns) if timeline_bucket_ns else None
         )
 
-    def record_block(
-        self, is_write: bool, latency_ns: int, at_ns: Optional[int] = None
-    ) -> None:
-        if not self.measuring:
-            return
-        if is_write:
-            self.write_latency.record(latency_ns)
-            self.blocks_written += 1
-        else:
-            self.read_latency.record(latency_ns)
-            self.blocks_read += 1
-            if self.read_timeline is not None and at_ns is not None:
-                origin = self.measurement_start_ns or 0
-                self.read_timeline.record(max(0, at_ns - origin), latency_ns)
-
-    def record_request(self, is_write: bool, latency_ns: int) -> None:
-        if not self.measuring:
-            return
-        if is_write:
-            self.write_request_latency.record(latency_ns)
-        else:
-            self.read_request_latency.record(latency_ns)
-
     def begin_measurement(self, now_ns: int) -> None:
-        """Mark the measurement boundary (idempotent on the timestamp).
-
-        The replay driver may enable ``measuring`` early (it gates
-        per-record instead), so the timestamp is recorded on the first
-        call regardless of the flag's current state.
-        """
-        self.measuring = True
+        """Mark the measurement boundary (idempotent: the first call's
+        timestamp stays)."""
         if self.measurement_start_ns is None:
             self.measurement_start_ns = now_ns

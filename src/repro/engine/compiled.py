@@ -1,14 +1,13 @@
 """When a replay serves its RAM hits inline.
 
-Every unobserved replay runs one generator per application thread
-(``System._thread_process`` in :mod:`repro.core.machine`).  A block
-that hits in RAM is served inside that loop — store effects, then a
-clock fast-forward or one yielded delay — instead of a round trip
-through the ``read_block``/``write_block`` generators of
-:mod:`repro.core.host`; every other block takes those generators, so
-host semantics are written once.  :func:`kernel_eligible` says when the
-inline run is active.  DESIGN.md §9 has the contract and the
-measurements behind it.
+Every replay, traced or not, runs one driver generator per application
+thread (``System._thread_process`` in :mod:`repro.core.machine`).  When
+:func:`kernel_eligible` holds, a block that hits in RAM is served inside
+that loop — store effects, then a clock fast-forward or one yielded
+delay — instead of a round trip through the ``read_block``/
+``write_block`` generators of :mod:`repro.core.host`; every other block
+takes those generators, so host semantics are written once.  DESIGN.md
+§9 has the contract and the measurements behind it.
 """
 
 from __future__ import annotations

@@ -349,7 +349,7 @@ class DirectoryChecker(Checker):
     """Consistency-directory invariants.
 
     Interval checks: every holder bit names a real host (no mask bit at
-    or above ``n_hosts``), and the merged counters stay consistent —
+    or above ``n_hosts``), and the counters stay consistent —
     invalidating writes never exceed block writes, and each invalidating
     write dropped at least one copy.
     """
@@ -360,18 +360,16 @@ class DirectoryChecker(Checker):
         directory = system.directory
         now = system.sim.now
         host_limit = 1 << directory.n_hosts
-        for shard_index, shard in enumerate(directory._shards):
-            for block, mask in shard.holders.items():
-                if mask <= 0 or mask >= host_limit:
-                    fail(
-                        self.name,
-                        "shard %d block %d holder mask %#x outside %d hosts"
-                        % (shard_index, block, mask, directory.n_hosts),
-                        now,
-                        shard=shard_index,
-                        block=block,
-                        mask=mask,
-                    )
+        for block, mask in directory.holders.items():
+            if mask <= 0 or mask >= host_limit:
+                fail(
+                    self.name,
+                    "block %d holder mask %#x outside %d hosts"
+                    % (block, mask, directory.n_hosts),
+                    now,
+                    block=block,
+                    mask=mask,
+                )
         writes = directory.block_writes
         requiring = directory.writes_requiring_invalidation
         copies = directory.copies_invalidated

@@ -20,8 +20,8 @@ from repro.errors import ConfigError
 class DirectoryTiming:
     """Consistency-directory latencies charged to the writing host.
 
-    ``lookup_ns`` is the round trip to the directory shard owning the
-    block (paid on every block write when nonzero); ``invalidate_ns``
+    ``lookup_ns`` is the round trip to the directory for the block
+    (paid on every block write when nonzero); ``invalidate_ns``
     is the cost of one invalidate message to a host whose copy was
     dropped (paid per dropped copy).
     """

@@ -65,7 +65,7 @@ class Span:
     """Mutable per-block attribution scratchpad.
 
     One span is reused across a thread's blocks (reset between blocks)
-    so the traced replay driver allocates nothing per block.  The host
+    so the replay driver allocates nothing per block.  The host
     stacks' block paths add nanoseconds into the component fields as
     their yields complete.
     """

@@ -2,7 +2,7 @@
 
 Span attribution needs no wiring: the host stacks' block paths
 (:mod:`repro.core.host`, :mod:`repro.core.migration`) fill the span the
-traced replay driver passes them.  What needs wiring is the event
+replay driver passes them when an Observation is attached.  What needs wiring is the event
 stream — :func:`attach_observation` hands the Observation's recorder to
 every layer that emits events (hosts, segments, flash devices, filer,
 cache stores and the simulator's spawn hook).  :class:`StoreObserver`

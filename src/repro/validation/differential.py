@@ -41,16 +41,11 @@ distinct configurations must provably coincide:
    included), so memory-bounded percentile reporting never silently
    degrades.
 
-6. **Directory sharding is invisible.**  At the paper's zero directory
-   latency, replaying one fleet trace with the consistency directory
-   forced to 1, auto, and 256 shards must produce bit-identical
-   signatures — sharding is a scaling data structure, not a semantic.
-
-7. **Fleet scenarios are deterministic.**  Every multi-tenant scenario
+6. **Fleet scenarios are deterministic.**  Every multi-tenant scenario
    (:mod:`repro.tracegen.fleet`) regenerated at its pinned seed must be
    record-for-record equal and replay bit-identically.
 
-8. **Inline RAM hits are invisible.**  A replay that serves RAM hits
+7. **Inline RAM hits are invisible.**  A replay that serves RAM hits
    inline must match the same replay with a breakdown-only Observation
    attached, which sends every block through the host generators.
 
@@ -68,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.architectures import Architecture
-from repro.core.consistency import SHARDS_ENV
 from repro.core.policies import WritebackPolicy
 from repro.core.results import SimulationResults
 from repro.errors import InvariantViolation
@@ -521,8 +515,6 @@ def check_inline_hit_identity(
     plain — and the :func:`full_signature` of the two runs must agree
     down to histogram buckets and per-host breakdowns.
     """
-    import os
-
     from repro.core.simulator import run_simulation
     from repro.obs import Observation
     from repro.traces.compiled import compile_trace
@@ -576,27 +568,13 @@ def check_inline_hit_identity(
         )
     # Fleet-shaped point: several hosts sharing one working set make
     # inline write hits invalidate multi-bit holder masks (the two-host
-    # matrix rarely grows masks past two bits), once at the automatic
-    # shard count and once forced multi-shard.
+    # matrix rarely grows masks past two bits).
     multihost_trace = compile_trace(
         baseline_trace(
             n_hosts=4, shared_working_set=True, scale=scale, volume_multiple=2.0
         )
     )
     compare("multihost/shared-ws-4h", multihost_trace, baseline_config(scale=scale))
-    saved_shards = os.environ.get(SHARDS_ENV)
-    try:
-        os.environ[SHARDS_ENV] = "8"
-        compare(
-            "multihost/shared-ws-4h-sharded",
-            multihost_trace,
-            baseline_config(scale=scale),
-        )
-    finally:
-        if saved_shards is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = saved_shards
     if problems:
         return DifferentialCheck(
             "inline-hit-identity", False, "; ".join(problems[:4])
@@ -613,59 +591,6 @@ def _fleet_spec(scale: int):
     from repro.tracegen.fleet import FleetSpec
 
     return FleetSpec(n_hosts=16, n_tenants=4, ws_bytes=scaled_gb(4.0, scale))
-
-
-def check_sharded_directory_identity(scale: int = DEFAULT_SCALE) -> DifferentialCheck:
-    """A sharded directory must be invisible at zero directory latency.
-
-    One multi-tenant fleet trace replays three times — single shard,
-    the automatic shard count, and a forced 256-way split — and the
-    :func:`full_signature` of every run must match the single-shard
-    reference exactly: sharding is a data-structure change, and with
-    instant invalidation (the paper's model) nothing observable may
-    move with the shard count.
-    """
-    import os
-
-    from repro.core.simulator import run_simulation
-    from repro.tracegen.fleet import fleet_trace
-
-    spec = _fleet_spec(scale)
-    trace = fleet_trace(spec, "steady")
-    config = baseline_config(scale=scale)
-    signatures = {}
-    saved = os.environ.get(SHARDS_ENV)
-    try:
-        for label, value in (("1", "1"), ("auto", ""), ("256", "256")):
-            if value:
-                os.environ[SHARDS_ENV] = value
-            else:
-                os.environ.pop(SHARDS_ENV, None)
-            signatures[label] = full_signature(
-                run_simulation(trace, config, n_hosts=spec.n_hosts)
-            )
-    finally:
-        if saved is None:
-            os.environ.pop(SHARDS_ENV, None)
-        else:
-            os.environ[SHARDS_ENV] = saved
-    problems: List[str] = []
-    reference = signatures["1"]
-    for label in ("auto", "256"):
-        if signatures[label] != reference:
-            drifted = [
-                key for key in reference if reference[key] != signatures[label][key]
-            ]
-            problems.append("shards=%s: %s" % (label, ", ".join(drifted[:3])))
-    if problems:
-        return DifferentialCheck(
-            "sharded-directory-identity", False, "; ".join(problems)
-        )
-    return DifferentialCheck(
-        "sharded-directory-identity",
-        True,
-        "%d-host fleet replay bit-identical at 1/auto/256 shards" % spec.n_hosts,
-    )
 
 
 def check_fleet_identity(scale: int = DEFAULT_SCALE) -> DifferentialCheck:
@@ -944,7 +869,6 @@ def run_differential(
             check_sync_policies_zero_dirty(scale=scale),
             check_chunked_replay_identity(scale=scale, workers=workers),
             check_inline_hit_identity(scale=scale),
-            check_sharded_directory_identity(scale=scale),
             check_fleet_identity(scale=scale),
             check_parallel_replay_identity(scale=scale),
             check_percentile_sketch(scale=scale),

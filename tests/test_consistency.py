@@ -176,7 +176,7 @@ class TestSingleHostDirectory:
                 yield from host.write_block(block, measured=block % 3 != 0)
 
         system.sim.run_until_complete(worker())
-        assert all(not shard.holders for shard in directory._shards)
+        assert not directory.holders
         assert directory.block_writes == 8
         assert directory.writes_requiring_invalidation == 0
 
@@ -208,7 +208,7 @@ class TestRestartHolderState:
 
     def test_drop_host_forgets_every_copy(self):
         directory, _dropped = directory_with_hosts(3)
-        for block in (3, 70, 141):  # spread across shards
+        for block in (3, 70, 141):
             directory.note_copy(0, block)
             directory.note_copy(2, block)
         directory.on_block_write(1, 3)

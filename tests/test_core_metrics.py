@@ -445,32 +445,8 @@ class TestTimelineStat:
 
 
 class TestMetricsCollector:
-    def test_gating_before_measurement(self):
-        collector = MetricsCollector()
-        collector.record_block(False, 100)
-        assert collector.read_latency.count == 0
-
-    def test_records_after_measurement_begins(self):
-        collector = MetricsCollector()
-        collector.begin_measurement(12345)
-        collector.record_block(False, 100)
-        collector.record_block(True, 200)
-        assert collector.read_latency.count == 1
-        assert collector.write_latency.count == 1
-        assert collector.blocks_read == 1
-        assert collector.blocks_written == 1
-        assert collector.measurement_start_ns == 12345
-
     def test_begin_measurement_idempotent(self):
         collector = MetricsCollector()
         collector.begin_measurement(10)
         collector.begin_measurement(99)
         assert collector.measurement_start_ns == 10
-
-    def test_request_latency_split(self):
-        collector = MetricsCollector()
-        collector.begin_measurement(0)
-        collector.record_request(False, 1_000)
-        collector.record_request(True, 2_000)
-        assert collector.read_request_latency.count == 1
-        assert collector.write_request_latency.count == 1

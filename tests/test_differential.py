@@ -51,14 +51,13 @@ class TestHarness:
     def test_run_differential_aggregates(self):
         report = run_differential(scale=FAST_SCALE)
         assert report.passed, report.summary()
-        assert len(report.checks) == 9
+        assert len(report.checks) == 8
         assert {c.name for c in report.checks} == {
             "flash-zero-collapse",
             "read-only-zero-writebacks",
             "sync-policies-zero-dirty",
             "chunked-replay-identity",
             "inline-hit-identity",
-            "sharded-directory-identity",
             "fleet-identity",
             "parallel-replay-identity",
             "percentile-sketch-bounds",
@@ -78,7 +77,7 @@ class TestHarness:
     def test_main_fast(self, capsys):
         assert main(["--scale", str(FAST_SCALE)]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 8
 
 
 class TestSignature:

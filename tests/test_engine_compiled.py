@@ -184,7 +184,7 @@ class TestKernelIdentity:
     def test_differential_check_passes(self):
         check = check_inline_hit_identity(scale=FAST_SCALE)
         assert check.passed, check.detail
-        assert check.detail.startswith("70 points")
+        assert check.detail.startswith("69 points")
 
     def test_chunked_trace_replays_identically(self, tmp_path):
         from repro.traces.chunked import ChunkedCompiledTrace

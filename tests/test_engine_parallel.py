@@ -22,7 +22,7 @@ from repro.traces.partition import (
     split_hosts_evenly,
     static_write_blocks,
 )
-from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.traces.records import Trace, TraceOp
 from repro.validation.differential import full_signature
 
 from tests.helpers import make_trace, tiny_config

@@ -15,6 +15,11 @@ is offline until the scan ends), write-budget admission, persistent
 flash metadata, invalidation traffic on the 16-host fleet and a flash
 device with one channel.
 
+The timeline points replay with a read-latency timeline in three
+forms: plain and with an ``Observation`` (its breakdown and event
+counters join the digest) on every architecture, and with a crash at
+the measurement boundary on the three that model one.
+
 It needs no pytest::
 
     PYTHONPATH=src python tests/test_eviction_golden.py          # check
@@ -32,7 +37,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro._units import MB
+from repro._units import MB, MS
 from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
 from repro.core.policies import WritebackPolicy
@@ -40,6 +45,7 @@ from repro.core.restart import RestartSpec
 from repro.core.simulator import run_simulation
 from repro.experiments.common import baseline_config
 from repro.fsmodel.impressions import ImpressionsConfig
+from repro.obs import Observation
 from repro.policies.cleaning import AggressiveClean
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.fleet import FleetSpec, fleet_trace
@@ -57,6 +63,9 @@ ARCHITECTURES = ("naive", "lookaside", "unified", "exclusive")
 #: working set, ``large`` is 128 RAM and 1,024 flash blocks and
 #: ``small`` is 32 and 128.
 SIZES = {"large": (8.0, 64.0), "small": (2.0, 8.0)}
+#: Read-timeline bucket width: about 48 buckets over a ``small``
+#: point's measured phase.
+TIMELINE_NS = 10 * MS
 
 
 @lru_cache(maxsize=None)
@@ -92,17 +101,18 @@ def _config(policy: str, architecture: str, size: str, **overrides) -> SimConfig
     )
 
 
-Point = Tuple[str, int, SimConfig, Optional[RestartSpec]]
+#: ``(name, n_hosts, config, run)``: ``run`` holds the keyword
+#: arguments of :func:`point_digest` beyond the first two.
+Point = Tuple[str, int, SimConfig, Dict[str, object]]
 
 
 def golden_points() -> Iterator[Point]:
-    """Every ``(name, n_hosts, config, restart)`` point of the identity
-    matrix."""
+    """Every point of the identity matrix."""
     for policy in POLICIES:
         for architecture in ARCHITECTURES:
             for size in SIZES:
                 name = "%s %s %s" % (policy, architecture, size)
-                yield name, 1, _config(policy, architecture, size), None
+                yield name, 1, _config(policy, architecture, size), {}
     # ACP drains a dirty backlog that only it cleans (flash policy n);
     # lookaside flash never holds dirty data, so there it must stay idle.
     for architecture in ("naive", "lookaside"):
@@ -110,16 +120,17 @@ def golden_points() -> Iterator[Point]:
             config = _config(
                 "lru", architecture, size, flash_policy=WritebackPolicy.none()
             ).with_policies(flash_cleaning=AggressiveClean(high_fraction=0.25))
-            yield "lru %s %s acp" % (architecture, size), 1, config, None
-    yield "lru naive small 16h", 16, _config("lru", "naive", "small"), None
+            yield "lru %s %s acp" % (architecture, size), 1, config, {}
+    yield "lru naive small 16h", 16, _config("lru", "naive", "small"), {}
     yield from host_path_points()
+    yield from timeline_points()
 
 
 def host_path_points() -> Iterator[Point]:
     """Block-path branches no other absolute-digest gate pins."""
     for architecture in ("naive", "lookaside", "unified"):
         config = _config("lru", architecture, "small", ftl_model=True)
-        yield "lru %s small ftl" % architecture, 1, config, None
+        yield "lru %s small ftl" % architecture, 1, config, {}
     restarts = (
         ("crash", RestartSpec.crash_volatile()),
         ("recover", RestartSpec.recover_persistent()),
@@ -127,33 +138,73 @@ def host_path_points() -> Iterator[Point]:
     for label, restart in restarts:
         for architecture in ("naive", "lookaside", "exclusive"):
             config = _config("lru", architecture, "small")
-            yield "lru %s small %s" % (architecture, label), 1, config, restart
+            yield "lru %s small %s" % (architecture, label), 1, config, {
+                "restart": restart
+            }
     # 4 MB/s admits about a third of the fills on this trace.
     for architecture in ("naive", "lookaside"):
         config = _config("lru", architecture, "small", flash_admission="budget:4M")
-        yield "lru %s small budget" % architecture, 1, config, None
+        yield "lru %s small budget" % architecture, 1, config, {}
     config = _config("lru", "naive", "small", persistent_flash=True)
-    yield "lru naive small persistent", 1, config, None
+    yield "lru naive small persistent", 1, config, {}
     config = _config("lru", "naive", "small", model_invalidation_traffic=True)
-    yield "lru naive small 16h invalidation-traffic", 16, config, None
+    yield "lru naive small 16h invalidation-traffic", 16, config, {}
     for architecture in ("unified", "exclusive"):
         config = _config("lru", architecture, "small", flash_parallelism=1)
-        yield "lru %s small parallelism1" % architecture, 1, config, None
+        yield "lru %s small parallelism1" % architecture, 1, config, {}
+
+
+def timeline_points() -> Iterator[Point]:
+    """Replays that record a read-latency timeline (the unified
+    architecture models no restart)."""
+    forms = (
+        ("timeline", {}, ARCHITECTURES),
+        ("timeline observed", {"observed": True}, ARCHITECTURES),
+        (
+            "timeline crash",
+            {"restart": RestartSpec.crash_volatile()},
+            ("naive", "lookaside", "exclusive"),
+        ),
+    )
+    for label, run, architectures in forms:
+        for architecture in architectures:
+            config = _config("lru", architecture, "small")
+            yield "lru %s small %s" % (architecture, label), 1, config, dict(
+                run, timeline_ns=TIMELINE_NS
+            )
 
 
 def point_digest(
-    n_hosts: int, config: SimConfig, restart: Optional[RestartSpec] = None
+    n_hosts: int,
+    config: SimConfig,
+    restart: Optional[RestartSpec] = None,
+    timeline_ns: Optional[int] = None,
+    observed: bool = False,
 ) -> str:
+    """The sha256 of the replay's :func:`full_signature`; with
+    ``observed`` an Observation is attached and its breakdown and event
+    counters are digested too."""
     trace = _trace() if n_hosts == 1 else _fleet_trace()
-    result = run_simulation(trace, config, n_hosts=n_hosts, restart=restart)
-    encoded = json.dumps(full_signature(result), sort_keys=True).encode()
+    obs = Observation() if observed else None
+    result = run_simulation(
+        trace,
+        config,
+        n_hosts=n_hosts,
+        restart=restart,
+        timeline_bucket_ns=timeline_ns,
+        obs=obs,
+    )
+    payload: object = full_signature(result)
+    if obs is not None:
+        payload = [payload, result.breakdown.as_dict(), obs.counters()]
+    encoded = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(encoded).hexdigest()
 
 
 def golden_digests() -> Dict[str, str]:
     return {
-        name: point_digest(n_hosts, config, restart)
-        for name, n_hosts, config, restart in golden_points()
+        name: point_digest(n_hosts, config, **run)
+        for name, n_hosts, config, run in golden_points()
     }
 
 

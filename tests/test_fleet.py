@@ -1,4 +1,4 @@
-"""Fleet-scale consistency: sharding properties, the directory latency
+"""Fleet-scale consistency: holder-map properties, the directory latency
 model, and the multi-tenant scenario family."""
 
 import random
@@ -41,6 +41,8 @@ def _apply(directory, ops):
 
 
 class TestShardingProperties:
+    """The directory's one holder map under random operations."""
+
     def test_invalidating_writes_never_exceed_block_writes(self):
         rng = random.Random(0xF1EE7)
         for trial in range(20):
@@ -53,50 +55,44 @@ class TestShardingProperties:
                 directory.writes_requiring_invalidation
             )
 
-    def test_shard_counters_sum_to_totals(self):
-        rng = random.Random(0xC0FFEE)
-        directory = ConsistencyDirectory(16, n_shards=8)
-        _apply(directory, _random_ops(rng, 16, 128, 600))
-        writes, requiring, copies = (
-            sum(column) for column in zip(*directory.shard_counters())
-        )
-        assert writes == directory.block_writes
-        assert requiring == directory.writes_requiring_invalidation
-        assert copies == directory.copies_invalidated
-
-    def test_sharded_matches_unsharded_on_same_ops(self):
+    def test_holder_map_matches_set_model_on_same_ops(self):
         rng = random.Random(0x5EED)
         ops = _random_ops(rng, 12, 200, 1000)
-        single = ConsistencyDirectory(12, n_shards=1)
-        sharded = ConsistencyDirectory(12, n_shards=16)
-        single_drops = {h: [] for h in range(12)}
-        sharded_drops = {h: [] for h in range(12)}
+        directory = ConsistencyDirectory(12)
+        drops = {h: [] for h in range(12)}
         for host in range(12):
-            single.register_host(host, single_drops[host].append)
-            sharded.register_host(host, sharded_drops[host].append)
-        _apply(single, ops)
-        _apply(sharded, ops)
-        assert single_drops == sharded_drops
-        assert single.block_writes == sharded.block_writes
-        assert (
-            single.writes_requiring_invalidation
-            == sharded.writes_requiring_invalidation
-        )
-        assert single.copies_invalidated == sharded.copies_invalidated
+            directory.register_host(host, drops[host].append)
+        _apply(directory, ops)
+        # Reference: a set of holder hosts per block; a write drops the
+        # other hosts' copies in host-id order.
+        model = {}
+        model_drops = {h: [] for h in range(12)}
+        writes = requiring = copies = 0
+        for kind, host, block, measured in ops:
+            holders = model.setdefault(block, set())
+            if kind == 0:
+                holders.add(host)
+            elif kind == 1:
+                holders.discard(host)
+            else:
+                others = sorted(holders - {host})
+                holders &= {host}
+                for other in others:
+                    model_drops[other].append(block)
+                if measured:
+                    writes += 1
+                    requiring += bool(others)
+                    copies += len(others)
+        assert drops == model_drops
+        assert directory.block_writes == writes
+        assert directory.writes_requiring_invalidation == requiring
+        assert directory.copies_invalidated == copies
         for block in range(200):
-            assert single.holders_of(block) == sharded.holders_of(block)
-
-    def test_shard_count_defaults(self):
-        assert ConsistencyDirectory(2).n_shards == 1
-        assert ConsistencyDirectory(1000).n_shards == 64
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            ConsistencyDirectory(4, n_shards=3)
+            assert directory.holders_of(block) == model.get(block, set())
+        assert set(directory.holders) == {b for b, h in model.items() if h}
 
     def test_thousand_host_system_builds(self):
         system = System(tiny_config(), 1000)
-        assert system.directory.n_shards == 64
         assert len(system.hosts) == 1000
         # Slotted host stacks: no per-instance dict on the plain paths.
         assert not hasattr(system.hosts[0], "__dict__")

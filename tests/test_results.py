@@ -149,7 +149,7 @@ class TestMerge:
         # The regression this guards: a future PR adds a counter to
         # SimulationResults but forgets the merge rule, and parallel
         # replay silently drops it.  merge() must refuse instead.
-        from dataclasses import dataclass, field as dc_field
+        from dataclasses import dataclass
 
         from repro.errors import SimulationError
 
