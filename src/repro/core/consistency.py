@@ -26,6 +26,12 @@ thousands:
   host id rather than a dict, so a 1 000-host registration is one
   array fill.
 
+Hosts interact only through this directory, and only over blocks one
+of them writes.  :mod:`repro.traces.partition` derives from that rule
+which host groups a trace never couples, and a parallel replay
+(:mod:`repro.engine.parallel`) gives each such group a directory of
+its own; a trace whose hosts all couple replays serially.
+
 With one host there is nothing to track: a write can only find its own
 host's copy, so :meth:`ConsistencyDirectory.on_block_write` returns 0
 whatever the holder map holds.  Such a directory reports
@@ -38,8 +44,6 @@ pay nothing for the two-host experiments' bookkeeping.
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
-
-from repro.errors import ParallelReplayConflict
 
 
 def _decode_mask(mask: int) -> Set[int]:
@@ -58,7 +62,7 @@ class ConsistencyDirectory:
     __slots__ = ("n_hosts", "holders", "block_writes",
                  "writes_requiring_invalidation", "copies_invalidated",
                  "_droppers", "invalidation_latency_ns", "traffic_hook",
-                 "conflict_watch", "tracks_copies")
+                 "tracks_copies")
 
     def __init__(self, n_hosts: int) -> None:
         self.n_hosts = n_hosts
@@ -84,14 +88,6 @@ class ConsistencyDirectory:
         #: messages to the victim's network segment (the §3.8 protocol
         #: traffic the paper leaves unmodeled).
         self.traffic_hook: Optional[Callable[[int, int], None]] = None
-        #: optional set of blocks *written by other replay groups* when
-        #: this directory serves one group of a sharded parallel replay
-        #: (:mod:`repro.engine.parallel`).  The moment a host here
-        #: caches a watched block the groups are provably coupled, so
-        #: ``note_copy`` raises ParallelReplayConflict and the parent
-        #: falls back to serial replay.  ``None`` (the default) is the
-        #: normal single-process directory with zero overhead.
-        self.conflict_watch: Optional[Set[int]] = None
 
     def register_host(self, host_id: int, dropper: Callable[[int], None]) -> None:
         """Register the callback that drops a block from a host's caches."""
@@ -101,8 +97,6 @@ class ConsistencyDirectory:
 
     def note_copy(self, host_id: int, block: int) -> None:
         """A host now holds a copy of ``block`` (in any tier)."""
-        if self.conflict_watch is not None and block in self.conflict_watch:
-            raise ParallelReplayConflict(host_id, block)
         holders = self.holders
         bit = 1 << host_id
         mask = holders.get(block)

@@ -11,7 +11,7 @@ progress").
 from __future__ import annotations
 
 import gc
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cache.block import Medium
 from repro.core.config import SimConfig
@@ -421,8 +421,13 @@ class System:
                             fleet.blocks_read += 1
                             host_m.blocks_read += 1
                             if timeline is not None:
-                                origin = fleet.measurement_start_ns or 0
-                                timeline.record(max(0, now - origin), latency)
+                                # A read of a measured row can finish
+                                # before the warmup boundary (another
+                                # thread is still warming up): bucket 0.
+                                origin = fleet.measurement_start_ns
+                                timeline.record(
+                                    0 if origin is None else now - origin, latency
+                                )
                         if record_span is not None:
                             record_span(op, latency, span)
                 if measured:
@@ -443,158 +448,6 @@ class System:
                     record_completed(nb)
         flush()
         self._active_threads -= 1
-
-    # --- reporting inputs ----------------------------------------------------
-
-    def measured_ns(self) -> int:
-        if self._measurement_started_at is None:
-            return 0
-        return self.sim.now - self._measurement_started_at
-
-    def aggregate_tier_stats(self) -> Dict[str, Dict[str, float]]:
-        """Sum per-tier cache counters across hosts."""
-        totals: Dict[str, Dict[str, float]] = {}
-        for host in self.hosts:
-            for tier_name, store in _stores_of(host):
-                tier = totals.setdefault(tier_name, {})
-                for key, value in store.stats.as_dict().items():
-                    if key == "hit_rate":
-                        continue
-                    tier[key] = tier.get(key, 0) + value
-        for tier in totals.values():
-            accesses = tier.get("hits", 0) + tier.get("misses", 0)
-            tier["hit_rate"] = (tier.get("hits", 0) / accesses) if accesses else 0.0
-        return totals
-
-    def mean_network_utilization(self) -> float:
-        if not self.segments:
-            return 0.0
-        return mean_in_order([s.utilization() for s in self.segments])
-
-    def total_flash_traffic(self) -> Tuple[int, int]:
-        reads = sum(d.blocks_read for d in self.flash_devices if d is not None)
-        writes = sum(d.blocks_written for d in self.flash_devices if d is not None)
-        return reads, writes
-
-    def per_host_summary(self) -> List[Dict[str, float]]:
-        """Per-host application latency summary (measurement phase)."""
-        rows: List[Dict[str, float]] = []
-        for host_id, collector in enumerate(self.host_metrics):
-            rows.append(
-                {
-                    "host": host_id,
-                    "read_us": collector.read_latency.mean_us,
-                    "read_blocks": collector.read_latency.count,
-                    "write_us": collector.write_latency.mean_us,
-                    "write_blocks": collector.write_latency.count,
-                }
-            )
-        return rows
-
-    def mean_write_amplification(self) -> Optional[float]:
-        """Mean FTL write amplification across hosts (None without FTLs)."""
-        factors = [
-            d.write_amplification
-            for d in self.flash_devices
-            if isinstance(d, FTLFlashDevice)
-        ]
-        if not factors:
-            return None
-        return mean_in_order(factors)
-
-    # --- endurance reporting -------------------------------------------
-
-    def total_flash_program_bytes(self) -> int:
-        """Bytes physically programmed across all flash devices during
-        the measurement phase (GC relocations included with the FTL
-        model; plain host traffic without)."""
-        return sum(
-            d.program_bytes() for d in self.flash_devices if d is not None
-        )
-
-    def total_flash_erases(self) -> int:
-        """Erase operations across all flash devices during the
-        measurement phase (0 without the FTL model)."""
-        return sum(
-            d.erase_count() for d in self.flash_devices if d is not None
-        )
-
-    def measured_write_amplification(self) -> Optional[float]:
-        """Measurement-window write amplification (flash page programs
-        per host page write), aggregated over the fleet's FTL devices.
-        None without the FTL model; 0.0 when nothing was written."""
-        host_pages = 0
-        flash_pages = 0
-        seen_ftl = False
-        for device in self.flash_devices:
-            if not isinstance(device, FTLFlashDevice):
-                continue
-            seen_ftl = True
-            host_pages += device.ftl.host_writes - device._host_writes_at_reset
-            flash_pages += device.ftl.flash_writes - device._flash_writes_at_reset
-        if not seen_ftl:
-            return None
-        if host_pages == 0:
-            return 0.0
-        return flash_pages / host_pages
-
-    def device_lifetime_days(self) -> Optional[float]:
-        """Projected device lifetime at the measured erase rate.
-
-        The fleet's worst (minimum) estimate: each FTL device's rated
-        erase budget (``rated_erase_cycles x n_blocks``) divided by its
-        measured erase rate over the measurement window.  ``inf`` when
-        no erase happened; None without the FTL model or before the
-        measurement phase produced any simulated time.
-        """
-        window_ns = self.measured_ns()
-        if window_ns <= 0:
-            return None
-        day_ns = 86_400 * 1_000_000_000
-        lifetimes: List[float] = []
-        for device in self.flash_devices:
-            if not isinstance(device, FTLFlashDevice):
-                continue
-            erases = device.erase_count()
-            if erases == 0:
-                lifetimes.append(float("inf"))
-                continue
-            budget = device.ftl.config.rated_total_erases
-            lifetimes.append(budget / erases * window_ns / day_ns)
-        if not lifetimes:
-            return None
-        return min(lifetimes)
-
-    def admission_stats(self) -> Optional[Dict[str, int]]:
-        """Summed admission-verdict counters across hosts (None when
-        the paper-default always-admit policy is active everywhere)."""
-        totals: Optional[Dict[str, int]] = None
-        for host in self.hosts:
-            controller = getattr(host, "_admission", None)
-            if controller is None:
-                continue
-            counters = controller.counters()
-            if totals is None:
-                totals = dict(counters)
-            else:
-                for key, value in counters.items():
-                    totals[key] = totals.get(key, 0) + value
-        return totals
-
-
-def mean_in_order(values: List[float]) -> float:
-    """The mean of ``values`` summed left to right.
-
-    Python 3.12 made ``sum()`` over floats compensated, so it can round
-    differently from a plain loop (and from 3.11's ``sum()``).  The
-    parallel-replay merge recomputes these means from its workers'
-    meters (``repro.engine.parallel``); summing in order on both sides
-    keeps them bit-identical on every interpreter.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values)
 
 
 def _stores_of(host: HostStack):

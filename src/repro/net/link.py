@@ -317,18 +317,11 @@ class NetworkSegment:
     # --- accounting ------------------------------------------------------
 
     def busy_ns(self) -> Tuple[int, int]:
-        """Busy nanoseconds of the up and down wires so far (the
-        numerators of :meth:`utilization`)."""
+        """Busy nanoseconds of the up and down wires so far (a run's
+        network utilization is computed from them with the clock, in
+        :func:`repro.core.simulator.results_from_meters`)."""
         now = self._sim.now
         return self._up.busy_ns(now), self._down.busy_ns(now)
-
-    def utilization(self) -> float:
-        """Mean busy fraction of the two directions."""
-        now = self._sim.now
-        if now == 0:
-            return 0.0
-        up, down = self.busy_ns()
-        return (up / now + down / now) / 2.0
 
     @property
     def queue_length(self) -> int:

@@ -57,6 +57,7 @@ from cache.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
 import hashlib
 import multiprocessing
@@ -382,25 +383,34 @@ def _attach_shm_trace(name: str, nbytes: int):
     return trace, cleanup
 
 
-def _load_trace_ref(ref: TraceRef):
-    """Resolve a trace reference, memoized per worker process."""
-    entry = _WORKER_TRACE_CACHE.get(ref)
+def _memoized_trace(key, load: Callable[[], Tuple[object, Optional[Callable[[], None]]]]):
+    """The trace cached under ``key`` in this worker, or ``load()``'s
+    ``(trace, cleanup)`` cached there first — evicting the oldest
+    entries, with their cleanup, to stay under the cap."""
+    entry = _WORKER_TRACE_CACHE.get(key)
     if entry is not None:
         return entry[0]
-    if ref[0] == "shm":
-        trace, cleanup = _attach_shm_trace(ref[1], ref[2])
-    else:
-        trace, cleanup = _load_trace_path(ref[1]), None
-        if isinstance(trace, ChunkedCompiledTrace):
-            # Eviction must release the spool's row-file handle.
-            cleanup = trace.close
+    trace, cleanup = load()
     while len(_WORKER_TRACE_CACHE) >= _WORKER_TRACE_CACHE_MAX:
         oldest = next(iter(_WORKER_TRACE_CACHE))
         _, old_cleanup = _WORKER_TRACE_CACHE.pop(oldest)
         if old_cleanup is not None:
             old_cleanup()
-    _WORKER_TRACE_CACHE[ref] = (trace, cleanup)
+    _WORKER_TRACE_CACHE[key] = (trace, cleanup)
     return trace
+
+
+def _load_trace_ref(ref: TraceRef):
+    """Resolve a trace reference, memoized per worker process."""
+
+    def load():
+        if ref[0] == "shm":
+            return _attach_shm_trace(ref[1], ref[2])
+        trace = _load_trace_path(ref[1])
+        # Eviction must release a chunked spool's row-file handle.
+        return trace, trace.close if isinstance(trace, ChunkedCompiledTrace) else None
+
+    return _memoized_trace(ref, load)
 
 
 def _drain_worker_cache() -> int:
@@ -815,61 +825,39 @@ def _pool_is_poisoned(exc: BaseException) -> bool:
     return isinstance(exc, BrokenExecutor)
 
 
-def _execute_parallel(
-    points: Sequence[SweepPoint],
-    pending: Sequence[Tuple[int, str]],
-    n_workers: int,
-    cache_path: Optional[Path],
-    fresh_pool: bool,
-) -> List[Tuple[SimulationResults, float]]:
-    """Fan pending points over a process pool; fall back to serial when
-    the platform can't give us one (no fork/spawn, sandboxed, ...).
+@contextlib.contextmanager
+def _pool_session(pool, owned: bool):
+    """Run work on ``pool``: a failure that kills it discards the
+    persistent pool, and an owned pool is disposed of on every exit
+    path."""
+    try:
+        yield pool
+    except BaseException as exc:
+        if not owned and _pool_is_poisoned(exc):
+            _discard_pool()
+        raise
+    finally:
+        if owned:
+            _dispose_owned_pool(pool)
 
-    In-memory traces are published once each in shared memory (workers
-    attach zero-copy); the segments are closed and unlinked on *every*
-    exit path — normal completion, a failing point, Ctrl-C — so no
-    segment outlives the sweep.  Platforms without usable shared memory
-    spool to disk instead.
+
+@contextlib.contextmanager
+def _trace_exports(cache_path: Optional[Path]):
+    """Yield ``export(trace) -> TraceRef`` for traces bound for pool
+    workers.
+
+    In-memory traces are published once per distinct content in shared
+    memory (workers attach zero-copy), or spooled to disk where shared
+    memory is unusable; the segments are closed and unlinked, and a
+    spool directory made here removed, on *every* exit path — normal
+    completion, a failing point, Ctrl-C — so nothing outlives the
+    fan-out.
     """
+    refs: Dict[str, TraceRef] = {}
     segments: List = []
     spool_state: List = [None, False]  # lazily created spool directory
     try:
-        # --- build one task per pending point, deduping trace exports -
-        refs: Dict[str, TraceRef] = {}
-        tasks = []
-        for position, (index, _key) in enumerate(pending):
-            point = points[index]
-            ref = _trace_ref(point.trace, refs, segments, spool_state, cache_path)
-            tasks.append(
-                (position, ref, point.config, tuple(sorted(point.run_options().items())))
-            )
-
-        pool, owned = _acquire_pool(n_workers, fresh_pool)
-        if pool is None:
-            return _execute_serial(points, pending)
-        executed: List[Optional[Tuple[SimulationResults, float]]] = [None] * len(
-            pending
-        )
-        try:
-            for position, result, wall in pool.map(
-                _run_point_task, tasks, chunksize=_chunksize(len(pending), n_workers)
-            ):
-                executed[position] = (result, wall)
-        except BaseException as exc:
-            if not owned and _pool_is_poisoned(exc):
-                _discard_pool()
-            raise
-        finally:
-            if owned:
-                _dispose_owned_pool(pool)
-        missing = [pending[i][0] for i, entry in enumerate(executed) if entry is None]
-        if missing:
-            # Silently dropping a slot would misalign the caller's
-            # zip(pending, executed) and cache results under wrong keys.
-            raise RuntimeError(
-                "process pool returned no result for sweep point(s) %s" % missing
-            )
-        return executed  # type: ignore[return-value]
+        yield lambda trace: _trace_ref(trace, refs, segments, spool_state, cache_path)
     finally:
         for segment in segments:
             try:
@@ -885,6 +873,49 @@ def _execute_parallel(
             import shutil
 
             shutil.rmtree(spool_dir, ignore_errors=True)
+
+
+def _execute_parallel(
+    points: Sequence[SweepPoint],
+    pending: Sequence[Tuple[int, str]],
+    n_workers: int,
+    cache_path: Optional[Path],
+    fresh_pool: bool,
+) -> List[Tuple[SimulationResults, float]]:
+    """Fan pending points over a process pool; fall back to serial when
+    the platform can't give us one (no fork/spawn, sandboxed, ...).
+    Traces travel through :func:`_trace_exports`."""
+    with _trace_exports(cache_path) as export:
+        tasks = []
+        for position, (index, _key) in enumerate(pending):
+            point = points[index]
+            tasks.append(
+                (
+                    position,
+                    export(point.trace),
+                    point.config,
+                    tuple(sorted(point.run_options().items())),
+                )
+            )
+        pool, owned = _acquire_pool(n_workers, fresh_pool)
+        if pool is None:
+            return _execute_serial(points, pending)
+        executed: List[Optional[Tuple[SimulationResults, float]]] = [None] * len(
+            pending
+        )
+        with _pool_session(pool, owned):
+            for position, result, wall in pool.map(
+                _run_point_task, tasks, chunksize=_chunksize(len(pending), n_workers)
+            ):
+                executed[position] = (result, wall)
+    missing = [pending[i][0] for i, entry in enumerate(executed) if entry is None]
+    if missing:
+        # Silently dropping a slot would misalign the caller's
+        # zip(pending, executed) and cache results under wrong keys.
+        raise RuntimeError(
+            "process pool returned no result for sweep point(s) %s" % missing
+        )
+    return executed  # type: ignore[return-value]
 
 
 def _chunksize(n_tasks: int, n_workers: int) -> int:

@@ -22,6 +22,10 @@ Note the rule unions *all* touchers, not just writer/victim pairs: two
 readers of ``b`` are coupled through a third writer, whose invalidation
 empties both of their caches at the same simulated instant.
 
+:func:`plan_groups` bins the components that issue rows into replay
+groups.  When those hosts form a single component, no exact split
+exists and the engine replays the trace serially.
+
 :func:`analyze_partition` evaluates the rule in two levels so fleet
 traces stay cheap:
 
@@ -54,7 +58,6 @@ __all__ = [
     "analyze_partition",
     "plan_groups",
     "slice_hosts",
-    "static_write_blocks",
 ]
 
 AnyCompiled = Union[CompiledTrace, ChunkedCompiledTrace]
@@ -127,11 +130,6 @@ class PartitionAnalysis:
             if host in component:
                 return index
         raise KeyError(host)
-
-    @property
-    def independent(self) -> bool:
-        """Whether the trace splits into at least two independent parts."""
-        return len(self.components) > 1
 
 
 def _box_clusters(
@@ -255,9 +253,11 @@ def plan_groups(
 ) -> List[List[int]]:
     """Bin the components into at most ``max_groups`` replay groups,
     balancing by trace-row weight (greedy largest-first — deterministic
-    and within 4/3 of optimal makespan).  Components are never split:
-    the result is a partition of ``0..n_hosts-1`` into groups that
-    cannot observe each other."""
+    and within 4/3 of optimal makespan).  Components are never split,
+    and only components that issue rows open a group: idle hosts join
+    the lightest group, so no worker replays an empty slice.  The
+    result is a partition of ``0..n_hosts-1`` into groups that cannot
+    observe each other."""
     if max_groups < 1:
         raise SimulationError("need at least one replay group")
     weights = {
@@ -265,7 +265,8 @@ def plan_groups(
         for index, component in enumerate(analysis.components)
     }
     order = sorted(weights, key=lambda index: (-weights[index], index))
-    n_groups = min(max_groups, len(analysis.components))
+    active = sum(1 for weight in weights.values() if weight)
+    n_groups = max(1, min(max_groups, active))
     bins: List[List[int]] = [[] for _ in range(n_groups)]
     loads = [0] * n_groups
     for index in order:
@@ -275,43 +276,6 @@ def plan_groups(
     groups = [sorted(members) for members in bins if members]
     groups.sort(key=lambda members: members[0])
     return groups
-
-
-def split_hosts_evenly(
-    analysis: PartitionAnalysis, max_groups: int
-) -> List[List[int]]:
-    """Split hosts into balanced groups *ignoring* components — used by
-    the conflict-watch tier, which detects coupling dynamically instead
-    of proving independence statically.  Groups are balanced by row
-    weight with the same greedy discipline as :func:`plan_groups`."""
-    if max_groups < 1:
-        raise SimulationError("need at least one replay group")
-    hosts = list(range(analysis.n_hosts))
-    order = sorted(
-        hosts, key=lambda host: (-analysis.host_rows.get(host, 0), host)
-    )
-    n_groups = min(max_groups, len(hosts))
-    bins: List[List[int]] = [[] for _ in range(n_groups)]
-    loads = [0] * n_groups
-    for host in order:
-        lightest = min(range(n_groups), key=lambda b: (loads[b], b))
-        bins[lightest].append(host)
-        loads[lightest] += analysis.host_rows.get(host, 0)
-    groups = [sorted(members) for members in bins if members]
-    groups.sort(key=lambda members: members[0])
-    return groups
-
-
-def static_write_blocks(trace: AnyCompiled, hosts: Set[int]) -> Set[int]:
-    """Every global block id written by ``hosts`` anywhere in the trace
-    (warmup included).  The trace fully determines this set — replay
-    order cannot change *what* gets written — so it is safe to compute
-    statically and watch dynamically (see ``conflict_watch``)."""
-    written: Set[int] = set()
-    for op, host, start, nb in _iter_ranges(trace):
-        if op and host in hosts:
-            written.update(range(start, start + nb))
-    return written
 
 
 def slice_hosts(trace: AnyCompiled, hosts: Set[int]) -> CompiledTrace:

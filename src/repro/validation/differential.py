@@ -634,15 +634,14 @@ def check_parallel_replay_identity(scale: int = DEFAULT_SCALE) -> DifferentialCh
     """Sharded multi-host replay must be bit-identical to serial replay.
 
     Each point replays twice — once serially, once with
-    ``parallel_hosts=4`` (host groups fanned over the worker pool and
-    merged, :mod:`repro.engine.parallel`) — and the
-    :func:`full_signature` of the two runs must agree exactly.  The
-    matrix mixes the engine's tiers: disjoint-tenant fleet traces
-    (every scenario) and split 4-host baselines must actually shard
-    (``last_outcome()`` is asserted, so a silently-declining engine
-    fails the check rather than trivially passing), while 4-host
-    shared-working-set points must trip the conflict watch and fall
-    back — still bit-identical.  Both runs pin
+    ``parallel_hosts=4`` (host groups fanned over the worker pool,
+    :mod:`repro.engine.parallel`) — and the :func:`full_signature` of
+    the two runs must agree exactly.  Disjoint-tenant fleet traces
+    (every scenario) must actually shard (``last_outcome()`` is
+    asserted, so a silently-declining engine fails the check rather
+    than trivially passing), split 4-host baselines shard when their
+    generated working sets are disjoint, and 4-host shared-working-set
+    points, whose hosts couple, must decline.  Both runs pin
     ``check_invariants=False``: the point is replay identity, and the
     invariants environment would otherwise turn the parallel leg into
     a no-op.
@@ -743,7 +742,7 @@ def check_parallel_replay_identity(scale: int = DEFAULT_SCALE) -> DifferentialCh
             )
         )
     points.append(
-        ("shared4/naive-a", shared_trace, 4, eligible_config(), "conflict")
+        ("shared4/naive-a", shared_trace, 4, eligible_config(), "declined")
     )
     points.append(
         (
@@ -755,7 +754,7 @@ def check_parallel_replay_identity(scale: int = DEFAULT_SCALE) -> DifferentialCh
                 ram_policy=WritebackPolicy.parse("s"),
                 flash_policy=WritebackPolicy.parse("s"),
             ),
-            "conflict",
+            "declined",
         )
     )
 
@@ -779,6 +778,8 @@ def check_parallel_replay_identity(scale: int = DEFAULT_SCALE) -> DifferentialCh
                 "%s: expected %s engine outcome, got %s"
                 % (label, expected, outcome)
             )
+        elif expected == "declined" and "coupled" not in outcome.detail:
+            problems.append("%s: declined for another reason: %s" % (label, outcome))
         if reference != candidate:
             drifted = [key for key in reference if reference[key] != candidate[key]]
             problems.append("%s: %s" % (label, ", ".join(drifted[:3])))

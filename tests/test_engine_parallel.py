@@ -5,23 +5,20 @@ the serial/parallel bit-identity contract (:mod:`repro.engine.parallel`,
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+import repro.sweep as sweep
+from repro.core.metrics import LatencyStat
+from repro.core.results import SimulationResults
 from repro.core.simulator import run_simulation
 from repro.engine import parallel as par
 from repro.errors import SimulationError
 from repro.net.directory import DirectoryTiming
 from repro.traces.chunked import ChunkedCompiledTrace
 from repro.traces.compiled import compile_trace
-from repro.traces.partition import (
-    analyze_partition,
-    plan_groups,
-    slice_hosts,
-    split_hosts_evenly,
-    static_write_blocks,
-)
+from repro.traces.partition import analyze_partition, plan_groups, slice_hosts
 from repro.traces.records import Trace, TraceOp
 from repro.validation.differential import full_signature
 
@@ -118,8 +115,8 @@ class TestPartitionAnalysis:
                 for right in analysis.components[i + 1 :]:
                     # No block written on either side may be touched by
                     # the other side.
-                    left_w = static_write_blocks(trace, set(left))
-                    right_w = static_write_blocks(trace, set(right))
+                    left_w = _written_blocks(trace, set(left))
+                    right_w = _written_blocks(trace, set(right))
                     left_touch = _touched_blocks(trace, set(left))
                     right_touch = _touched_blocks(trace, set(right))
                     assert not (left_w & right_touch)
@@ -166,15 +163,22 @@ class TestPartitionAnalysis:
         assert analysis.components == [[0], [1], [2], [3]]
 
 
-def _touched_blocks(trace, hosts):
+def _touched_blocks(trace, hosts, writes_only=False):
     touched = set()
     rows = zip(
-        trace.hosts_col.tolist(), trace.start_blocks.tolist(), trace.nblocks.tolist()
+        trace.ops.tolist(),
+        trace.hosts_col.tolist(),
+        trace.start_blocks.tolist(),
+        trace.nblocks.tolist(),
     )
-    for host, start, nb in rows:
-        if host in hosts:
+    for op, host, start, nb in rows:
+        if host in hosts and (op or not writes_only):
             touched.update(range(start, start + nb))
     return touched
+
+
+def _written_blocks(trace, hosts):
+    return _touched_blocks(trace, hosts, writes_only=True)
 
 
 class TestGroupPlanning:
@@ -213,12 +217,15 @@ class TestGroupPlanning:
         _trace, analysis = self._analysis(rng)
         assert plan_groups(analysis, 4) == plan_groups(analysis, 4)
 
-    def test_split_hosts_evenly_partitions_all_hosts(self):
-        rng = random.Random(4)
-        _trace, analysis = self._analysis(rng)
-        groups = split_hosts_evenly(analysis, 3)
-        assert sorted(h for g in groups for h in g) == list(range(8))
-        assert len(groups) == 3
+    def test_idle_hosts_open_no_group(self):
+        # Host 0 and host 2 issue rows; hosts 1 and 3 are idle and join
+        # the lightest group instead of getting a worker each.
+        ops = [("r", 1, 0), ("w", 1, 0), ("r", 900, 2)]
+        analysis = analyze_partition(compile_trace(make_trace(ops)), 4)
+        groups = plan_groups(analysis, 4)
+        assert sorted(h for g in groups for h in g) == [0, 1, 2, 3]
+        assert len(groups) == 2
+        assert all(any(h in (0, 2) for h in g) for g in groups)
 
 
 class TestSliceHosts:
@@ -264,19 +271,6 @@ class TestSliceHosts:
             slice_hosts(trace, {0})
 
 
-class TestStaticWriteBlocks:
-    def test_matches_brute_force(self):
-        rng = random.Random(7)
-        ops = random_multihost_ops(rng, 3, 200, span=40, shared=0.3)
-        trace = compile_trace(make_trace(ops))
-        for hosts in ({0}, {1, 2}, {0, 1, 2}):
-            expected = set()
-            for op, block, host in ops:
-                if op == "w" and host in hosts:
-                    expected.add(block)
-            assert static_write_blocks(trace, hosts) == expected
-
-
 def _eligible_multihost_trace(seed=7, n_hosts=4, n_ops=3000):
     rng = random.Random(seed)
     ops = []
@@ -285,6 +279,29 @@ def _eligible_multihost_trace(seed=7, n_hosts=4, n_ops=3000):
         block = host * 1000 + rng.randrange(500)
         ops.append(("w" if rng.random() < 0.3 else "r", block, host))
     return make_trace(ops, file_blocks=8192)
+
+
+def _every_field(results):
+    """Every :class:`SimulationResults` field, each ``LatencyStat`` by
+    its raw fields (``full_signature`` leaves the endurance, admission
+    and directory-stall fields out)."""
+    values = {}
+    for spec in fields(SimulationResults):
+        value = getattr(results, spec.name)
+        if isinstance(value, LatencyStat):
+            value = (
+                value.count,
+                value.total_ns,
+                value.min_ns,
+                value.max_ns,
+                list(value._buckets),
+            )
+        values[spec.name] = value
+    return values
+
+
+def _no_pool(*_args, **_kwargs):
+    raise AssertionError("a declined replay must not start a worker pool")
 
 
 class TestParallelReplayIdentity:
@@ -300,7 +317,6 @@ class TestParallelReplayIdentity:
         merged = run_simulation(trace, config, parallel_hosts=4, check_invariants=False)
         outcome = par.last_outcome()
         assert outcome is not None and outcome.kind == "parallel"
-        assert outcome.tier == "independent"
         assert full_signature(serial) == full_signature(merged)
 
     def test_two_workers_on_four_hosts(self):
@@ -313,7 +329,38 @@ class TestParallelReplayIdentity:
         assert outcome.groups == 2
         assert full_signature(serial) == full_signature(merged)
 
-    def test_shared_working_set_conflicts_and_falls_back(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # A 64-block FTL flash tier under 500-block working sets:
+            # garbage collection erases, so write amplification and
+            # device lifetime are finite.
+            {"ram_bytes": 128 * 1024, "flash_bytes": 256 * 1024, "ftl_model": True},
+            {"flash_admission": "budget:1M"},
+        ],
+        ids=["plain", "ftl", "admission"],
+    )
+    def test_every_result_field_matches_serial(self, overrides):
+        """Every field the parent computes equals serial replay's: a
+        field that a parallel run drops or derives differently fails
+        here."""
+        trace = _eligible_multihost_trace(seed=9)
+        config = tiny_config(**overrides)
+        serial = run_simulation(trace, config)
+        merged = run_simulation(trace, config, parallel_hosts=2, check_invariants=False)
+        outcome = par.last_outcome()
+        assert outcome is not None and outcome.kind == "parallel"
+        assert _every_field(merged) == _every_field(serial)
+        if "ftl_model" in overrides:
+            assert serial.flash_erase_count > 0
+            assert 0 < serial.device_lifetime_days < float("inf")
+        if "flash_admission" in overrides:
+            assert serial.flash_admission_stats["rejects"] > 0
+
+    def test_shared_working_set_conflicts_and_falls_back(self, monkeypatch):
+        """Four hosts writing one shared working set are coupled: the
+        run declines before any worker starts and replays serially."""
         rng = random.Random(11)
         ops = [
             ("w" if rng.random() < 0.3 else "r", rng.randrange(300), rng.randrange(4))
@@ -322,10 +369,11 @@ class TestParallelReplayIdentity:
         trace = make_trace(ops)
         config = tiny_config()
         serial = run_simulation(trace, config)
+        monkeypatch.setattr(sweep, "_acquire_pool", _no_pool)
         merged = run_simulation(trace, config, parallel_hosts=4, check_invariants=False)
         outcome = par.last_outcome()
-        assert outcome is not None and outcome.kind == "conflict"
-        assert outcome.tier == "watched"
+        assert outcome is not None and outcome.kind == "declined"
+        assert "coupled" in outcome.detail
         assert full_signature(serial) == full_signature(merged)
 
     def test_coupled_hosts_with_modeled_directory_decline(self):
@@ -343,24 +391,52 @@ class TestParallelReplayIdentity:
         merged = run_simulation(trace, config, parallel_hosts=2, check_invariants=False)
         outcome = par.last_outcome()
         assert outcome is not None and outcome.kind == "declined"
-        assert "directory" in outcome.detail
+        assert "coupled" in outcome.detail
+        assert full_signature(serial) == full_signature(merged)
+
+    def test_one_active_group_declines(self, monkeypatch):
+        """Three coupled hosts and an idle fourth: the idle host is a
+        component of its own but issues no row, so no split exists."""
+        rng = random.Random(13)
+        ops = [
+            ("w" if rng.random() < 0.3 else "r", rng.randrange(200), rng.randrange(3))
+            for _ in range(600)
+        ]
+        trace = make_trace(ops)
+        config = tiny_config()
+        serial = run_simulation(trace, config, n_hosts=4)
+        monkeypatch.setattr(sweep, "_acquire_pool", _no_pool)
+        merged = run_simulation(
+            trace, config, n_hosts=4, parallel_hosts=2, check_invariants=False
+        )
+        outcome = par.last_outcome()
+        assert outcome is not None and outcome.kind == "declined"
+        assert outcome.groups == 0
+        assert "coupled" in outcome.detail
         assert full_signature(serial) == full_signature(merged)
 
 
 class TestSegmentBusyMeters:
     def test_group_ships_each_segments_busy_ns(self):
-        """A replay group ships each segment's raw wire busy time, from
-        which the parent recomputes the serial utilization."""
+        """A replay group ships the raw wire busy time of its own hosts'
+        segments, from which the parent computes network utilization;
+        the other hosts' entries stay empty."""
         from repro.core.machine import System
+        from repro.core.simulator import read_meters
 
+        group = (0, 2)
         system = System(tiny_config(), 4, check_invariants=False)
-        system.replay(_eligible_multihost_trace(seed=5))
-        shipped = par._collect_aux(system)["segment_busy"]
-        assert shipped == [segment.busy_ns() for segment in system.segments]
-        now = system.sim.now
-        for (up, down), segment in zip(shipped, system.segments):
+        trace = compile_trace(_eligible_multihost_trace(seed=5))
+        system.replay(slice_hosts(trace, set(group)))
+        shipped = read_meters(system, group)
+        for host, segment in enumerate(system.segments):
+            entry = shipped.hosts[host]
+            if host not in group:
+                assert entry is None
+                continue
+            assert entry.wire_busy_ns == segment.busy_ns()
+            up, down = entry.wire_busy_ns
             assert up > 0 and down > 0
-            assert (up / now + down / now) / 2.0 == segment.utilization()
 
 
 class TestEligibilityGates:

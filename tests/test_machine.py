@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.architectures import Architecture
-from repro.core.machine import System, _stores_of, mean_in_order
-from repro.core.simulator import run_simulation
+from repro.core.machine import System, _stores_of
+from repro.core.simulator import mean_in_order, results_from_system, run_simulation
 from repro.errors import ConfigError
 from repro.traces.records import Trace
 
@@ -77,7 +77,7 @@ class TestWarmupBoundary:
         system = System(tiny_config(), 1)
         system.replay(trace)
         assert system._measurement_started_at is not None
-        assert system.measured_ns() > 0
+        assert results_from_system(system, tiny_config(), len(trace)).measured_ns > 0
 
     def test_no_warmup_measures_from_start(self):
         trace = make_trace([("r", 0)])
@@ -106,26 +106,26 @@ class TestAggregation:
         trace = make_trace([("r", 0, 0), ("r", 100, 1)])
         system = System(tiny_config(), 2)
         system.replay(trace)
-        totals = system.aggregate_tier_stats()
+        totals = results_from_system(system, tiny_config(), len(trace)).tier_stats
         assert totals["ram"]["misses"] == 2
 
     def test_network_utilization_mean(self):
         system = System(tiny_config(), 2)
-        assert system.mean_network_utilization() == 0.0
+        assert results_from_system(system, tiny_config(), 0).network_utilization == 0.0
 
     def test_means_sum_left_to_right(self):
-        # Python >= 3.12's compensated sum() gives exactly 1.0 here; the
-        # parallel merge sums in order, so the serial means must too
+        # Python >= 3.12's compensated sum() gives exactly 1.0 here;
+        # summing in order gives 3.11's result on every interpreter
         assert mean_in_order([0.1] * 10) == 0.9999999999999999 / 10
 
     def test_flash_traffic_totals(self):
         trace = make_trace([("r", 0, 0), ("r", 0, 1)])
         system = System(tiny_config(), 2)
         system.replay(trace)
-        reads, writes = system.total_flash_traffic()
-        assert writes == 2  # one fill per host
-        assert reads == 0
+        results = results_from_system(system, tiny_config(), len(trace))
+        assert results.flash_blocks_written == 2  # one fill per host
+        assert results.flash_blocks_read == 0
 
     def test_write_amplification_none_without_ftl(self):
         system = System(tiny_config(), 1)
-        assert system.mean_write_amplification() is None
+        assert results_from_system(system, tiny_config(), 0).flash_write_amplification is None

@@ -95,70 +95,3 @@ class TestAsDict:
         decoded = json.loads(payload)
         assert decoded["read_latency_us"] == pytest.approx((88.4 + 162.568) / 2)
         assert decoded["tier_stats"]["ram"]["hits"] == 10
-
-
-class TestMerge:
-    def test_every_field_has_a_merge_rule(self):
-        from dataclasses import fields
-
-        from repro.core.results import _MERGE_RULES
-
-        assert set(_MERGE_RULES) == {f.name for f in fields(SimulationResults)}
-
-    def test_counters_sum_and_clocks_max(self):
-        a = make_results(simulated_ns=500, blocks_read=2, records_replayed=10)
-        b = make_results(simulated_ns=900, blocks_read=5, records_replayed=4)
-        merged = a.merge(b)
-        assert merged.simulated_ns == 900
-        assert merged.blocks_read == 7
-        assert merged.records_replayed == 14
-        assert merged.block_writes == 80
-
-    def test_latencies_merge_counts_and_totals(self):
-        merged = make_results().merge(make_results())
-        single = make_results()
-        assert merged.read_latency.count == 2 * single.read_latency.count
-        assert merged.read_latency.total_ns == 2 * single.read_latency.total_ns
-        assert merged.read_latency.min_ns == single.read_latency.min_ns
-        assert merged.read_latency.max_ns == single.read_latency.max_ns
-
-    def test_tier_stats_recompute_hit_rate(self):
-        merged = make_results().merge(make_results())
-        ram = merged.tier_stats["ram"]
-        assert ram["hits"] == 20 and ram["misses"] == 60
-        assert ram["hit_rate"] == 20 / 80
-
-    def test_overrides_replace_derived_floats(self):
-        merged = make_results().merge(
-            make_results(), overrides={"network_utilization": 0.5}
-        )
-        assert merged.network_utilization == 0.5
-
-    def test_unknown_override_name_raises(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            make_results().merge(make_results(), overrides={"not_a_field": 1})
-
-    def test_merge_all_folds_in_order(self):
-        parts = [make_results(blocks_read=i) for i in (1, 2, 3)]
-        merged = SimulationResults.merge_all(parts)
-        assert merged.blocks_read == 6
-
-    def test_new_field_without_rule_fails_loudly(self):
-        # The regression this guards: a future PR adds a counter to
-        # SimulationResults but forgets the merge rule, and parallel
-        # replay silently drops it.  merge() must refuse instead.
-        from dataclasses import dataclass
-
-        from repro.errors import SimulationError
-
-        @dataclass
-        class ExtendedResults(SimulationResults):
-            brand_new_counter: int = 0
-
-        base = make_results()
-        kwargs = {f: getattr(base, f) for f in base.__dataclass_fields__}
-        extended = ExtendedResults(**kwargs)
-        with pytest.raises(SimulationError, match="_MERGE_RULES"):
-            extended.merge(extended)

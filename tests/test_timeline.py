@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro._units import MS
+from repro._units import MS, US
 from repro.core.metrics import TimelineStat
 from repro.core.restart import RestartSpec
 from repro.core.simulator import run_simulation
+from repro.traces.records import Trace, TraceOp, TraceRecord
 
 from tests.helpers import make_trace, tiny_config
 
@@ -79,3 +80,20 @@ class TestPlumbing:
         first_mean = series[0][1]
         last_mean = series[-1][1]
         assert first_mean > last_mean
+
+    def test_reads_measured_before_the_boundary_land_in_bucket_zero(self):
+        """Thread 1 has no warmup rows, so its two measured reads finish
+        while thread 0 is still replaying the warmup; the measurement
+        boundary comes later.  Those reads belong to the first bucket,
+        not to buckets at their absolute completion times."""
+        read = TraceOp.READ
+        warmup = [TraceRecord(read, 0, 0, 0, block, 1) for block in range(8)]
+        measured = [TraceRecord(read, 0, 1, 0, block, 1) for block in (100, 101)]
+        trace = Trace(warmup + measured, [4096], warmup_records=len(warmup))
+        results = run_simulation(
+            trace, tiny_config(), timeline_bucket_ns=int(100 * US)
+        )
+        series = results.read_timeline.series()
+        assert sum(count for _s, _m, count in series) == results.read_latency.count
+        assert results.read_latency.count == 2
+        assert [(start, count) for start, _m, count in series] == [(0, 2)]
