@@ -57,7 +57,7 @@ components sum to the block's latency) is property-tested in
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.cache.block import Medium
 from repro.cache.store import BlockStore
@@ -65,7 +65,7 @@ from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
 from repro.core.consistency import ConsistencyDirectory
 from repro.core.policies import PolicyKind
-from repro.engine.periodic import Tick
+from repro.engine.periodic import PeriodicTask
 from repro.engine.simulation import Simulator
 from repro.errors import ConfigError
 from repro.filer.server import Filer
@@ -198,8 +198,8 @@ class HostStack:
         """Instantly drop every copy of a block (consistency invalidation)."""
         raise NotImplementedError
 
-    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
-        """The ``(period_ns, tick)`` syncer and cleaner rounds this
+    def periodic_tasks(self) -> List[PeriodicTask]:
+        """The ``(period_ns, work, tick)`` syncer and cleaner rounds this
         configuration needs, for :func:`repro.engine.spawn_periodic`."""
         raise NotImplementedError
 
@@ -608,7 +608,7 @@ class LayeredStack(HostStack):
 
     # --- syncers ----------------------------------------------------------
 
-    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+    def periodic_tasks(self) -> List[PeriodicTask]:
         tasks = []
         ram_policy = self.config.ram_policy
         if ram_policy.has_syncer and self.config.has_ram:
@@ -626,12 +626,13 @@ class LayeredStack(HostStack):
             )
         return tasks
 
-    def _syncer_task(self, policy, store, flush_block) -> Tuple[int, Tick]:
+    def _syncer_task(self, policy, store, flush_block) -> PeriodicTask:
         # A periodic syncer issues its whole batch of writebacks at
         # once, asynchronously (they pipeline on the devices and the
         # network, as real syncers' queued I/O does; a strictly serial
         # syncer could never exceed one writeback per round-trip time).
         # A trickle syncer spreads the batch evenly across the period.
+        # The tick runs only while the store has dirty blocks.
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
         dirty_set = store._dirty
@@ -639,8 +640,6 @@ class LayeredStack(HostStack):
         name = "%s.h%d" % ("trickle-flush" if trickle else "syncer-flush", self.host_id)
 
         def tick() -> None:
-            if not dirty_set:
-                return
             dirty = list(dirty_set)
             rec = self._obs_rec
             if rec is not None:
@@ -656,7 +655,7 @@ class LayeredStack(HostStack):
                 for block in dirty:
                     spawn(flush_block(block), name)
 
-        return period_ns, tick
+        return period_ns, dirty_set, tick
 
 
 class NaiveStack(LayeredStack):
@@ -900,7 +899,7 @@ class UnifiedStack(HostStack):
         self.cache.mark_clean(block)
         yield from self._filer_write(block, span)
 
-    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+    def periodic_tasks(self) -> List[PeriodicTask]:
         # One syncer per medium with a periodic/trickle policy; each
         # scans only its medium's dirty blocks.
         tasks = []
@@ -910,9 +909,10 @@ class UnifiedStack(HostStack):
             tasks.append(self._syncer_task(self.config.flash_policy, Medium.FLASH))
         return tasks
 
-    def _syncer_task(self, policy, medium: Medium) -> Tuple[int, Tick]:
+    def _syncer_task(self, policy, medium: Medium) -> PeriodicTask:
         # Writebacks are issued asynchronously (periodic) or spread
         # over the period (trickle); see LayeredStack's syncer task.
+        # The tick runs only while the cache has dirty blocks.
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
         cache = self.cache
@@ -921,8 +921,6 @@ class UnifiedStack(HostStack):
         name = "unified-syncer-flush.h%d" % self.host_id
 
         def tick() -> None:
-            if not dirty_set:
-                return
             dirty = [
                 block
                 for block in dirty_set
@@ -941,7 +939,7 @@ class UnifiedStack(HostStack):
             for index, block in enumerate(dirty):
                 spawn(_after(index * spacing, self._flush_block(block)), name)
 
-        return period_ns, tick
+        return period_ns, dirty_set, tick
 
     def reset_measurement_stats(self) -> None:
         self.cache.stats.reset_for_measurement()

@@ -10,9 +10,9 @@ progress").
 
 from __future__ import annotations
 
-import gc
 from typing import List, Optional
 
+from repro._gc import collector_paused
 from repro.cache.block import Medium
 from repro.core.config import SimConfig
 from repro.core.consistency import ConsistencyDirectory
@@ -240,17 +240,9 @@ class System:
         # The replay loop's allocations (generator frames, event-heap
         # tuples) are acyclic and die by reference counting, so cyclic
         # collections during the run only re-scan the stable simulation
-        # heap — a few thousand times on a million-record trace.  Pause
-        # the collector for the duration; any stray cycle is picked up
-        # by the first collection after re-enabling.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # heap — a few thousand times on a million-record trace.
+        with collector_paused():
             self.sim.run()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         if self.invariants is not None:
             self.invariants.final()
 

@@ -33,13 +33,13 @@ the caller's path is ``syncer_stall``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.cache.block import Medium
 from repro.cache.store import BlockStore
 from repro.core.host import HostStack, _after
 from repro.core.policies import PolicyKind
-from repro.engine.periodic import Tick
+from repro.engine.periodic import PeriodicTask
 from repro.errors import ConfigError
 from repro.obs.breakdown import Span
 
@@ -283,7 +283,7 @@ class MigrationStack(HostStack):
 
     # --- syncers ----------------------------------------------------------------
 
-    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
+    def periodic_tasks(self) -> List[PeriodicTask]:
         tasks = []
         if self.config.ram_policy.has_syncer and self.config.has_ram:
             tasks.append(self._syncer_task(self.config.ram_policy, self.ram))
@@ -291,7 +291,8 @@ class MigrationStack(HostStack):
             tasks.append(self._syncer_task(self.config.flash_policy, self.flash))
         return tasks
 
-    def _syncer_task(self, policy, store: BlockStore) -> Tuple[int, Tick]:
+    def _syncer_task(self, policy, store: BlockStore) -> PeriodicTask:
+        # The tick runs only while the store has dirty blocks.
         trickle = policy.kind is PolicyKind.TRICKLE
         period_ns = policy.period_ns
         dirty_set = store._dirty
@@ -299,11 +300,9 @@ class MigrationStack(HostStack):
         name = "migr-syncer-flush.h%d" % self.host_id
 
         def tick() -> None:
-            if not dirty_set:
-                return
             dirty = list(dirty_set)
             spacing = period_ns // len(dirty) if trickle else 0
             for index, block in enumerate(dirty):
                 spawn(_after(index * spacing, self._flush_block(store, block)), name)
 
-        return period_ns, tick
+        return period_ns, dirty_set, tick

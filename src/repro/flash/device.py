@@ -166,11 +166,6 @@ class FlashDevice:
         FTL model — the base device never surfaces erases)."""
         return 0
 
-    def measured_write_amplification(self) -> Optional[float]:
-        """Write amplification over the measurement window (None when
-        the device has no FTL to measure it with)."""
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<FlashDevice %s read=%dns write=%dns>" % (
             self.name,

@@ -177,9 +177,3 @@ class FTLFlashDevice(FlashDevice):
 
     def erase_count(self) -> int:
         return self.ftl.erases - self._erases_at_reset
-
-    def measured_write_amplification(self) -> Optional[float]:
-        host = self.ftl.host_writes - self._host_writes_at_reset
-        if host == 0:
-            return 0.0
-        return (self.ftl.flash_writes - self._flash_writes_at_reset) / host

@@ -23,6 +23,10 @@ from typing import List
 
 from repro.errors import ConfigError
 
+#: The largest mean :func:`poisson_sample` draws with Knuth's product
+#: loop; above it the sample is a rounded normal.
+KNUTH_MAX_MEAN = 50
+
 
 def poisson_sample(rng: random.Random, mean: float) -> int:
     """Sample from a Poisson distribution with the given mean.
@@ -35,7 +39,7 @@ def poisson_sample(rng: random.Random, mean: float) -> int:
         raise ConfigError("Poisson mean must be finite and non-negative, got %r" % (mean,))
     if mean == 0:
         return 0
-    if mean > 50:
+    if mean > KNUTH_MAX_MEAN:
         return max(0, round(rng.gauss(mean, math.sqrt(mean))))
     draw = rng.random
     threshold = math.exp(-mean)
@@ -95,26 +99,28 @@ class WeightedSampler:
 
     Built once over the file population (or working-set pieces); uses a
     cumulative-sum array and binary search.  Weights must be positive.
+    ``cumulative``, ``total`` and ``last`` are read-only: the trace
+    generator's request loop makes :meth:`sample`'s pick inline on them.
     """
 
     def __init__(self, weights: List[float]) -> None:
         if not weights:
             raise ConfigError("WeightedSampler needs at least one weight")
-        self._cumulative: List[float] = []
+        self.cumulative: List[float] = []
         total = 0.0
         for weight in weights:
             if weight <= 0:
                 raise ConfigError("weights must be positive, got %r" % (weight,))
             total += weight
-            self._cumulative.append(total)
+            self.cumulative.append(total)
         self.total = total
-        self._last = len(self._cumulative) - 1
+        self.last = len(self.cumulative) - 1
 
     def sample(self, rng: random.Random) -> int:
         """Return the index of a weight-proportionally chosen item."""
-        index = bisect_right(self._cumulative, rng.random() * self.total)
-        # random() * total can round up to total itself
-        return index if index < self._last else self._last
+        index = bisect_right(self.cumulative, rng.random() * self.total)
+        # only a point at the total itself would index past the end
+        return index if index < self.last else self.last
 
     def __len__(self) -> int:
-        return len(self._cumulative)
+        return len(self.cumulative)

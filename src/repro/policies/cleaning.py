@@ -37,10 +37,10 @@ documented no-op there.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro._units import SECOND
-from repro.engine.periodic import Tick
+from repro.engine.periodic import PeriodicTask
 from repro.errors import ConfigError
 
 
@@ -188,9 +188,9 @@ class CleaningController:
         #: cleaning flushes initiated (monotone; reporting only)
         self.flushes = 0
 
-    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
-        """``(period_ns, tick)`` rounds run in place of the flash syncer
-        (see :func:`repro.engine.spawn_periodic`)."""
+    def periodic_tasks(self) -> List[PeriodicTask]:
+        """``(period_ns, work, tick)`` rounds run in place of the flash
+        syncer (see :func:`repro.engine.spawn_periodic`)."""
         return []
 
     def note_dirtied(self, block: int, now: int) -> None:
@@ -216,24 +216,24 @@ class AgedCleanController(CleaningController):
             del dirtied[block]
         dirtied[block] = now
 
-    def periodic_tasks(self) -> List[Tuple[int, Tick]]:
-        return [(self.spec.period_ns, self._tick)]
+    def periodic_tasks(self) -> List[PeriodicTask]:
+        return [(self.spec.period_ns, self.store._dirty, self._tick)]
 
     def _tick(self) -> None:
+        # Runs only while the flash has dirty blocks.
         stack = self.stack
         dirty_set = self.store._dirty
-        if dirty_set:
-            now = stack.sim.now
-            idle_ns = self.spec.idle_ns
-            flush_block = stack._flush_flash_block
-            spawn = stack.sim.spawn
-            name = self._flush_name
-            dirtied = self._dirtied_at
-            for block in dirty_set:
-                # Unknown blocks (defensive) count as infinitely idle.
-                if now - dirtied.get(block, 0) >= idle_ns:
-                    self.flushes += 1
-                    spawn(flush_block(block), name)
+        now = stack.sim.now
+        idle_ns = self.spec.idle_ns
+        flush_block = stack._flush_flash_block
+        spawn = stack.sim.spawn
+        name = self._flush_name
+        dirtied = self._dirtied_at
+        for block in dirty_set:
+            # Unknown blocks (defensive) count as infinitely idle.
+            if now - dirtied.get(block, 0) >= idle_ns:
+                self.flushes += 1
+                spawn(flush_block(block), name)
         # Bound the ledger: drop entries for blocks no longer dirty.
         if len(self._dirtied_at) > 2 * len(dirty_set) + 64:
             self._dirtied_at = {

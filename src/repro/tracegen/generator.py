@@ -28,10 +28,13 @@ consumption pattern, so their outputs are record-for-record identical):
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.fsmodel.distributions import WeightedSampler, poisson_sample
+from repro._gc import collector_paused
+from repro.fsmodel.distributions import KNUTH_MAX_MEAN, WeightedSampler, poisson_sample
 from repro.fsmodel.files import FileSystemModel
 from repro.fsmodel.impressions import generate_filesystem
 from repro.engine.rng import RngStreams
@@ -76,54 +79,92 @@ def _iter_requests(
     their outputs (and fingerprints) bit-identical.
 
     Per request the draws are: host, thread, write coin, working-set
-    coin, piece (or file) pick, Poisson length, start.  Everything else
-    is read once before the loop.  ``randbelow(n)`` is what
-    ``randrange(n)`` returns for an int ``n >= 1`` without its argument
-    checks (DESIGN.md §12); every ``n`` below is such an int, as
-    ``TraceGenConfig`` only admits int host and thread counts.
+    coin, piece (or file) pick, Poisson length, start.  Each is written
+    out in the loop exactly as the helper it replaces makes it, and
+    everything fixed is read once before the loop (DESIGN.md §12):
+
+    * a uniform pick below an int ``n >= 1`` is ``Random._randbelow``'s
+      rejection loop, ``getrandbits(n.bit_length())`` until the result
+      is below ``n``, which is what ``randrange(n)`` returns; every
+      ``n`` here is such an int, as ``TraceGenConfig`` only admits int
+      host and thread counts and lengths are clamped to the extent;
+    * a weighted pick is ``WeightedSampler.sample``: ``bisect_right``
+      of ``random() * total`` in the cumulative weights, clamped to the
+      last index;
+    * a length is ``poisson_sample``'s product loop against
+      ``exp(-io_mean_blocks)``, or a ``poisson_sample`` call for a mean
+      above ``KNUTH_MAX_MEAN``, where that function rounds a normal.
     """
     io_rng = streams.stream("tracegen", "requests")
     file_sampler = WeightedSampler(model.popularities())
     working_sets = _build_working_sets(config, model, streams)
 
     random = io_rng.random
-    randbelow = io_rng._randbelow
+    getrandbits = io_rng.getrandbits
     n_hosts = config.n_hosts
+    host_bits = n_hosts.bit_length()
     threads_per_host = config.threads_per_host
+    thread_bits = threads_per_host.bit_length()
     write_fraction = config.write_fraction
     ws_fraction = config.ws_fraction
     io_mean_blocks = config.io_mean_blocks
-    sample_piece = [working_sets[host].sample_piece for host in range(n_hosts)]
-    sample_file = file_sampler.sample
+    product_loop = io_mean_blocks <= KNUTH_MAX_MEAN
+    threshold = math.exp(-io_mean_blocks)
+    pickers = []
+    for host in range(n_hosts):
+        working_set = working_sets[host]
+        sampler = working_set.sampler
+        pickers.append((sampler.cumulative, sampler.total, sampler.last, working_set.pieces))
+    file_cumulative = file_sampler.cumulative
+    file_total = file_sampler.total
+    file_last = file_sampler.last
     files = model.files
     target_blocks = config.target_volume_blocks
     warmup_boundary_blocks = int(target_blocks * config.warmup_fraction)
 
     volume_blocks = 0
     while volume_blocks < target_blocks:
-        host = randbelow(n_hosts)
-        thread = randbelow(threads_per_host)
+        host = getrandbits(host_bits)
+        while host >= n_hosts:
+            host = getrandbits(host_bits)
+        thread = getrandbits(thread_bits)
+        while thread >= threads_per_host:
+            thread = getrandbits(thread_bits)
         is_write = random() < write_fraction
 
         if random() < ws_fraction:
-            piece = sample_piece[host](io_rng)
+            cumulative, total, last, pieces = pickers[host]
+            index = bisect_right(cumulative, random() * total)
+            piece = pieces[index if index < last else last]
             file_id, base, extent = piece.file_id, piece.start, piece.nblocks
         else:
-            spec = files[sample_file(io_rng)]
+            index = bisect_right(file_cumulative, random() * file_total)
+            spec = files[index if index < file_last else file_last]
             file_id, base, extent = spec.file_id, 0, spec.blocks
-        length = poisson_sample(io_rng, io_mean_blocks)
+        if product_loop:
+            length = 0
+            product = random()
+            while product > threshold:
+                length += 1
+                product *= random()
+        else:
+            length = poisson_sample(io_rng, io_mean_blocks)
         if length < 1:
             length = 1
         elif length > extent:
             length = extent
-        start = base + randbelow(extent - length + 1)
+        starts = extent - length + 1
+        start_bits = starts.bit_length()
+        offset = getrandbits(start_bits)
+        while offset >= starts:
+            offset = getrandbits(start_bits)
 
         yield (
             is_write,
             host,
             thread,
             file_id,
-            start,
+            base + offset,
             length,
             volume_blocks < warmup_boundary_blocks,
         )
@@ -165,14 +206,16 @@ def generate_trace(
     append = records.append
     write, read = TraceOp.WRITE, TraceOp.READ
     warmup_records = 0
-    for is_write, host, thread, file_id, start, length, is_warmup in _iter_requests(
-        config, model, streams
-    ):
-        append(
-            TraceRecord(write if is_write else read, host, thread, file_id, start, length)
-        )
-        if is_warmup:
-            warmup_records += 1
+    # The records are acyclic; see repro._gc.
+    with collector_paused():
+        for is_write, host, thread, file_id, start, length, is_warmup in _iter_requests(
+            config, model, streams
+        ):
+            append(
+                TraceRecord(write if is_write else read, host, thread, file_id, start, length)
+            )
+            if is_warmup:
+                warmup_records += 1
 
     return Trace(
         records,

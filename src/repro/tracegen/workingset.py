@@ -49,7 +49,7 @@ class WorkingSet:
         if not pieces:
             raise ConfigError("working set must contain at least one piece")
         self.pieces = pieces
-        self._sampler = WeightedSampler([p.weight * p.nblocks for p in pieces])
+        self.sampler = WeightedSampler([p.weight * p.nblocks for p in pieces])
 
     @property
     def total_blocks(self) -> int:
@@ -57,7 +57,7 @@ class WorkingSet:
 
     def sample_piece(self, rng: random.Random) -> WorkingSetPiece:
         """Pick a piece, weighted by popularity x size."""
-        return self.pieces[self._sampler.sample(rng)]
+        return self.pieces[self.sampler.sample(rng)]
 
     def __len__(self) -> int:
         return len(self.pieces)

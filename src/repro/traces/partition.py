@@ -125,12 +125,6 @@ class PartitionAnalysis:
     host_rows: Dict[int, int] = field(default_factory=dict)
     host_writes: Dict[int, int] = field(default_factory=dict)
 
-    def component_of(self, host: int) -> int:
-        for index, component in enumerate(self.components):
-            if host in component:
-                return index
-        raise KeyError(host)
-
 
 def _box_clusters(
     boxes: Dict[int, Tuple[int, int]]

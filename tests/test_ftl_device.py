@@ -61,7 +61,6 @@ class TestWriteAmplification:
         # A fresh device has amplified nothing (0.0, not 1.0/NaN).
         _sim, device = make_device()
         assert device.write_amplification == 0.0
-        assert device.measured_write_amplification() == 0.0
 
     def test_sequential_overwrites_do_not_amplify(self):
         """Uniform whole-space overwrites leave GC victims fully

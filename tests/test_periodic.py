@@ -40,6 +40,9 @@ from repro.validation.differential import full_signature
 
 GOLDEN = Path(__file__).with_name("periodic_golden.json")
 
+#: Work that is never empty, for ticks that should run every round.
+WORK = (None,)
+
 #: Geometry divisor: 512 KB RAM, 4 MB flash, p1 ticks every 61 us.
 SCALE = 16384
 #: host count -> tenant groups of the fleet trace
@@ -159,9 +162,9 @@ class TestSpawnPeriodic:
         sim = Simulator()
         calls = []
         tasks = [
-            (10, self._ticks(calls, sim, "a")),
-            (20, self._ticks(calls, sim, "b")),
-            (10, self._ticks(calls, sim, "c")),
+            (10, WORK, self._ticks(calls, sim, "a")),
+            (20, WORK, self._ticks(calls, sim, "b")),
+            (10, WORK, self._ticks(calls, sim, "c")),
         ]
         processes = spawn_periodic(sim, tasks, lambda: sim.now < 40)
         assert [process.name for process in processes] == [
@@ -183,7 +186,7 @@ class TestSpawnPeriodic:
         def pushes(tasks_per_period: int) -> Tuple[int, int]:
             sim = Simulator()
             tasks = [
-                (period, lambda: None)
+                (period, WORK, lambda: None)
                 for _ in range(tasks_per_period)
                 for period in (10, 25)
             ]
@@ -201,7 +204,7 @@ class TestSpawnPeriodic:
         sim = Simulator()
         calls = []
         processes = spawn_periodic(
-            sim, [(10, self._ticks(calls, sim, "x"))], lambda: len(calls) < 3
+            sim, [(10, WORK, self._ticks(calls, sim, "x"))], lambda: len(calls) < 3
         )
         assert sim.run() == 30
         assert calls == [(10, "x"), (20, "x"), (30, "x")]
@@ -212,6 +215,32 @@ class TestSpawnPeriodic:
         sim = Simulator()
         assert spawn_periodic(sim, [], lambda: True) == []
         assert sim.pending_events == 0
+
+    def test_tick_skipped_while_its_work_is_empty(self):
+        sim = Simulator()
+        calls = []
+        dirty = set()
+        tasks = [
+            (10, dirty, self._ticks(calls, sim, "syncer")),
+            (10, WORK, self._ticks(calls, sim, "other")),
+        ]
+        spawn_periodic(sim, tasks, lambda: sim.now < 40)
+
+        def fill_then_empty():
+            # between the first and second rounds, then the third and fourth
+            yield 15
+            dirty.add(7)
+            yield 20
+            dirty.clear()
+
+        sim.spawn(fill_then_empty())
+        sim.run()
+        assert calls == [
+            (10, "other"),
+            (20, "syncer"), (20, "other"),
+            (30, "syncer"), (30, "other"),
+            (40, "other"),
+        ]
 
 
 if __name__ == "__main__":
