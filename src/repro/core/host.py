@@ -851,7 +851,10 @@ class UnifiedStack(HostStack):
         if cache.capacity_blocks == 0:
             return None
         existing = cache.peek(block)
-        if existing is None:
+        if existing is not None:
+            # Another thread installed it while this one fetched it.
+            cache.get(block)  # touch + count the access pattern
+        else:
             resident = cache._entries
             while len(resident) >= cache.capacity_blocks:
                 victim = cache.pop_victim()

@@ -43,15 +43,19 @@ differential gate depends on it).
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
-from typing import List
+from itertools import repeat
+from operator import add
+from typing import List, Sequence
 
 from repro._units import MB
 from repro.errors import ConfigError
 from repro.fsmodel.impressions import ImpressionsConfig
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.generator import generate_trace
-from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.traces.compiled import ROW_TYPECODES, compile_trace
+from repro.traces.records import Trace
 
 #: The scenario names :func:`fleet_trace` accepts, in reporting order.
 SCENARIOS = ("steady", "rolling_restart", "failover_storm")
@@ -152,28 +156,27 @@ def _with_rewarm_burst(spec: FleetSpec, tenant: int, trace: Trace) -> Trace:
     another, not all at once).
     """
     warm = trace.warmup_records
-    measured = len(trace.records) - warm
+    measured = len(trace) - warm
     if warm == 0 or measured == 0:
         return trace
-    issuers = trace.issuers()
+    columns = compile_trace(trace)
+    issuers = sorted(set(zip(columns.hosts_col, columns.threads_col)))
     seen = set()
-    burst: List[TraceRecord] = []
-    for record in trace.records[:warm]:
-        key = (record.file_id, record.offset, record.nblocks)
+    burst = []
+    for key in zip(columns.file_ids[:warm], columns.offsets[:warm], columns.nblocks[:warm]):
         if key in seen:
             continue
         seen.add(key)
-        host, thread = issuers[len(burst) % len(issuers)]
-        burst.append(
-            TraceRecord(
-                TraceOp.READ, host, thread, record.file_id, record.offset, record.nblocks
-            )
-        )
+        # a read (op 0) on the next issuer in turn
+        burst.append((0,) + issuers[len(burst) % len(issuers)] + key)
         if len(burst) >= _REWARM_BURST_RECORDS:
             break
     point = warm + int(measured * (tenant + 1) / (spec.n_tenants + 1))
-    records = trace.records[:point] + burst + trace.records[point:]
-    return Trace(records, trace.file_blocks, warm, dict(trace.metadata))
+    spliced = [
+        column[:point] + array(column.typecode, values) + column[point:]
+        for column, values in zip(columns.row_columns(), zip(*burst))
+    ]
+    return Trace.from_columns(*spliced, trace.file_blocks, warm, trace.metadata)
 
 
 def _with_failover(spec: FleetSpec, trace: Trace) -> Trace:
@@ -189,21 +192,22 @@ def _with_failover(spec: FleetSpec, trace: Trace) -> Trace:
     group = spec.group_size
     n_primary = (group + 1) // 2
     n_standby = group - n_primary
-    measured = len(trace.records) - trace.warmup_records
+    measured = len(trace) - trace.warmup_records
     switch = trace.warmup_records + int(measured * _FAILOVER_SWITCH_FRACTION)
-    records = list(trace.records[:switch])
-    for record in trace.records[switch:]:
-        standby = n_primary + (record.host % n_standby)
-        thread = record.thread + (record.host // n_standby) * spec.threads_per_host
-        records.append(
-            TraceRecord(
-                record.op, standby, thread, record.file_id, record.offset, record.nblocks
-            )
-        )
-    return Trace(records, trace.file_blocks, trace.warmup_records, dict(trace.metadata))
+    ops, hosts, threads, file_ids, offsets, nblocks = compile_trace(trace).row_columns()
+    moved = list(zip(hosts[switch:], threads[switch:]))
+    hosts = hosts[:switch] + array("I", [n_primary + host % n_standby for host, _ in moved])
+    threads = threads[:switch] + array(
+        "I",
+        [thread + (host // n_standby) * spec.threads_per_host for host, thread in moved],
+    )
+    return Trace.from_columns(
+        ops, hosts, threads, file_ids, offsets, nblocks,
+        trace.file_blocks, trace.warmup_records, trace.metadata,
+    )
 
 
-def _interleave(groups: List[List[TraceRecord]]) -> List[TraceRecord]:
+def _interleave(groups: Sequence[Sequence[int]]) -> List[int]:
     """Proportional round-robin (the :func:`merge_traces` discipline):
     at each step pick the group whose progress lags its share most, so
     the combined replay overlaps all tenants as concurrent groups
@@ -213,7 +217,7 @@ def _interleave(groups: List[List[TraceRecord]]) -> List[TraceRecord]:
     that advanced gets a new lag, so a record costs O(log groups).
     """
     heap = [(0.0, index, 0) for index, group in enumerate(groups) if group]
-    out: List[TraceRecord] = []
+    out: List[int] = []
     while heap:
         _lag, index, cursor = heap[0]
         group = groups[index]
@@ -229,32 +233,34 @@ def _interleave(groups: List[List[TraceRecord]]) -> List[TraceRecord]:
 def _assemble(spec: FleetSpec, scenario: str, tenant_traces: List[Trace]) -> Trace:
     """Rebase each tenant onto its host group and private file region,
     then interleave — warmup phases together first, measured phases
-    after, so the combined warmup boundary is exact."""
+    after, so the combined warmup boundary is exact.
+
+    The tenants' columns are joined, host and file ids shifted, and the
+    interleave orders row indices, by which each column is gathered
+    once."""
     file_blocks: List[int] = []
-    warm_groups: List[List[TraceRecord]] = []
-    measured_groups: List[List[TraceRecord]] = []
+    joined = [array(typecode) for typecode in ROW_TYPECODES]
+    ops, hosts, threads, file_ids, offsets, nblocks = joined
+    warm_groups: List[range] = []
+    measured_groups: List[range] = []
     for tenant, trace in enumerate(tenant_traces):
-        file_offset = len(file_blocks)
+        columns = compile_trace(trace)
+        first_row = len(ops)
+        ops.extend(columns.ops)
+        hosts.extend(map(add, columns.hosts_col, repeat(tenant * spec.group_size)))
+        threads.extend(columns.threads_col)
+        file_ids.extend(map(add, columns.file_ids, repeat(len(file_blocks))))
+        offsets.extend(columns.offsets)
+        nblocks.extend(columns.nblocks)
         file_blocks.extend(trace.file_blocks)
-        host_base = tenant * spec.group_size
-        rebased = [
-            TraceRecord(
-                record.op,
-                record.host + host_base,
-                record.thread,
-                record.file_id + file_offset,
-                record.offset,
-                record.nblocks,
-            )
-            for record in trace.records
-        ]
-        warm_groups.append(rebased[: trace.warmup_records])
-        measured_groups.append(rebased[trace.warmup_records :])
-    records = _interleave(warm_groups)
-    warmup = len(records)
-    records.extend(_interleave(measured_groups))
-    return Trace(
-        records,
+        boundary = first_row + trace.warmup_records
+        warm_groups.append(range(first_row, boundary))
+        measured_groups.append(range(boundary, first_row + len(trace)))
+    order = _interleave(warm_groups)
+    warmup = len(order)
+    order.extend(_interleave(measured_groups))
+    return Trace.from_columns(
+        *(array(column.typecode, map(column.__getitem__, order)) for column in joined),
         file_blocks,
         warmup_records=warmup,
         metadata={

@@ -18,22 +18,29 @@ of that volume is flagged as warmup.
 Two entry points share one request iterator (and therefore one RNG
 consumption pattern, so their outputs are record-for-record identical):
 
-* :func:`generate_trace` materializes a :class:`Trace` of record
-  objects — fine up to a few million records;
+* :func:`generate_trace` packs the requests in memory, batch by batch,
+  into the columns of a :class:`~repro.traces.compiled.CompiledTrace`
+  and returns a :class:`Trace` backed by them (about 33 bytes per
+  record); it builds record objects only if ``records`` is read;
 * :func:`generate_trace_chunked` streams the same requests directly
   into a :class:`~repro.traces.chunked.ChunkedCompiledTrace` spool,
-  never building a ``TraceRecord``, with peak memory bounded by chunk
-  size — the paper-scale path (ROADMAP item 3).
+  with peak memory bounded by chunk size — the paper-scale path
+  (ROADMAP item 3).
+
+Neither builds a ``TraceRecord``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
+from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro._gc import collector_paused
+from repro.errors import TraceFormatError
 from repro.fsmodel.distributions import KNUTH_MAX_MEAN, WeightedSampler, poisson_sample
 from repro.fsmodel.files import FileSystemModel
 from repro.fsmodel.impressions import generate_filesystem
@@ -41,11 +48,15 @@ from repro.engine.rng import RngStreams
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.workingset import WorkingSet, build_working_set
 from repro.traces.chunked import ChunkedCompiledTrace, ChunkedTraceWriter
-from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.traces.compiled import ROW_TYPECODES
+from repro.traces.records import Trace
 
 #: One generated request: (is_write, host, thread, file_id, start,
 #: length, is_warmup).
 Request = Tuple[bool, int, int, int, int, int, bool]
+
+#: Requests :func:`generate_trace` packs into its columns per batch.
+_PACK_BATCH = 4096
 
 
 def _build_working_sets(
@@ -187,38 +198,45 @@ def _trace_metadata(config: TraceGenConfig) -> Dict[str, str]:
 def generate_trace(
     config: TraceGenConfig, model: Optional[FileSystemModel] = None
 ) -> Trace:
-    """Generate a synthetic trace as in-memory record objects.
+    """Generate a synthetic trace, held in memory as packed columns.
 
     ``model`` lets callers reuse one expensive file-system model across
     many trace configurations (the experiments all share the paper's
     single "1.4 TB file server model"); by default a model is generated
     from ``config.fs``.
 
-    Peak memory is O(records); for traces that should not be
-    materialized, use :func:`generate_trace_chunked`, which produces
-    identical content.
+    The requests go in batches straight into the record fields' columns
+    (see :meth:`Trace.from_columns`), which replay and
+    :func:`~repro.traces.compiled.compile_trace` read as they are; record
+    objects are built only if ``records`` is read.  Peak memory is
+    O(records); for traces that should not be held in memory, use
+    :func:`generate_trace_chunked`, which produces identical content.
     """
     if model is None:
         model = generate_filesystem(config.fs)
     streams = RngStreams(config.seed)
 
-    records: List[TraceRecord] = []
-    append = records.append
-    write, read = TraceOp.WRITE, TraceOp.READ
+    requests = _iter_requests(config, model, streams)
+    columns = [array(typecode) for typecode in ROW_TYPECODES]
     warmup_records = 0
-    # The records are acyclic; see repro._gc.
+    # The batches are acyclic; see repro._gc.
     with collector_paused():
-        for is_write, host, thread, file_id, start, length, is_warmup in _iter_requests(
-            config, model, streams
-        ):
-            append(
-                TraceRecord(write if is_write else read, host, thread, file_id, start, length)
-            )
-            if is_warmup:
-                warmup_records += 1
+        while True:
+            batch = list(islice(requests, _PACK_BATCH))
+            if not batch:
+                break
+            *fields, is_warmup = zip(*batch)
+            try:
+                for column, values in zip(columns, fields):
+                    column.fromlist(list(values))
+            except OverflowError as exc:
+                raise TraceFormatError(
+                    "record field too large for the compiled representation: %s" % exc
+                ) from exc
+            warmup_records += sum(is_warmup)
 
-    return Trace(
-        records,
+    return Trace.from_columns(
+        *columns,
         model.file_blocks(),
         warmup_records=warmup_records,
         metadata=_trace_metadata(config),
@@ -234,8 +252,7 @@ def generate_trace_chunked(
 ) -> ChunkedCompiledTrace:
     """Generate the same synthetic trace directly into a chunked spool.
 
-    No ``TraceRecord`` objects are ever built: requests stream from the
-    shared iterator straight into a
+    Requests stream from the shared iterator straight into a
     :class:`~repro.traces.chunked.ChunkedTraceWriter`, so peak memory
     is bounded by chunk size regardless of trace length.  Content — and
     therefore the trace fingerprint and every replay signature — is

@@ -65,8 +65,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, TraceFormatError
-from repro.traces.compiled import CompiledTrace, _column_bytes_le
-from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.traces.compiled import CompiledTrace, _column_bytes_le, compile_trace
+from repro.traces.records import Trace, records_from_rows
 
 __all__ = [
     "ChunkedCompiledTrace",
@@ -286,17 +286,6 @@ class ChunkedTraceWriter:
         self._n_records += 1
         if len(self._ops) >= self._chunk_records:
             self._flush_chunk()
-
-    def append_record(self, record: TraceRecord) -> None:
-        """Convenience append from an existing record object."""
-        self.append(
-            record.op is TraceOp.WRITE,
-            record.host,
-            record.thread,
-            record.file_id,
-            record.offset,
-            record.nblocks,
-        )
 
     def _flush_chunk(self) -> None:
         n = len(self._ops)
@@ -637,21 +626,9 @@ class ChunkedCompiledTrace:
             trace.file_blocks, spool_dir=spool_dir, chunk_records=chunk_records
         )
         try:
-            if isinstance(trace, CompiledTrace):
-                append = writer.append
-                for op, host, thread, fid, offset, nb in zip(
-                    trace.ops,
-                    trace.hosts_col,
-                    trace.threads_col,
-                    trace.file_ids,
-                    trace.offsets,
-                    trace.nblocks,
-                ):
-                    append(bool(op), host, thread, fid, offset, nb)
-            else:
-                append_record = writer.append_record
-                for record in trace.records:
-                    append_record(record)
+            append = writer.append
+            for op, host, thread, fid, offset, nb in compile_trace(trace).iter_records():
+                append(bool(op), host, thread, fid, offset, nb)
             return writer.freeze(trace.warmup_records, dict(trace.metadata))
         except BaseException:
             writer.abort()
@@ -793,19 +770,8 @@ class ChunkedCompiledTrace:
         This is O(trace) memory by definition — it exists for small-trace
         tests and tools, not for the streaming pipeline (every replay,
         observed ones included, streams the issuer rows)."""
-        records = [
-            TraceRecord(
-                TraceOp.WRITE if op else TraceOp.READ,
-                host,
-                thread,
-                file_id,
-                offset,
-                nb,
-            )
-            for op, host, thread, file_id, offset, nb in self.iter_records()
-        ]
         return Trace(
-            records,
+            records_from_rows(self.iter_records()),
             self.file_blocks,
             warmup_records=self.warmup_records,
             metadata=dict(self.metadata),

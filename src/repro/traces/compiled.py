@@ -1,8 +1,8 @@
 """Compiled traces: a packed columnar representation of a :class:`Trace`.
 
-A :class:`~repro.traces.records.Trace` is a list of Python record
-objects — flexible to build, expensive to replay and to ship.  On the
-multi-million-record traces the paper-scale sweeps need (related
+A :class:`~repro.traces.records.Trace` built from records is a list of
+Python record objects — flexible to build, expensive to replay and to
+ship.  On the multi-million-record traces the paper-scale sweeps need (related
 storage-cache studies run 10⁶–10⁷ request traces), three costs of the
 object form dominate the sweep engine rather than the simulation:
 
@@ -35,7 +35,12 @@ recomputes the file-base flattening.  The payoff:
 Compilation is content-preserving (``tests/test_traces_compiled.py``),
 and a replay always runs over the compiled form: ``System.replay``
 compiles every plain trace it is given with :func:`compile_trace`,
-which memoizes the result on the ``Trace`` object.
+which memoizes the result on the ``Trace`` object.  A trace built by
+:meth:`Trace.from_columns` (every generated and fleet trace) already
+holds a :class:`CompiledTrace`, which :func:`compile_trace` returns
+without another pass; its records are built from the columns only on
+request, by :func:`~repro.traces.records.records_from_rows`, which
+:meth:`CompiledTrace.to_trace` uses too.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from operator import getitem
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceFormatError
-from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.traces.records import Row, Trace, TraceOp, records_from_rows
 
 __all__ = ["CompiledTrace", "PlanRows", "compile_trace", "COMPILED_MAGIC"]
 
@@ -71,6 +76,10 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("nblocks", "I"),
     ("start_blocks", "Q"),
 )
+
+#: Typecodes of the six record fields' columns, in row order
+#: (:meth:`CompiledTrace.row_columns`, :meth:`Trace.from_columns`).
+ROW_TYPECODES: Tuple[str, ...] = tuple(typecode for _name, typecode in _COLUMNS[:-1])
 
 #: Columns covered by the content fingerprint (``start_blocks`` is
 #: derived from ``file_ids``/``offsets`` and would only double-hash).
@@ -231,28 +240,27 @@ class CompiledTrace:
         """Total block volume of the warmup prefix."""
         return sum(self.nblocks[: self.warmup_records])
 
+    def row_columns(self) -> Tuple:
+        """The six record fields' columns, in :meth:`Trace.from_columns`
+        order (``start_blocks`` is derived from them)."""
+        return (
+            self.ops,
+            self.hosts_col,
+            self.threads_col,
+            self.file_ids,
+            self.offsets,
+            self.nblocks,
+        )
+
+    def iter_records(self) -> Iterator[Row]:
+        """``(op, host, thread, file_id, offset, nblocks)`` per row, in
+        trace order."""
+        return zip(*self.row_columns())
+
     def to_trace(self) -> Trace:
         """Materialize back into the object representation."""
-        records = [
-            TraceRecord(
-                TraceOp.WRITE if op else TraceOp.READ,
-                host,
-                thread,
-                file_id,
-                offset,
-                nb,
-            )
-            for op, host, thread, file_id, offset, nb in zip(
-                self.ops,
-                self.hosts_col,
-                self.threads_col,
-                self.file_ids,
-                self.offsets,
-                self.nblocks,
-            )
-        ]
         return Trace(
-            records,
+            records_from_rows(self.iter_records()),
             self.file_blocks,
             warmup_records=self.warmup_records,
             metadata=dict(self.metadata),
@@ -471,12 +479,17 @@ def compile_trace(trace: Trace) -> CompiledTrace:
     """Pack a :class:`Trace` into its columnar form, memoized per trace
     object (sweeps reuse one trace across dozens of points; like the
     fingerprint memo, this assumes traces are not mutated after use).
+    A trace built by :meth:`Trace.from_columns` already holds that form
+    and is returned without another pass.
     """
     if isinstance(trace, CompiledTrace):
         return trace
     cached = trace.__dict__.get("_compiled_trace")
     if cached is not None:
         return cached
+    if trace._columns is not None:
+        trace.__dict__["_compiled_trace"] = trace._columns
+        return trace._columns
     records = trace.records
     write = TraceOp.WRITE
     file_base = list(itertools.accumulate([0] + list(trace.file_blocks[:-1])))

@@ -1,13 +1,34 @@
-"""Trace records and the in-memory trace container."""
+"""Trace records and the in-memory trace container.
+
+A :class:`Trace` holds its rows in one of two forms.  Built from a list
+of :class:`TraceRecord` objects (importers, tools, hand-written
+traces), it keeps that list.  Built by :meth:`Trace.from_columns` (the
+synthetic generator and the fleet scenarios), it keeps the packed
+columns of a :class:`~repro.traces.compiled.CompiledTrace`: replay
+reads them with no further pass, and the record objects are built only
+when ``records`` is first read.  Both forms pass the same checks and
+raise the same :class:`~repro.errors.TraceFormatError`.
+"""
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from functools import cached_property
+from operator import add, le
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro._gc import collector_paused
 from repro._units import BLOCK_SIZE
 from repro.errors import TraceFormatError
+
+if TYPE_CHECKING:
+    from repro.traces.compiled import CompiledTrace
+
+#: One record as ints: ``(op, host, thread, file_id, offset, nblocks)``,
+#: ``op`` 1 for a write and 0 for a read (the packed columns' encoding).
+Row = Tuple[int, int, int, int, int, int]
 
 
 class TraceOp(enum.Enum):
@@ -85,6 +106,24 @@ class TraceRecord:
         )
 
 
+def records_from_rows(rows: Iterable[Row]) -> List[TraceRecord]:
+    """The records for ``rows``, in order: the one way packed rows
+    become record objects (``Trace.records`` of a columns-backed trace,
+    and ``to_trace`` of both compiled forms)."""
+    write, read = TraceOp.WRITE, TraceOp.READ
+    # The records are acyclic; see repro._gc.
+    with collector_paused():
+        return [
+            TraceRecord(write if op else read, host, thread, file_id, offset, nblocks)
+            for op, host, thread, file_id, offset, nblocks in rows
+        ]
+
+
+def _file_bases(file_blocks: List[int]) -> List[int]:
+    """The global block number at which each file starts."""
+    return list(itertools.accumulate([0] + file_blocks[:-1])) if file_blocks else []
+
+
 class Trace:
     """An ordered list of records plus the file geometry they address.
 
@@ -95,7 +134,16 @@ class Trace:
     ``warmup_records`` is the count of leading records forming the
     warmup phase ("half of it being devoted to a warmup period for
     which statistics are not collected").
+
+    A trace built by :meth:`from_columns` keeps its packed columns:
+    ``len``, :meth:`hosts`, :meth:`without_warmup`, pickling and
+    :func:`~repro.traces.compiled.compile_trace` read them, and
+    ``records`` is built on first access.  Like a compiled trace, such
+    a trace's content must not be changed.
     """
+
+    #: The packed columns of a trace built by :meth:`from_columns`.
+    _columns: Optional["CompiledTrace"] = None
 
     def __init__(
         self,
@@ -109,14 +157,12 @@ class Trace:
                 "warmup_records %d out of range for %d records"
                 % (warmup_records, len(records))
             )
-        self.records: List[TraceRecord] = list(records)
+        self.records = list(records)
         self.file_blocks: List[int] = list(file_blocks)
         self.warmup_records = warmup_records
         self.metadata: Dict[str, str] = dict(metadata or {})
         # cumulative base block number per file
-        self._file_base: List[int] = list(
-            itertools.accumulate([0] + self.file_blocks[:-1])
-        ) if self.file_blocks else []
+        self._file_base = _file_bases(self.file_blocks)
         self._validate()
 
     def _validate(self) -> None:
@@ -139,6 +185,75 @@ class Trace:
                     )
                 )
 
+    @classmethod
+    def from_columns(
+        cls,
+        ops: array,
+        hosts: array,
+        threads: array,
+        file_ids: array,
+        offsets: array,
+        nblocks: array,
+        file_blocks: Sequence[int],
+        warmup_records: int = 0,
+        metadata: Optional[Dict[str, str]] = None,
+    ) -> "Trace":
+        """A trace backed by packed columns, one per record field.
+
+        The arrays have the compiled typecodes (``B`` for ``ops``, 1
+        for a write; ``Q`` for ``offsets``; ``I`` for the rest) and
+        become the trace's.  Their rows must pass the record path's
+        checks: a row covers at least one block (no field can be
+        negative in an unsigned array), names a file the trace has and
+        ends inside that file.  Otherwise the record path itself runs
+        over the rows and raises its error for the first bad one.  The
+        start-block column is derived here.
+        """
+        from repro.traces.compiled import CompiledTrace  # imports this module
+
+        file_blocks = list(file_blocks)
+        if nblocks and not (
+            min(nblocks) >= 1
+            and max(file_ids) < len(file_blocks)
+            and all(map(le, map(add, offsets, nblocks), map(file_blocks.__getitem__, file_ids)))
+        ):
+            # raises the record path's error for the first bad row
+            cls(records_from_rows(zip(ops, hosts, threads, file_ids, offsets, nblocks)), file_blocks)
+        bases = _file_bases(file_blocks)
+        starts = array("Q", map(add, map(bases.__getitem__, file_ids), offsets))
+        return cls._over(
+            CompiledTrace(
+                ops,
+                hosts,
+                threads,
+                file_ids,
+                offsets,
+                nblocks,
+                starts,
+                file_blocks,
+                warmup_records,
+                metadata or {},
+            )
+        )
+
+    @classmethod
+    def _over(cls, columns: "CompiledTrace") -> "Trace":
+        """A trace backed by ``columns``, whose rows are already checked."""
+        trace = cls.__new__(cls)
+        trace._columns = columns
+        trace.file_blocks = list(columns.file_blocks)
+        trace.warmup_records = columns.warmup_records
+        trace.metadata = dict(columns.metadata)
+        trace._file_base = _file_bases(trace.file_blocks)
+        return trace
+
+    @cached_property
+    def records(self) -> List[TraceRecord]:
+        """The records in trace order.  A trace built from records holds
+        them from the start; a columns-backed one builds them here, on
+        first access."""
+        return records_from_rows(self._columns.iter_records())
+
     # --- addressing ----------------------------------------------------
 
     def global_block(self, file_id: int, offset: int) -> int:
@@ -158,13 +273,16 @@ class Trace:
     # --- structure -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.records)
+        columns = self._columns
+        return len(self.records) if columns is None else len(columns)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
     def hosts(self) -> List[int]:
         """Sorted list of host ids appearing in the trace."""
+        if self._columns is not None:
+            return self._columns.hosts()
         return sorted({record.host for record in self.records})
 
     def threads_of(self, host: int) -> List[int]:
@@ -196,6 +314,8 @@ class Trace:
         """
         if self.warmup_records == 0:
             return self
+        if self._columns is not None:
+            return Trace._over(self._columns.without_warmup())
         return Trace(
             self.records[self.warmup_records :],
             self.file_blocks,
@@ -204,11 +324,13 @@ class Trace:
         )
 
     def __getstate__(self) -> Dict[str, object]:
-        # Drop the memoized compiled form: pickling it alongside the
-        # record list would double every spool/cache payload, and it is
-        # cheap to rebuild on the other side.
+        # Pickle one form only: a trace built from records drops its
+        # memoized compiled form, a columns-backed one any records it
+        # built.  Either is cheap to rebuild on the other side.
         state = dict(self.__dict__)
         state.pop("_compiled_trace", None)
+        if self._columns is not None:
+            state.pop("records", None)
         return state
 
     @property
@@ -218,7 +340,7 @@ class Trace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Trace %d records, %d files, warmup=%d>" % (
-            len(self.records),
+            len(self),
             len(self.file_blocks),
             self.warmup_records,
         )

@@ -6,15 +6,24 @@ clamp, Knuth's product loop).  :func:`oracle_requests` is the loop as
 it read before, built only from ``Random.randrange``,
 ``poisson_sample``, ``WorkingSet.sample_piece`` and
 ``WeightedSampler.sample``; on generated configurations both must yield
-the same request tuples.  The tests at the end check that trace
-generation and replay leave the cyclic collector as they found it.
+the same request tuples.
+
+``generate_trace`` packs those requests straight into columns;
+:func:`record_path_trace` builds the same trace one ``TraceRecord`` per
+request, as the generator did before, and both must compile to the
+same columns.  Further tests check that no record object is built from
+generation to results, that a columns-backed trace pickles and rejects
+bad rows as the record path does, and that trace generation and replay
+leave the cyclic collector as they found it.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import pickle
 import random
+from array import array
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Iterator, Tuple
@@ -25,18 +34,24 @@ from hypothesis import strategies as st
 
 from repro._units import MB
 from repro.core.machine import System
+from repro.core.simulator import run_simulation
 from repro.engine.rng import RngStreams, derive_seed
+from repro.errors import TraceFormatError
 from repro.fsmodel.distributions import WeightedSampler, poisson_sample
 from repro.fsmodel.files import FileSystemModel
 from repro.fsmodel.impressions import ImpressionsConfig, generate_filesystem
 from repro.tracegen import generator
 from repro.tracegen.config import TraceGenConfig
+from repro.tracegen.fleet import SCENARIOS, FleetSpec, fleet_trace
 from repro.tracegen.generator import (
     Request,
     _build_working_sets,
     _iter_requests,
+    _trace_metadata,
     generate_trace,
 )
+from repro.traces.compiled import ROW_TYPECODES, compile_trace
+from repro.traces.records import Trace, TraceOp, TraceRecord, records_from_rows
 from tests.helpers import tiny_config
 
 FS = ImpressionsConfig(total_bytes=16 * MB, max_file_bytes=1 * MB, seed=3)
@@ -161,6 +176,108 @@ def test_boundary_draws_equal_the_helpers(io_mean_blocks, ws_fraction):
     assert inlined == list(oracle_requests(config, model, _boundary_streams(config)))
 
 
+# --- packed columns against the record path -------------------------------
+
+
+def record_path_trace(config: TraceGenConfig, model: FileSystemModel) -> Trace:
+    """The trace built one ``TraceRecord`` per request."""
+    records = []
+    warmup_records = 0
+    for is_write, host, thread, file_id, start, length, is_warmup in _iter_requests(
+        config, model, RngStreams(config.seed)
+    ):
+        op = TraceOp.WRITE if is_write else TraceOp.READ
+        records.append(TraceRecord(op, host, thread, file_id, start, length))
+        warmup_records += is_warmup
+    return Trace(records, model.file_blocks(), warmup_records, _trace_metadata(config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=CONFIGS)
+def test_packed_columns_equal_the_record_path(config):
+    model = _model()
+    packed = generate_trace(config, model)
+    reference = record_path_trace(config, model)
+    assert "records" not in packed.__dict__
+    assert packed.warmup_records == reference.warmup_records
+    packed_columns, reference_columns = compile_trace(packed), compile_trace(reference)
+    assert packed_columns.fingerprint == reference_columns.fingerprint
+    # the fingerprint leaves out the derived start column
+    assert packed_columns.start_blocks == reference_columns.start_blocks
+    assert packed.records == reference.records
+
+
+def _small_config() -> TraceGenConfig:
+    return TraceGenConfig(fs=FS, working_set_bytes=1 * MB, n_hosts=2, seed=5)
+
+
+SMALL_FLEET = FleetSpec(n_hosts=4, n_tenants=2, ws_bytes=1 * MB, volume_multiple=1.0)
+
+
+@pytest.mark.parametrize("cold_start", [False, True])
+@pytest.mark.parametrize("source", ("generated",) + SCENARIOS)
+def test_no_record_object_from_generation_to_results(source, cold_start, monkeypatch):
+    built = []
+    init = TraceRecord.__init__
+
+    def counted(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counted)
+    if source == "generated":
+        trace, n_hosts = generate_trace(_small_config(), _model()), 2
+    else:
+        trace, n_hosts = fleet_trace(SMALL_FLEET, source), SMALL_FLEET.n_hosts
+    compile_trace(trace).issuer_plan()
+    results = run_simulation(
+        trace, tiny_config(), n_hosts=n_hosts, cold_start=cold_start, check_invariants=False
+    )
+    assert results.blocks_read + results.blocks_written > 0
+    assert built == []
+    # the hook sees records built on request
+    assert len(trace.records) == len(built) == len(trace)
+
+
+def test_pickle_keeps_a_trace_whose_records_were_never_built():
+    trace = generate_trace(_small_config(), _model())
+    clone = pickle.loads(pickle.dumps(trace))
+    assert "records" not in trace.__dict__ and "records" not in clone.__dict__
+    assert compile_trace(clone).fingerprint == compile_trace(trace).fingerprint
+    assert clone.warmup_records == trace.warmup_records
+    assert clone.records == trace.records
+
+
+#: Rows (op, host, thread, file_id, offset, nblocks) over files of 10 and
+#: 20 blocks, each list with one or two bad rows after good ones.
+BAD_ROWS = {
+    "zero-length": [(0, 0, 0, 1, 4, 0)],
+    "past-the-end": [(1, 0, 1, 0, 8, 3)],
+    "missing-file": [(0, 1, 0, 2, 0, 1)],
+    "past-the-end-then-missing-file": [(0, 0, 0, 1, 19, 2), (0, 0, 0, 5, 0, 1)],
+    "missing-file-then-zero-length": [(0, 0, 0, 7, 0, 1), (0, 0, 0, 0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+def test_columns_raise_the_record_path_errors(bad):
+    rows = [(0, 0, 0, 0, 0, 10), (1, 1, 0, 1, 5, 15)] + BAD_ROWS[bad] + [(0, 0, 1, 1, 0, 1)]
+    file_blocks = [10, 20]
+    with pytest.raises(TraceFormatError) as by_records:
+        Trace(records_from_rows(rows), file_blocks)
+    columns = [array(typecode, field) for typecode, field in zip(ROW_TYPECODES, zip(*rows))]
+    with pytest.raises(TraceFormatError) as by_columns:
+        Trace.from_columns(*columns, file_blocks)
+    assert str(by_columns.value) == str(by_records.value)
+
+
+def test_a_field_too_large_for_its_column_is_a_format_error():
+    # thread ids from 2**33 threads per host do not fit the 32-bit column
+    config = TraceGenConfig(fs=FS, working_set_bytes=1 * MB, threads_per_host=2**33, seed=5)
+    with pytest.raises(TraceFormatError, match="too large"):
+        compile_trace(generate_trace(config, _model()))
+
+
 # --- the collector pause ---------------------------------------------------
 
 
@@ -173,10 +290,6 @@ def _collector(enabled: bool) -> Iterator[None]:
         yield
     finally:
         (gc.enable if was_enabled else gc.disable)()
-
-
-def _small_config() -> TraceGenConfig:
-    return TraceGenConfig(fs=FS, working_set_bytes=1 * MB, n_hosts=2, seed=5)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

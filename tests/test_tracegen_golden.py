@@ -7,7 +7,9 @@ generates a seeds x geometries matrix through both entry points
 ``generate_trace_chunked(cfg)``), every :func:`fleet_trace` scenario
 and the ledger's miss-heavy file-server model, and requires every
 fingerprint to equal the one recorded in
-``tests/tracegen_golden.json``.
+``tests/tracegen_golden.json``.  Every trace's records, which a
+columns-backed trace builds on first access, must compile back to that
+fingerprint too.
 
 It needs no pytest, so it also runs under interpreters without one::
 
@@ -31,6 +33,7 @@ from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.fleet import SCENARIOS, FleetSpec, fleet_trace
 from repro.tracegen.generator import generate_trace, generate_trace_chunked
 from repro.traces.compiled import compile_trace
+from repro.traces.records import Trace
 
 GOLDEN = Path(__file__).with_name("tracegen_golden.json")
 
@@ -63,23 +66,36 @@ def _config(seed: int, geometry: str) -> TraceGenConfig:
     )
 
 
-def _materialized(config: TraceGenConfig) -> str:
-    return compile_trace(generate_trace(config)).fingerprint
+#: A point's fingerprints: the trace's own, then (for a trace) the one
+#: its records compile to.
+Prints = Tuple[str, ...]
 
 
-def _chunked(config: TraceGenConfig) -> str:
+def _from_records(trace: Trace) -> str:
+    """The fingerprint of ``trace`` rebuilt from its records."""
+    rebuilt = Trace(trace.records, trace.file_blocks, trace.warmup_records, trace.metadata)
+    return compile_trace(rebuilt).fingerprint
+
+
+def _materialized(config: TraceGenConfig) -> Prints:
+    trace = generate_trace(config)
+    return compile_trace(trace).fingerprint, _from_records(trace)
+
+
+def _chunked(config: TraceGenConfig) -> Prints:
     trace = generate_trace_chunked(config, chunk_records=1000)
     try:
-        return trace.fingerprint
+        return trace.fingerprint, _from_records(trace.to_trace())
     finally:
         trace.delete()
 
 
-def _fleet(spec: FleetSpec, scenario: str) -> str:
-    return compile_trace(fleet_trace(spec, scenario)).fingerprint
+def _fleet(spec: FleetSpec, scenario: str) -> Prints:
+    trace = fleet_trace(spec, scenario)
+    return compile_trace(trace).fingerprint, _from_records(trace)
 
 
-def _miss_heavy_filesystem() -> str:
+def _miss_heavy_filesystem() -> Prints:
     model = generate_filesystem(
         ImpressionsConfig(
             total_bytes=_MISS_HEAVY_FS_BYTES,
@@ -87,11 +103,11 @@ def _miss_heavy_filesystem() -> str:
         )
     )
     payload = json.dumps([model.file_blocks(), model.popularities()]).encode()
-    return hashlib.sha256(payload).hexdigest()
+    return (hashlib.sha256(payload).hexdigest(),)
 
 
-def golden_points() -> Iterator[Tuple[str, Callable[[], str]]]:
-    """Every point of the matrix: (name, fingerprint thunk)."""
+def golden_points() -> Iterator[Tuple[str, Callable[[], Prints]]]:
+    """Every point of the matrix: (name, fingerprints thunk)."""
     for seed in SEEDS:
         for geometry in GEOMETRIES:
             config = _config(seed, geometry)
@@ -108,20 +124,23 @@ def golden_points() -> Iterator[Tuple[str, Callable[[], str]]]:
     yield "filesystem/miss_heavy", _miss_heavy_filesystem
 
 
-def golden_fingerprints() -> Dict[str, str]:
+def golden_fingerprints() -> Dict[str, Prints]:
     return {name: thunk() for name, thunk in golden_points()}
 
 
 def mismatches() -> Dict[str, Tuple[str, str]]:
-    """Points whose fingerprint differs from the recorded one:
+    """Points with a fingerprint other than the recorded one:
     name -> (recorded, found); a missing or extra point counts too."""
     recorded = json.loads(GOLDEN.read_text())
     found = golden_fingerprints()
-    return {
-        name: (recorded.get(name, "<absent>"), found.get(name, "<absent>"))
-        for name in sorted(set(recorded) | set(found))
-        if recorded.get(name) != found.get(name)
-    }
+    bad = {}
+    for name in sorted(set(recorded) | set(found)):
+        want = recorded.get(name, "<absent>")
+        for got in found.get(name, ("<absent>",)):
+            if got != want:
+                bad[name] = (want, got)
+                break
+    return bad
 
 
 def test_every_fingerprint_matches():
@@ -137,7 +156,12 @@ def test_chunked_matches_materialized():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(json.dumps(golden_fingerprints(), indent=1, sort_keys=True) + "\n")
+        found = golden_fingerprints()
+        split = sorted(name for name, prints in found.items() if len(set(prints)) > 1)
+        if split:
+            sys.exit("records compile to another fingerprint: %s" % ", ".join(split))
+        golden = {name: prints[0] for name, prints in found.items()}
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         print("wrote %s" % GOLDEN)
     elif sys.argv[1:]:
         sys.exit("usage: python tests/test_tracegen_golden.py [--write]")
