@@ -266,8 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--chunk-records",
         type=int,
         default=None,
-        help="chunk size override (default: REPRO_TRACE_CHUNK_RECORDS or %d)"
-        % 65536,
+        help="records per chunk (default: %d)" % 65536,
     )
     parser.add_argument(
         "--out",

@@ -7,8 +7,9 @@ the two costs the compiled-trace work attacks:
 * **replay** — one pinned-seed ~1M-record replay of the packed columnar
   form (``repro.traces.compiled``), with its full result signature;
 * **distribution** — a 49-point writeback-policy-matrix sweep, run the
-  legacy way (fresh pool per call, disk-spooled traces) and the current
-  way (warm persistent pool, zero-copy shared-memory fan-out).  The
+  legacy way (fresh pool per call, the trace pickled to disk and
+  unpickled by every worker) and the current way (warm persistent pool,
+  one compiled-trace file every worker maps zero-copy).  The
   figure of merit is *overhead*: sweep wall time minus the ideal
   parallel simulation time (summed per-point busy time divided by the
   usable cores), i.e. everything the engine adds on top of simulating;
@@ -38,7 +39,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -51,12 +54,7 @@ from repro._units import MB  # noqa: E402
 from repro.core.config import SimConfig, WritebackPolicy  # noqa: E402
 from repro.core.simulator import run_simulation  # noqa: E402
 from repro.fsmodel.impressions import ImpressionsConfig  # noqa: E402
-from repro.sweep import (  # noqa: E402
-    NO_SHM_ENV,
-    SweepPoint,
-    run_sweep_points,
-    shutdown_pool,
-)
+from repro.sweep import SweepPoint, run_sweep_points, shutdown_pool  # noqa: E402
 from repro.tracegen.config import TraceGenConfig  # noqa: E402
 from repro.tracegen.generator import generate_trace  # noqa: E402
 from repro.traces.compiled import compile_trace  # noqa: E402
@@ -235,10 +233,9 @@ def _bench_replay(fast: bool, repeats: int) -> Dict:
 # --- distribution: fan-out overhead of a 49-point sweep ------------------
 
 
-def _timed_sweep(
-    points, workers: int, repeats: int, fresh_pool: bool, busy_serial: float
-) -> Dict:
-    """Best-of-``repeats`` overhead of one sweep execution mode.
+def _timed_sweep(sweep, workers: int, repeats: int, busy_serial: float) -> Dict:
+    """Best-of-``repeats`` overhead of one sweep execution mode;
+    ``sweep()`` runs the whole sweep and returns its outcome.
 
     ``overhead = wall - busy_serial / usable_cores``: what the engine
     spends on worker startup, trace distribution and result collection
@@ -251,7 +248,7 @@ def _timed_sweep(
     best = None
     for _ in range(repeats):
         start = time.perf_counter()
-        outcome = run_sweep_points(points, workers=workers, fresh_pool=fresh_pool)
+        outcome = sweep()
         wall = time.perf_counter() - start
         overhead = max(0.0, wall - busy_serial / usable)
         if best is None or overhead < best[0]:
@@ -268,7 +265,8 @@ def _timed_sweep(
 def _bench_distribution(fast: bool, workers: int, repeats: int) -> Dict:
     volume_multiple = 2.0 if fast else 8.0
     trace = generate_trace(_bench_trace(volume_multiple))
-    points = [SweepPoint(config=config, trace=trace) for config in _policy_matrix()]
+    configs = _policy_matrix()
+    points = [SweepPoint(config=config, trace=trace) for config in configs]
 
     # Contention-free busy reference + the ground-truth results both
     # execution modes must reproduce exactly.
@@ -277,26 +275,31 @@ def _bench_distribution(fast: bool, workers: int, repeats: int) -> Dict:
     busy_serial = time.perf_counter() - start
 
     # Legacy mode: what every sweep paid before this engine existed —
-    # a worker pool spawned per call and traces spooled through disk.
-    saved = os.environ.get(NO_SHM_ENV)
-    os.environ[NO_SHM_ENV] = "1"
-    try:
-        shutdown_pool()
-        legacy = _timed_sweep(
-            points, workers, repeats, fresh_pool=True, busy_serial=busy_serial
-        )
-    finally:
-        if saved is None:
-            os.environ.pop(NO_SHM_ENV, None)
-        else:
-            os.environ[NO_SHM_ENV] = saved
+    # a worker pool spawned per call, and the trace pickled to disk (in
+    # the timed call) for every worker to unpickle its own copy.
+    def legacy_sweep():
+        with tempfile.TemporaryDirectory(prefix="sweep-bench-") as spool:
+            pickled = os.path.join(spool, "trace.pkl")
+            with open(pickled, "wb") as handle:
+                pickle.dump(trace, handle, protocol=4)
+            return run_sweep_points(
+                [SweepPoint(config=config, trace=pickled) for config in configs],
+                workers=workers,
+                fresh_pool=True,
+            )
+
+    shutdown_pool()
+    legacy = _timed_sweep(legacy_sweep, workers, repeats, busy_serial)
 
     # Current mode: persistent pool (warmed once, as steady-state sweeps
-    # see it) + zero-copy shared-memory fan-out.
+    # see it) + one compiled-trace file every worker maps zero-copy.
     shutdown_pool()
     run_sweep_points(points[:workers], workers=workers)  # warm the pool
     current = _timed_sweep(
-        points, workers, repeats, fresh_pool=False, busy_serial=busy_serial
+        lambda: run_sweep_points(points, workers=workers),
+        workers,
+        repeats,
+        busy_serial,
     )
 
     legacy_results = legacy.pop("outcome").results

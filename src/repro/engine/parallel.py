@@ -1,10 +1,11 @@
 """Parallel intra-simulation replay: shard hosts across worker processes.
 
 One large multi-host simulation is split into host *groups*, each group
-replays in a worker from the persistent sweep pool
-(:mod:`repro.sweep` — the same zero-copy shared-memory trace fan-out),
-and the parent computes results from the groups' raw meters with the
-serial path's own :func:`~repro.core.simulator.results_from_meters`.
+replays in a worker from the persistent sweep pool (:mod:`repro.sweep`
+— the same hand-off: the trace is written once as a compiled-trace
+file that every worker maps read-only), and the parent computes
+results from the groups' raw meters with the serial path's own
+:func:`~repro.core.simulator.results_from_meters`.
 The output is **bit-identical** to the serial replay; the differential
 harness's ``parallel-replay-identity`` check pins that.
 
@@ -256,7 +257,7 @@ def try_parallel_replay(
         )
         return None
 
-    with sweep._trace_exports(None) as export:
+    with sweep._trace_exports() as export:
         ref = export(trace)
         pool, owned = sweep._acquire_pool(min(workers, len(groups)), False)
         if pool is None:

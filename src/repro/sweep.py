@@ -21,19 +21,17 @@ sweeps: the first parallel sweep pays the worker spawn cost, later
 sweeps reuse the warm workers (``fresh_pool=True`` opts a call out;
 :func:`shutdown_pool` retires the pool explicitly).  Tasks are
 spawn-safe: what crosses the process boundary is a *picklable*
-``SimConfig`` plus a **trace reference**, never a live simulator
-object.  In-memory traces are compiled to the packed columnar form
-(:mod:`repro.traces.compiled`) and published once per unique trace in
-POSIX shared memory, where every worker attaches *zero-copy* — no
-per-worker pickle, no disk round-trip; the parent unlinks each segment
-when the sweep finishes (error and Ctrl-C included), and the kernel
-frees the pages once the last worker detaches.  When shared memory is
-unavailable (``REPRO_SWEEP_NO_SHM=1``, exotic platforms), traces spool
-to disk exactly as before.  Workers memoize attached/loaded traces
-per reference.  Every simulation point is fully deterministic given
-its inputs (per-run seeds live in ``SimConfig`` / the trace), so
-parallel and serial execution produce bit-identical results; outputs
-are merged back in submission order.
+``SimConfig`` plus a **trace path**, never a live simulator object.
+An in-memory trace is compiled to the packed columnar form
+(:mod:`repro.traces.compiled`) and written once per distinct content
+as a compiled-trace file, ``<fingerprint>.ctrace``, in a temporary
+directory removed when the sweep ends (error and Ctrl-C included).
+Every worker maps that file read-only and attaches it *zero-copy*, so
+all workers share its pages.  Workers memoize attached/loaded traces
+per path.  Every simulation point is fully
+deterministic given its inputs (per-run seeds live in ``SimConfig`` /
+the trace), so parallel and serial execution produce bit-identical
+results; outputs are merged back in submission order.
 
 Execution falls back to in-process serial replay when ``workers <= 1``,
 when there is at most one uncached point, or when the platform cannot
@@ -60,9 +58,10 @@ import atexit
 import contextlib
 import functools
 import hashlib
-import multiprocessing
+import mmap
 import os
 import pickle
+import shutil
 import tempfile
 import threading
 import time
@@ -95,19 +94,18 @@ __all__ = [
 
 TraceLike = Union[Trace, CompiledTrace, ChunkedCompiledTrace, str, Path]
 
-#: A picklable handle a worker resolves to a trace: ``("path", path)``
-#: for an on-disk trace (text/binary/pickle spool, or a chunked-trace
-#: spool *directory* workers reopen with bounded memory) or
-#: ``("shm", segment_name, payload_bytes)`` for a compiled trace
-#: published in POSIX shared memory.
-TraceRef = Tuple
+#: The path a worker resolves to a trace: a compiled-trace file
+#: (:data:`CTRACE_SUFFIX`, mapped read-only), a chunked-trace spool
+#: *directory* (reopened with bounded memory), or a text, binary or
+#: pickled trace file.
+TraceRef = str
+
+#: Suffix of the compiled-trace files in-memory traces are exported as.
+CTRACE_SUFFIX = ".ctrace"
 
 #: Environment knobs (both overridable per call and via the setters).
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 CACHE_ENV = "REPRO_SWEEP_CACHE"
-#: Set (to anything but ``0``) to disable the shared-memory fan-out and
-#: always spool traces to disk.
-NO_SHM_ENV = "REPRO_SWEEP_NO_SHM"
 
 _default_workers: Optional[int] = None
 _default_cache_dir: Optional[Path] = None
@@ -125,8 +123,8 @@ class SweepPoint:
     ``trace`` may be an in-memory :class:`Trace`, a pre-compiled
     :class:`~repro.traces.compiled.CompiledTrace`, a bounded-memory
     :class:`~repro.traces.chunked.ChunkedCompiledTrace`, or a path to a
-    saved trace file (text, binary, pickle spool, or a chunked-spool
-    directory).  The remaining fields mirror
+    saved trace file (text, binary, pickle, a compiled-trace file, or a
+    chunked-spool directory).  The remaining fields mirror
     :func:`repro.run_simulation`'s keyword-only options.
     """
 
@@ -259,24 +257,14 @@ def _normalize_workers(workers: int) -> int:
 
 
 def trace_fingerprint(trace: Union[Trace, CompiledTrace, ChunkedCompiledTrace]) -> str:
-    """A stable content hash of a trace (records, geometry, warmup).
-
-    Computed over the packed columnar form's flat buffers — a handful
-    of digest updates instead of a per-record ``struct.pack`` loop —
-    and memoized on the trace object: experiment sweeps reuse one trace
-    across dozens of points, and hashing a large trace repeatedly would
-    rival the simulation cost.  The compiled form this builds is itself
-    memoized, so fingerprinting a trace that is about to fan out is
-    free work, not extra work.
-    """
-    if isinstance(trace, (CompiledTrace, ChunkedCompiledTrace)):
+    """A stable content hash of a trace (records, geometry, warmup): the
+    fingerprint of its compiled form, over the packed columns' flat
+    buffers.  :func:`compile_trace` memoizes that form on the trace and
+    the form memoizes its fingerprint, so a trace reused across dozens
+    of points is hashed once."""
+    if isinstance(trace, ChunkedCompiledTrace):
         return trace.fingerprint
-    cached = trace.__dict__.get("_sweep_fingerprint")
-    if cached is not None:
-        return cached
-    fingerprint = compile_trace(trace).fingerprint
-    trace.__dict__["_sweep_fingerprint"] = fingerprint
-    return fingerprint
+    return compile_trace(trace).fingerprint
 
 
 def _code_digest(root: Path, result_fields: Sequence[str]) -> str:
@@ -322,16 +310,16 @@ def _point_fingerprint(trace_print: str, point: SweepPoint) -> str:
 
 #: Per-worker memo of resolved traces, keyed by :data:`TraceRef`.  Each
 #: entry is ``(trace, cleanup)`` where ``cleanup`` (may be ``None``)
-#: detaches shared-memory resources when the entry is evicted.  Sweeps
-#: ship at most a handful of distinct traces, so a tiny cap suffices;
-#: insertion order doubles as age, and the oldest entry is evicted —
-#: with its cleanup run — when the cap is hit.
-_WORKER_TRACE_CACHE: Dict[TraceRef, Tuple[object, Optional[Callable[[], None]]]] = {}
+#: releases the trace's map or file handle when the entry is evicted.
+#: Sweeps ship at most a handful of distinct traces, so a tiny cap
+#: suffices; insertion order doubles as age, and the oldest entry is
+#: evicted — with its cleanup run — when the cap is hit.
+_WORKER_TRACE_CACHE: Dict[object, Tuple[object, Optional[Callable[[], None]]]] = {}
 _WORKER_TRACE_CACHE_MAX = 8
 
 
 def _load_trace_path(path: str):
-    """Load one trace file (pickle spool, chunked spool dir, or text)."""
+    """Load one trace file (pickle, chunked spool dir, or text/binary)."""
     if os.path.isdir(path):
         # A chunked-trace spool directory: reopen with bounded memory
         # instead of materializing the records.
@@ -344,41 +332,25 @@ def _load_trace_path(path: str):
     return load_trace(path)
 
 
-def _attach_shm_trace(name: str, nbytes: int):
-    """Attach a compiled trace published in shared memory, zero-copy.
+def _attach_ctrace(path: str):
+    """Map a compiled-trace file read-only and attach it, zero-copy.
 
     Returns ``(trace, cleanup)``; ``cleanup`` releases the trace's
-    buffer views *before* closing the mapping (closing first would
-    raise ``BufferError`` — memoryviews pin the mmap).
-
-    On 3.13+ the attach passes ``track=False``: the sweep parent owns
-    the segment's lifetime.  Before 3.13 attaching registers with the
-    resource tracker unconditionally — but workers share the parent's
-    tracker process (its fd is inherited through the pool machinery),
-    so the registration collapses into the parent's own and the
-    parent's ``unlink()`` retires it exactly once.  Explicitly
-    unregistering here would strip that shared entry early and break
-    the tracker's leaked-segment safety net.
+    column views *before* closing the map (a live view pins the map,
+    and closing it first raises ``BufferError``).  Every worker that
+    maps the file shares its page-cache pages.
     """
-    from multiprocessing import shared_memory
-
+    with open(path, "rb") as handle:
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        segment = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        segment = shared_memory.SharedMemory(name=name)
-    try:
-        # The segment may be rounded up to a page multiple; the payload
-        # length travels in the ref.
-        view = memoryview(segment.buf)[:nbytes]
-        trace = CompiledTrace.from_buffer(view)
+        trace = CompiledTrace.from_buffer(mapped)
     except BaseException:
-        segment.close()
+        mapped.close()
         raise
 
-    def cleanup(trace=trace, view=view, segment=segment):
+    def cleanup():
         trace.release()
-        view.release()
-        segment.close()
+        mapped.close()
 
     return trace, cleanup
 
@@ -401,12 +373,12 @@ def _memoized_trace(key, load: Callable[[], Tuple[object, Optional[Callable[[], 
 
 
 def _load_trace_ref(ref: TraceRef):
-    """Resolve a trace reference, memoized per worker process."""
+    """Resolve a trace path, memoized per worker process."""
 
     def load():
-        if ref[0] == "shm":
-            return _attach_shm_trace(ref[1], ref[2])
-        trace = _load_trace_path(ref[1])
+        if ref.endswith(CTRACE_SUFFIX):
+            return _attach_ctrace(ref)
+        trace = _load_trace_path(ref)
         # Eviction must release a chunked spool's row-file handle.
         return trace, trace.close if isinstance(trace, ChunkedCompiledTrace) else None
 
@@ -414,14 +386,13 @@ def _load_trace_ref(ref: TraceRef):
 
 
 def _drain_worker_cache() -> int:
-    """Release every cached trace attachment; returns how many entries
-    were evicted.
+    """Release every cached trace — each attached trace's views before
+    its map, each chunked spool's file handle — and return how many
+    entries were evicted.
 
-    Without this, interpreter teardown reaches ``SharedMemory.__del__``
-    while the trace's memoryviews are still alive and ``close`` raises
-    ``BufferError: cannot close exported pointers exist``.  Registered
-    via ``atexit`` (module import happens in every worker), harmless in
-    processes that never resolved a trace ref.
+    Registered via ``atexit``, so a process that exits normally (the
+    parent, after serial points) releases its traces in order.  Pool
+    workers exit via ``os._exit``; the kernel unmaps their files.
     """
     drained = 0
     while _WORKER_TRACE_CACHE:
@@ -436,52 +407,6 @@ def _drain_worker_cache() -> int:
 
 
 atexit.register(_drain_worker_cache)
-
-
-def _drain_at_barrier(barrier) -> Tuple[int, int]:
-    """Pool task: drain this worker's trace cache, then rendezvous.
-
-    The barrier forces each of the pool's workers to claim exactly one
-    of the ``n_workers`` copies of this task — a worker that finished
-    its drain cannot grab a second copy until every other worker has
-    arrived — so a broadcast of ``n_workers`` tasks provably reaches
-    every worker.  Returns ``(pid, evicted_count)``.
-    """
-    drained = _drain_worker_cache()
-    try:
-        barrier.wait(timeout=30)
-    except Exception:  # pragma: no cover - a peer died; drain still done
-        pass
-    return os.getpid(), drained
-
-
-def _drain_pool_caches(pool, n_workers: int) -> List[Tuple[int, int]]:
-    """Broadcast a cache drain to every worker of a live pool.
-
-    Worker processes exit via ``os._exit`` when their pool is shut
-    down, skipping ``atexit`` — so an idle persistent pool would keep
-    already-unlinked shared-memory segments mapped (and spool file
-    handles open) until interpreter exit.  Called from the pool
-    teardown paths; returns the per-worker ``(pid, evicted)`` pairs, or
-    ``[]`` when the pool is a stand-in or the platform can't provide
-    the rendezvous barrier.
-    """
-    if not hasattr(pool, "_processes") or n_workers < 1:
-        return []  # a test stand-in, not a real worker pool
-    try:
-        manager = multiprocessing.Manager()
-    except Exception:  # pragma: no cover - no fork/spawn available
-        return []
-    try:
-        barrier = manager.Barrier(n_workers)
-        futures = [
-            pool.submit(_drain_at_barrier, barrier) for _ in range(n_workers)
-        ]
-        return [future.result(timeout=30) for future in futures]
-    except Exception:  # pragma: no cover - defensive: teardown must not fail
-        return []
-    finally:
-        manager.shutdown()
 
 
 def _run_point_task(
@@ -594,9 +519,7 @@ def run_sweep_points(
     # --- execute the misses -------------------------------------------
     if pending:
         if n_workers > 1 and len(pending) > 1:
-            executed = _execute_parallel(
-                points, pending, n_workers, cache_path, fresh_pool
-            )
+            executed = _execute_parallel(points, pending, n_workers, fresh_pool)
         else:
             executed = _execute_serial(points, pending)
         for (index, key), (result, wall) in zip(pending, executed):
@@ -690,7 +613,7 @@ def _execute_serial(
         point = points[index]
         trace = point.trace
         if not isinstance(trace, (Trace, CompiledTrace, ChunkedCompiledTrace)):
-            trace = _load_trace_ref(("path", str(trace)))
+            trace = _load_trace_ref(str(trace))
         started = time.perf_counter()
         result = run_simulation(trace, point.config, **point.run_options())
         executed.append((result, time.perf_counter() - started))
@@ -774,18 +697,15 @@ def _discard_pool() -> None:
 def shutdown_pool() -> None:
     """Retire the persistent worker pool (idempotent).
 
-    Waits for in-flight work, releases the worker processes and
-    whatever they hold (cached trace attachments included).  The next
-    parallel sweep simply spawns a new pool.  Registered via ``atexit``
-    so interpreter shutdown is always clean.
+    Waits for in-flight work and releases the worker processes; the
+    kernel unmaps whatever traces they had attached.  The next parallel
+    sweep simply spawns a new pool.  Registered via ``atexit`` so
+    interpreter shutdown is always clean.
     """
     global _POOL, _POOL_WORKERS
-    pool, workers, _POOL, _POOL_WORKERS = _POOL, _POOL_WORKERS, None, 0
+    pool, _POOL, _POOL_WORKERS = _POOL, None, 0
     if pool is None:
         return
-    # Workers exit via os._exit (no atexit), so evict their cached
-    # trace attachments explicitly before releasing the processes.
-    _drain_pool_caches(pool, workers)
     try:
         pool.shutdown(wait=True)
     except Exception:  # pragma: no cover - defensive: exit must not fail
@@ -797,9 +717,6 @@ atexit.register(shutdown_pool)
 
 def _dispose_owned_pool(pool) -> None:
     """Shut down a single-sweep pool; tolerate minimal stand-ins."""
-    workers = getattr(pool, "_max_workers", 0)
-    if workers:
-        _drain_pool_caches(pool, workers)
     shutdown = getattr(pool, "shutdown", None)
     if shutdown is None:
         return
@@ -842,50 +759,52 @@ def _pool_session(pool, owned: bool):
 
 
 @contextlib.contextmanager
-def _trace_exports(cache_path: Optional[Path]):
+def _trace_exports():
     """Yield ``export(trace) -> TraceRef`` for traces bound for pool
     workers.
 
-    In-memory traces are published once per distinct content in shared
-    memory (workers attach zero-copy), or spooled to disk where shared
-    memory is unusable; the segments are closed and unlinked, and a
-    spool directory made here removed, on *every* exit path — normal
-    completion, a failing point, Ctrl-C — so nothing outlives the
-    fan-out.
+    An in-memory trace is written once per distinct content as a
+    compiled-trace file, ``<fingerprint>.ctrace``, into a temporary
+    directory made on first use and removed on *every* exit path —
+    normal completion, a failing point, Ctrl-C.  The result cache is
+    never written here, so an unwritable cache only disables caching.
+    A chunked trace is already on disk, so workers reopen its spool
+    directory and each replay stays bounded by its chunk window; a path
+    passes through untouched.
     """
-    refs: Dict[str, TraceRef] = {}
-    segments: List = []
-    spool_state: List = [None, False]  # lazily created spool directory
-    try:
-        yield lambda trace: _trace_ref(trace, refs, segments, spool_state, cache_path)
-    finally:
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-            try:
-                segment.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        spool_dir, created_spool = spool_state
-        if created_spool and spool_dir is not None:
-            import shutil
+    spool: Optional[Path] = None
 
-            shutil.rmtree(spool_dir, ignore_errors=True)
+    def export(trace: TraceLike) -> TraceRef:
+        nonlocal spool
+        if isinstance(trace, ChunkedCompiledTrace):
+            return str(trace.spool_dir)
+        if not isinstance(trace, (Trace, CompiledTrace)):
+            return str(trace)
+        compiled = compile_trace(trace)
+        if spool is None:
+            spool = Path(tempfile.mkdtemp(prefix="repro-sweep-"))
+        path = spool / (compiled.fingerprint + CTRACE_SUFFIX)
+        if not path.exists():
+            _atomic_write(path, compiled.to_bytes())
+        return str(path)
+
+    try:
+        yield export
+    finally:
+        if spool is not None:
+            shutil.rmtree(spool, ignore_errors=True)
 
 
 def _execute_parallel(
     points: Sequence[SweepPoint],
     pending: Sequence[Tuple[int, str]],
     n_workers: int,
-    cache_path: Optional[Path],
     fresh_pool: bool,
 ) -> List[Tuple[SimulationResults, float]]:
     """Fan pending points over a process pool; fall back to serial when
     the platform can't give us one (no fork/spawn, sandboxed, ...).
     Traces travel through :func:`_trace_exports`."""
-    with _trace_exports(cache_path) as export:
+    with _trace_exports() as export:
         tasks = []
         for position, (index, _key) in enumerate(pending):
             point = points[index]
@@ -921,150 +840,6 @@ def _execute_parallel(
 def _chunksize(n_tasks: int, n_workers: int) -> int:
     """Batch tasks to amortize IPC without starving the pool's tail."""
     return max(1, n_tasks // (n_workers * 4))
-
-
-# --------------------------------------------------------------------------
-# Shared-memory fan-out
-# --------------------------------------------------------------------------
-
-_shm_usable: Optional[bool] = None
-_shm_counter = 0
-
-
-def _shm_available() -> bool:
-    """Is the zero-copy shared-memory fan-out usable here?
-
-    ``REPRO_SWEEP_NO_SHM`` force-disables it (checked every call so
-    tests can flip it); the platform probe — create, attach by name,
-    destroy a tiny segment — runs once per process.
-    """
-    if os.environ.get(NO_SHM_ENV, "").strip() not in ("", "0"):
-        return False
-    global _shm_usable
-    if _shm_usable is None:
-        _shm_usable = _probe_shm()
-    return _shm_usable
-
-
-def _probe_shm() -> bool:
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(
-            name=_shm_segment_name("0" * 12), create=True, size=16
-        )
-        try:
-            segment.buf[:4] = b"ping"
-            try:
-                peer = shared_memory.SharedMemory(name=segment.name, track=False)
-            except TypeError:  # Python < 3.13
-                peer = shared_memory.SharedMemory(name=segment.name)
-            ok = bytes(peer.buf[:4]) == b"ping"
-            peer.close()
-            return ok
-        finally:
-            segment.close()
-            segment.unlink()
-    except Exception:
-        return False
-
-
-def _shm_segment_name(tag: str) -> str:
-    """A collision-free segment name: content tag + pid + counter.
-
-    The pid/counter keep concurrent sweeps (and repeated sweeps of the
-    same trace in one process) from colliding; the leading ``repro-ct-``
-    prefix makes leak audits a name scan.
-    """
-    global _shm_counter
-    _shm_counter += 1
-    return "repro-ct-%s-%d-%d" % (tag, os.getpid(), _shm_counter)
-
-
-def _shm_export(trace: Union[Trace, CompiledTrace], segments: List) -> Optional[TraceRef]:
-    """Publish a trace's compiled wire image in a shared-memory segment.
-
-    Appends the created segment to ``segments`` (the caller's cleanup
-    list) and returns its ref, or ``None`` when the export fails and
-    the caller should spool to disk instead.
-    """
-    from multiprocessing import shared_memory
-
-    compiled = trace if isinstance(trace, CompiledTrace) else compile_trace(trace)
-    payload = compiled.to_bytes()
-    name = _shm_segment_name(compiled.fingerprint[:12])
-    try:
-        segment = shared_memory.SharedMemory(name=name, create=True, size=len(payload))
-    except OSError:
-        return None
-    segments.append(segment)
-    segment.buf[: len(payload)] = payload
-    return ("shm", segment.name, len(payload))
-
-
-def _trace_ref(
-    trace: TraceLike,
-    refs: Dict[str, TraceRef],
-    segments: List,
-    spool_state: List,
-    cache_path: Optional[Path],
-) -> TraceRef:
-    """The reference workers will resolve for this point's trace.
-
-    In-memory traces are exported to shared memory once per distinct
-    content fingerprint (``refs`` is the per-sweep dedupe table) with a
-    disk spool as fallback; path traces pass through untouched.  A
-    chunked trace is already on disk — workers reopen its spool
-    directory directly, so no export happens and each worker's replay
-    stays bounded by its chunk window.
-    """
-    if isinstance(trace, ChunkedCompiledTrace):
-        return ("path", str(trace.spool_dir))
-    if not isinstance(trace, (Trace, CompiledTrace)):
-        return ("path", str(trace))
-    fingerprint = trace_fingerprint(trace)
-    ref = refs.get(fingerprint)
-    if ref is None:
-        ref = _shm_export(trace, segments) if _shm_available() else None
-        if ref is None:
-            if spool_state[0] is None:
-                spool_state[0], spool_state[1] = _spool_directory(cache_path)
-            ref = ("path", _spool_trace(trace, spool_state[0]))
-        refs[fingerprint] = ref
-    return ref
-
-
-# --------------------------------------------------------------------------
-# Trace spooling (what actually crosses the process boundary is a path)
-# --------------------------------------------------------------------------
-
-
-def _spool_directory(cache_path: Optional[Path]) -> Tuple[Path, bool]:
-    """Where to spool in-memory traces: inside the result cache when one
-    is configured (so spools are reused across runs), else a fresh
-    temporary directory removed after the sweep."""
-    if cache_path is not None:
-        spool = cache_path / "traces"
-        spool.mkdir(parents=True, exist_ok=True)
-        return spool, False
-    return Path(tempfile.mkdtemp(prefix="repro-sweep-")), True
-
-
-def _spool_trace(trace: TraceLike, spool_dir: Path) -> str:
-    """Materialize a trace as a file and return its path.
-
-    Pickle is used rather than the text/binary trace formats because the
-    spool must be a *lossless* image of the in-memory object — bit-equal
-    parallel/serial results depend on workers replaying exactly what the
-    caller built.  (Compiled traces pickle via their wire format, which
-    round-trips exactly.)
-    """
-    if not isinstance(trace, (Trace, CompiledTrace)):
-        return str(trace)
-    path = spool_dir / ("%s.pkl" % trace_fingerprint(trace))
-    if not path.exists():
-        _atomic_write(path, pickle.dumps(trace, protocol=4))
-    return str(path)
 
 
 # --------------------------------------------------------------------------

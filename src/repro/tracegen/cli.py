@@ -62,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-records",
         type=int,
         default=None,
-        help="records per chunk for --chunked-out "
-        "(default: REPRO_TRACE_CHUNK_RECORDS or 65536)",
+        help="records per chunk for --chunked-out (default: 65536)",
     )
     parser.add_argument("--fs-size", default="1400M", help="file-server model size (default 1400M)")
     parser.add_argument("--working-set", default="60M", help="working-set size (default 60M)")

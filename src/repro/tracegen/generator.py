@@ -260,8 +260,8 @@ def generate_trace_chunked(
 
     ``spool_dir`` chooses where the spool lives (a temp directory by
     default; call ``delete()`` on the result when done).
-    ``chunk_records`` overrides the chunk size (default
-    ``REPRO_TRACE_CHUNK_RECORDS`` or 65536).
+    ``chunk_records`` sets the chunk size (default
+    :data:`~repro.traces.chunked.DEFAULT_CHUNK_RECORDS`, 65536).
     """
     if model is None:
         model = generate_filesystem(config.fs)

@@ -43,16 +43,14 @@ traces first-class citizens of the sweep result cache and of the
 signature-drift gates (``repro.validation.differential``,
 ``benchmarks/replay_hotpath.py``).
 
-Chunk size defaults to :data:`DEFAULT_CHUNK_RECORDS` records and is
-overridable via the ``REPRO_TRACE_CHUNK_RECORDS`` environment variable;
-see ``docs/SCALING.md`` ("Streaming traces and bounded-memory replay")
-for the memory model.
+Chunk size defaults to :data:`DEFAULT_CHUNK_RECORDS` records (a
+writer's ``chunk_records`` sets another); see ``docs/SCALING.md``
+("Streaming traces and bounded-memory replay") for the memory model.
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
 import itertools
 import json
 import os
@@ -64,24 +62,25 @@ from array import array
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigError, TraceFormatError
-from repro.traces.compiled import CompiledTrace, _column_bytes_le, compile_trace
-from repro.traces.records import Trace, records_from_rows
+from repro.errors import TraceFormatError
+from repro.traces.compiled import (
+    CompiledTrace,
+    _column_bytes_le,
+    _fingerprint_digest,
+    compile_trace,
+)
+from repro.traces.records import Trace, _file_bases, records_from_rows
 
 __all__ = [
     "ChunkedCompiledTrace",
     "ChunkedTraceWriter",
     "DEFAULT_CHUNK_RECORDS",
-    "CHUNK_RECORDS_ENV",
     "RUN_ROWS",
 ]
 
 #: Records per columnar chunk (the unit of spool I/O and of peak
 #: memory).  25 bytes/record stored, so the default is ~1.6 MB chunks.
 DEFAULT_CHUNK_RECORDS = 65_536
-
-#: Environment variable overriding :data:`DEFAULT_CHUNK_RECORDS`.
-CHUNK_RECORDS_ENV = "REPRO_TRACE_CHUNK_RECORDS"
 
 #: Rows per issuer run in ``rows.bin``: the replay-side memory unit.
 #: A stream holds at most one run buffer (13 B/row, ~106 KB) at a time.
@@ -110,24 +109,6 @@ _ROW = struct.Struct("<BQI")  # (op, start_block, nblocks)
 _ROW_BYTES = _ROW.size
 
 
-def chunk_records_default() -> int:
-    """The configured chunk size (env knob with a validated fallback)."""
-    env = os.environ.get(CHUNK_RECORDS_ENV, "").strip()
-    if not env:
-        return DEFAULT_CHUNK_RECORDS
-    try:
-        value = int(env)
-    except ValueError:
-        raise ConfigError(
-            "%s must be an integer, got %r" % (CHUNK_RECORDS_ENV, env)
-        )
-    if value < 1:
-        raise ConfigError(
-            "%s must be >= 1, got %d" % (CHUNK_RECORDS_ENV, value)
-        )
-    return value
-
-
 def _array_from_le(typecode: str, data: bytes) -> array:
     """Decode a little-endian column buffer into an array (the inverse
     of ``_column_bytes_le``)."""
@@ -146,6 +127,23 @@ def _column_offsets(n: int) -> Dict[str, Tuple[int, int]]:
         offsets[name] = (cursor, n * width)
         cursor += n * width
     return offsets
+
+
+def _read_chunk(spool_dir: Path, chunk_offset: int, n: int) -> Tuple[List[int], ...]:
+    """The six stored columns of the ``n``-record chunk at
+    ``chunk_offset`` in ``spool_dir``'s ``chunks.bin``, as int lists."""
+    with open(spool_dir / CHUNKS_NAME, "rb") as handle:
+        handle.seek(chunk_offset)
+        data = handle.read(n * _RECORD_BYTES)
+    if len(data) != n * _RECORD_BYTES:
+        raise TraceFormatError("truncated chunk spool in %s" % spool_dir)
+    offsets = _column_offsets(n)
+    return tuple(
+        _array_from_le(
+            tc, data[offsets[name][0] : offsets[name][0] + offsets[name][1]]
+        ).tolist()
+        for name, tc, _width in _CHUNK_COLUMNS
+    )
 
 
 # Temp spools created for anonymous writers: removed at interpreter
@@ -185,7 +183,7 @@ class ChunkedTraceWriter:
         chunk_records: Optional[int] = None,
     ) -> None:
         if chunk_records is None:
-            chunk_records = chunk_records_default()
+            chunk_records = DEFAULT_CHUNK_RECORDS
         if chunk_records < 1:
             raise TraceFormatError(
                 "chunk_records must be >= 1, got %d" % chunk_records
@@ -193,9 +191,7 @@ class ChunkedTraceWriter:
         self._chunk_records = chunk_records
         self._deferred_geometry = file_blocks is None
         self._file_blocks: List[int] = [] if file_blocks is None else list(file_blocks)
-        if self._deferred_geometry:
-            self._file_base: Optional[List[int]] = None
-        else:
+        if not self._deferred_geometry:
             for index, blocks in enumerate(self._file_blocks):
                 if blocks < 1:
                     raise TraceFormatError(
@@ -335,9 +331,7 @@ class ChunkedTraceWriter:
                 "warmup_records %d out of range for %d records"
                 % (warmup_records, self._n_records)
             )
-        file_base = list(
-            itertools.accumulate([0] + self._file_blocks[:-1])
-        ) if self._file_blocks else []
+        file_base = _file_bases(self._file_blocks)
 
         issuer_of: Dict[Tuple[int, int], int] = {}
         issuers: List[List] = []  # [host, thread, warmup_rows, n_rows, runs]
@@ -370,7 +364,7 @@ class ChunkedTraceWriter:
                     file_ids,
                     offsets,
                     nblocks,
-                ) = self._read_chunk_columns(chunk_offset, n)
+                ) = _read_chunk(self._spool_dir, chunk_offset, n)
                 for op, host, thread, fid, offset, nb in zip(
                     ops, hosts, threads, file_ids, offsets, nblocks
                 ):
@@ -424,18 +418,6 @@ class ChunkedTraceWriter:
         trace._owns_temp = self._owns_temp
         return trace
 
-    def _read_chunk_columns(self, chunk_offset: int, n: int):
-        offsets = _column_offsets(n)
-        with open(self._spool_dir / CHUNKS_NAME, "rb") as handle:
-            handle.seek(chunk_offset)
-            data = handle.read(n * _RECORD_BYTES)
-        if len(data) != n * _RECORD_BYTES:
-            raise TraceFormatError("truncated chunk spool")
-        return tuple(
-            _array_from_le(tc, data[offsets[name][0] : offsets[name][0] + offsets[name][1]]).tolist()
-            for name, tc, _width in _CHUNK_COLUMNS
-        )
-
 
 def _spool_fingerprint(
     chunks_path: Path,
@@ -456,12 +438,9 @@ def _spool_fingerprint(
     record prefix, matching the fingerprint of the materialized
     ``without_warmup()`` form.
     """
-    digest = hashlib.sha256()
-    digest.update(b"repro-ctrace-v1")
-    digest.update(repr(sorted(metadata.items())).encode("utf-8"))
-    digest.update(struct.pack("<QQ", n_records - skip_records, warmup_records))
-    if file_blocks:
-        digest.update(struct.pack("<%dQ" % len(file_blocks), *file_blocks))
+    digest = _fingerprint_digest(
+        metadata, n_records - skip_records, warmup_records, file_blocks
+    )
     with open(chunks_path, "rb") as handle:
         for name, _tc, width in _CHUNK_COLUMNS:
             chunk_start = 0
@@ -747,22 +726,8 @@ class ChunkedCompiledTrace:
             chunk_start += n
             if drop == n:
                 continue
-            columns = self._read_chunk(chunk_offset, n)
+            columns = _read_chunk(self.spool_dir, chunk_offset, n)
             yield from itertools.islice(zip(*columns), drop, None)
-
-    def _read_chunk(self, chunk_offset: int, n: int):
-        offsets = _column_offsets(n)
-        with open(self.spool_dir / CHUNKS_NAME, "rb") as handle:
-            handle.seek(chunk_offset)
-            data = handle.read(n * _RECORD_BYTES)
-        if len(data) != n * _RECORD_BYTES:
-            raise TraceFormatError("truncated chunk spool in %s" % self.spool_dir)
-        return tuple(
-            _array_from_le(
-                tc, data[offsets[name][0] : offsets[name][0] + offsets[name][1]]
-            ).tolist()
-            for name, tc, _width in _CHUNK_COLUMNS
-        )
 
     def to_trace(self) -> Trace:
         """Materialize back into the object representation.

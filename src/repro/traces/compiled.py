@@ -23,9 +23,9 @@ recomputes the file-base flattening.  The payoff:
   ``hashlib`` calls over C buffers instead of one ``struct.pack`` per
   record);
 * :meth:`to_bytes` / :meth:`from_buffer` give a flat single-blob wire
-  format that attaches **zero-copy** from ``multiprocessing``
-  shared memory (the columns become typed :class:`memoryview` casts
-  into the shared segment — see :mod:`repro.sweep`);
+  format that attaches **zero-copy** from a read-only map of a
+  compiled-trace file (the columns become typed :class:`memoryview`
+  casts into the map — see :mod:`repro.sweep`);
 * :meth:`issuer_plan` hands the replay engine per-thread rows with the
   warmup boundary pre-split, so the hot loop touches nothing but local
   ints (see ``System._thread_process``).  The rows are packed in typed
@@ -101,6 +101,25 @@ def _column_bytes_le(column) -> bytes:
     swapped = array(column.typecode, column)  # pragma: no cover - BE only
     swapped.byteswap()  # pragma: no cover - BE only
     return swapped.tobytes()  # pragma: no cover - BE only
+
+
+def _fingerprint_digest(
+    metadata: Dict[str, str],
+    n_records: int,
+    warmup_records: int,
+    file_blocks: List[int],
+):
+    """A sha256 fed the content fingerprint's preamble: the format tag,
+    the metadata, the record and warmup counts and the geometry.  Both
+    compiled forms add their column bytes in ``_FINGERPRINT_COLUMNS``
+    order after it, so equal content hashes equal in either form."""
+    digest = hashlib.sha256()
+    digest.update(b"repro-ctrace-v1")
+    digest.update(repr(sorted(metadata.items())).encode("utf-8"))
+    digest.update(struct.pack("<QQ", n_records, warmup_records))
+    if file_blocks:
+        digest.update(struct.pack("<%dQ" % len(file_blocks), *file_blocks))
+    return digest
 
 
 class PlanRows:
@@ -330,12 +349,9 @@ class CompiledTrace:
         cached = self._fingerprint
         if cached is not None:
             return cached
-        digest = hashlib.sha256()
-        digest.update(b"repro-ctrace-v1")
-        digest.update(repr(sorted(self.metadata.items())).encode("utf-8"))
-        digest.update(struct.pack("<QQ", len(self), self.warmup_records))
-        if self.file_blocks:
-            digest.update(struct.pack("<%dQ" % len(self.file_blocks), *self.file_blocks))
+        digest = _fingerprint_digest(
+            self.metadata, len(self), self.warmup_records, self.file_blocks
+        )
         for name in _FINGERPRINT_COLUMNS:
             digest.update(_column_bytes_le(self._column(name)))
         self._fingerprint = digest.hexdigest()
@@ -373,14 +389,27 @@ class CompiledTrace:
     def from_buffer(cls, buffer) -> "CompiledTrace":
         """Attach to a serialized blob **without copying** the columns.
 
-        ``buffer`` is any buffer-protocol object (typically a
-        ``SharedMemory.buf`` slice); the columns become typed
-        ``memoryview`` casts into it.  Call :meth:`release` before the
-        underlying segment is closed.  Only valid on little-endian
-        hosts (everything common); big-endian falls back to a copy.
+        ``buffer`` is any buffer-protocol object (in a sweep worker, a
+        read-only ``mmap`` of a compiled-trace file); the columns become
+        typed ``memoryview`` casts into it.  Call :meth:`release` before
+        the buffer is closed.  Only valid on little-endian hosts
+        (everything common); big-endian falls back to a copy.
         """
-        view = memoryview(buffer)
-        views = [view]
+        views = [memoryview(buffer)]
+        try:
+            return cls._attach(views)
+        except BaseException:
+            # A live view pins the buffer: release them all, so the
+            # caller can close a map that failed to attach.
+            for view in reversed(views):
+                view.release()
+            raise
+
+    @classmethod
+    def _attach(cls, views: List[memoryview]) -> "CompiledTrace":
+        """:meth:`from_buffer`'s parse; appends each view it takes to
+        ``views``, whose first entry spans the whole buffer."""
+        view = views[0]
         if bytes(view[: len(COMPILED_MAGIC)]) != COMPILED_MAGIC:
             raise TraceFormatError("not a compiled trace blob (bad magic)")
         cursor = len(COMPILED_MAGIC)
@@ -429,7 +458,7 @@ class CompiledTrace:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CompiledTrace":
         """Deserialize into *owning* columns (a copy; used for pickle
-        round-trips and the disk-spool fallback)."""
+        round-trips)."""
         attached = cls.from_buffer(data)
         try:
             owned = cls(
@@ -449,9 +478,10 @@ class CompiledTrace:
         return owned
 
     def release(self) -> None:
-        """Release any memoryviews into an external buffer so the
-        underlying shared-memory segment can be closed.  The trace must
-        not be used afterwards.  No-op for owning (array) traces."""
+        """Release the memoryviews into an external buffer, so the
+        buffer (a worker's ``mmap``) can be closed: a live view pins it,
+        and closing it first raises ``BufferError``.  The trace must not
+        be used afterwards.  No-op for owning (array) traces."""
         views, self._views = self._views, []
         for view in reversed(views):
             view.release()
@@ -492,7 +522,7 @@ def compile_trace(trace: Trace) -> CompiledTrace:
         return trace._columns
     records = trace.records
     write = TraceOp.WRITE
-    file_base = list(itertools.accumulate([0] + list(trace.file_blocks[:-1])))
+    file_base = trace._file_base
     ops, hosts, threads, file_ids, offsets, nblocks, starts = (
         array(typecode) for _name, typecode in _COLUMNS
     )

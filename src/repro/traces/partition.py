@@ -44,14 +44,14 @@ CompiledTrace` and :class:`~repro.traces.chunked.ChunkedCompiledTrace`
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.traces.chunked import ChunkedCompiledTrace
 from repro.traces.compiled import CompiledTrace
+from repro.traces.records import _file_bases
 
 __all__ = [
     "PartitionAnalysis",
@@ -61,11 +61,6 @@ __all__ = [
 ]
 
 AnyCompiled = Union[CompiledTrace, ChunkedCompiledTrace]
-
-
-def _file_base(file_blocks: Sequence[int]) -> List[int]:
-    """Global start block of each file (the compile_trace flattening)."""
-    return list(itertools.accumulate([0] + list(file_blocks[:-1])))
 
 
 def _iter_ranges(trace: AnyCompiled) -> Iterator[Tuple[int, int, int, int]]:
@@ -79,7 +74,7 @@ def _iter_ranges(trace: AnyCompiled) -> Iterator[Tuple[int, int, int, int]]:
             trace.nblocks.tolist(),
         )
         return
-    base = _file_base(trace.file_blocks)
+    base = _file_bases(trace.file_blocks)
     for op, host, _thread, file_id, offset, nb in trace.iter_records():
         yield op, host, base[file_id] + offset, nb
 
@@ -314,7 +309,7 @@ def slice_hosts(trace: AnyCompiled, hosts: Set[int]) -> CompiledTrace:
                 nblocks.append(nb)
                 starts.append(start)
     else:
-        base = _file_base(trace.file_blocks)
+        base = _file_bases(trace.file_blocks)
         for op, host, thread, file_id, offset, nb in trace.iter_records():
             if host in hosts:
                 ops.append(op)

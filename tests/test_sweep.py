@@ -249,7 +249,6 @@ class TestProgress:
 class TestFingerprints:
     def test_trace_fingerprint_stable_across_pickle(self, small_trace):
         clone = pickle.loads(pickle.dumps(small_trace))
-        clone.__dict__.pop("_sweep_fingerprint", None)
         assert trace_fingerprint(clone) == trace_fingerprint(small_trace)
 
     def test_different_traces_differ(self, small_trace):
@@ -310,6 +309,24 @@ class TestSilentFailureFixes:
             run_sweep(
                 small_trace, small_grid(), workers=1, cache_dir=blocker / "cache"
             )
+        cache_warnings = [w for w in caught if "cache write" in str(w.message)]
+        assert len(cache_warnings) == 1
+
+    def test_unwritable_cache_warns_once_in_parallel(self, small_trace, tmp_path):
+        """A parallel sweep hands its trace to the workers outside the
+        cache, so an unwritable cache only turns caching off there too."""
+        import warnings as _warnings
+
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        with _warnings.catch_warnings(record=True) as caught:
+            _warnings.simplefilter("always")
+            results = run_sweep(
+                small_trace, small_grid(), workers=2, cache_dir=blocker / "cache"
+            )
+        assert [r.as_dict() for r in results] == [
+            r.as_dict() for r in run_sweep(small_trace, small_grid(), workers=1)
+        ]
         cache_warnings = [w for w in caught if "cache write" in str(w.message)]
         assert len(cache_warnings) == 1
 

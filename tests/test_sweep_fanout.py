@@ -1,25 +1,26 @@
-"""Lifecycle tests for the zero-copy shared-memory sweep fan-out.
+"""Lifecycle tests for the sweep fan-out's trace hand-off and pool.
 
 Three properties are audited here, per ``repro.sweep``'s contract:
 
-* **no leaked segments** — every ``repro-ct-*`` shared-memory segment a
-  sweep publishes is unlinked on every exit path (normal completion, a
-  failing point, a broken pool, Ctrl-C);
+* **no leaked spools** — the temporary directory a sweep writes its
+  compiled-trace files to is removed on every exit path (normal
+  completion, a failing point, a broken pool, Ctrl-C), and nothing is
+  written into the result cache but results;
 * **worker trace cache** — ``_WORKER_TRACE_CACHE`` is bounded, evicts
   oldest-first, and runs each evicted entry's cleanup (releasing buffer
-  views before closing the mapping);
+  views before closing the map);
 * **persistent pool** — the process-wide executor is reused across
   sweeps, resized on demand, bypassed by ``fresh_pool=True``, and
-  retired idempotently by ``shutdown_pool()``.
+  retired idempotently by ``shutdown_pool()`` without forking anything.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import re
+import tempfile
 import time
-from pathlib import Path
+import warnings
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro import sweep
 from repro._units import MB
 from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
-from repro.errors import ReproError
+from repro.errors import ReproError, TraceFormatError
 from repro.fsmodel.impressions import ImpressionsConfig
 from repro.sweep import SweepPoint, run_sweep, run_sweep_points, shutdown_pool
 from repro.tracegen.config import TraceGenConfig
@@ -35,28 +36,6 @@ from repro.tracegen.generator import generate_trace
 from repro.traces.compiled import CompiledTrace, compile_trace
 
 from tests.helpers import make_trace, tiny_config
-
-SHM_DIR = Path("/dev/shm")
-
-
-def shm_names() -> set:
-    """Names of the live ``repro-ct-*`` segments this process created.
-
-    A sweep's parent process creates every segment, and each name
-    carries its creator's pid (``sweep._shm_segment_name``:
-    ``repro-ct-<tag>-<pid>-<n>``), so a replay running beside the test
-    in another process cannot change the set, while every segment this
-    test's own sweeps leak still shows.
-    """
-    if not SHM_DIR.is_dir():
-        pytest.skip("no /dev/shm to audit")
-    own = re.compile(r"repro-ct-[0-9a-f]+-%d-[0-9]+$" % os.getpid())
-    return {entry.name for entry in SHM_DIR.glob("*repro-ct-*") if own.search(entry.name)}
-
-
-needs_shm = pytest.mark.skipif(
-    not sweep._shm_available(), reason="shared memory unavailable on this platform"
-)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +48,30 @@ def small_trace():
     return generate_trace(config)
 
 
+@pytest.fixture
+def spools(monkeypatch, tmp_path):
+    """The temporary directories sweeps make in this test, all under a
+    per-test temp root (so a replay elsewhere on the machine cannot
+    change what the test sees)."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    made = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def mkdtemp(*args, **kwargs):
+        made.append(real_mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    return made
+
+
+def assert_spools_gone(spools, tmp_path):
+    assert spools, "the sweep made no spool directory"
+    assert all(os.path.dirname(path) == str(tmp_path) for path in spools)
+    assert not any(os.path.exists(path) for path in spools)
+    assert list(tmp_path.glob("repro-sweep-*")) == []
+
+
 def grid(n: int = 4):
     return [
         SimConfig(ram_bytes=1 * MB, flash_bytes=flash_mb * MB, architecture=arch)
@@ -77,16 +80,13 @@ def grid(n: int = 4):
     ][:n]
 
 
-@needs_shm
-class TestShmLifecycle:
-    def test_normal_completion_leaks_nothing(self, small_trace):
-        before = shm_names()
+class TestSpoolLifecycle:
+    def test_normal_completion_leaks_nothing(self, small_trace, spools, tmp_path):
         results = run_sweep(small_trace, grid(), workers=2)
         assert len(results) == 4
-        assert shm_names() == before
+        assert_spools_gone(spools, tmp_path)
 
-    def test_failing_point_leaks_nothing(self, small_trace):
-        before = shm_names()
+    def test_failing_point_leaks_nothing(self, small_trace, spools, tmp_path):
         # Eviction specs validate at construction time now; smuggle the
         # bad name in so the failure happens inside the worker.
         bad = SimConfig(ram_bytes=1 * MB, flash_bytes=4 * MB)
@@ -97,35 +97,39 @@ class TestShmLifecycle:
         ]
         with pytest.raises(ReproError, match="eviction policy"):
             run_sweep_points(points, workers=2)
-        assert shm_names() == before
+        assert_spools_gone(spools, tmp_path)
 
-    def test_interrupt_leaks_nothing(self, small_trace, monkeypatch):
-        """Ctrl-C mid-drain: segments are unlinked before the interrupt
+    def test_interrupt_leaks_nothing(self, small_trace, spools, tmp_path, monkeypatch):
+        """Ctrl-C mid-drain: the spool is removed before the interrupt
         propagates (the pool here is a stand-in whose map() raises, so
         the unwind path is exercised deterministically)."""
         import concurrent.futures as futures
+
+        shipped = []
 
         class InterruptedPool:
             def __init__(self, max_workers):
                 pass
 
             def map(self, fn, tasks, chunksize=1):
+                shipped.extend(ref for _position, ref, _config, _options in tasks)
+                assert all(os.path.isfile(ref) for ref in shipped)
                 raise KeyboardInterrupt()
 
             def shutdown(self, wait=True):
                 pass
 
-        before = shm_names()
         monkeypatch.setattr(futures, "ProcessPoolExecutor", InterruptedPool)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(small_trace, grid(), workers=2)
-        assert shm_names() == before
+        assert shipped and all(ref.endswith(sweep.CTRACE_SUFFIX) for ref in shipped)
+        assert_spools_gone(spools, tmp_path)
 
     def test_broken_pool_discards_persistent_and_leaks_nothing(
-        self, small_trace, monkeypatch
+        self, small_trace, spools, tmp_path, monkeypatch
     ):
         """A worker crash surfaces as BrokenExecutor: the persistent pool
-        must be discarded and every segment still unlinked."""
+        must be discarded and the spool still removed."""
         import concurrent.futures as futures
 
         real_cls = futures.ProcessPoolExecutor
@@ -138,45 +142,30 @@ class TestShmLifecycle:
         def exploding_map(self, fn, tasks, chunksize=1):
             raise crashed
 
-        before = shm_names()
         monkeypatch.setattr(real_cls, "map", exploding_map)
         with pytest.raises(futures.process.BrokenProcessPool):
             run_sweep(small_trace, grid(), workers=2)
         assert sweep._POOL is None
-        assert shm_names() == before
+        assert len(spools) == 2
+        assert_spools_gone(spools, tmp_path)
 
     def test_worker_attaches_zero_copy(self, small_trace):
-        """Results through the shm fan-out match in-process replay."""
+        """Results through the compiled-trace hand-off match in-process
+        replay."""
         parallel = run_sweep(small_trace, grid(), workers=2)
         serial = run_sweep(small_trace, grid(), workers=1)
         for a, b in zip(parallel, serial):
             assert a.as_dict() == b.as_dict()
 
-
-class TestNoShmFallback:
-    def test_env_disables_shm(self, small_trace, monkeypatch, tmp_path):
-        import tempfile as _tempfile
-
-        monkeypatch.setenv(sweep.NO_SHM_ENV, "1")
-        monkeypatch.setattr(_tempfile, "tempdir", str(tmp_path))
-        assert not sweep._shm_available()
-        disabled = run_sweep(small_trace, grid(), workers=2)
-        monkeypatch.delenv(sweep.NO_SHM_ENV)
-        serial = run_sweep(small_trace, grid(), workers=1)
-        for a, b in zip(disabled, serial):
-            assert a.as_dict() == b.as_dict()
-        # The disk spool the fallback used is removed with the sweep.
-        strays = [
-            entry
-            for entry in tmp_path.iterdir()
-            if entry.name.startswith("repro-sweep-")
-        ]
-        assert strays == []
-
-    def test_zero_is_not_disabled(self, monkeypatch):
-        monkeypatch.setenv(sweep.NO_SHM_ENV, "0")
-        monkeypatch.setattr(sweep, "_shm_usable", True)
-        assert sweep._shm_available()
+    def test_cache_dir_holds_results_only(self, small_trace, spools, tmp_path):
+        """With a result cache the image still goes to the sweep's own
+        temporary directory, so the cache never keeps a trace image."""
+        cache = tmp_path / "cache"
+        run_sweep(small_trace, grid(2), workers=2, cache_dir=cache)
+        entries = sorted(entry.name for entry in cache.iterdir())
+        assert len(entries) == 2
+        assert all(name.endswith(".result.pkl") for name in entries)
+        assert_spools_gone(spools, tmp_path)
 
 
 class TestWorkerTraceCache:
@@ -185,52 +174,65 @@ class TestWorkerTraceCache:
         cache = sweep._WORKER_TRACE_CACHE
         released = []
         for i in range(sweep._WORKER_TRACE_CACHE_MAX):
-            cache[("path", "fake-%d" % i)] = (
+            cache["fake-%d" % i] = (
                 object(),
                 (lambda i=i: released.append(i)),
             )
         trace = make_trace([("r", 0)], file_blocks=16)
         spool = tmp_path / "t.pkl"
         spool.write_bytes(pickle.dumps(trace))
-        loaded = sweep._load_trace_ref(("path", str(spool)))
+        loaded = sweep._load_trace_ref(str(spool))
         assert loaded.records == trace.records
         assert released == [0]  # exactly the oldest entry, exactly once
         assert len(cache) == sweep._WORKER_TRACE_CACHE_MAX
-        assert ("path", "fake-0") not in cache
+        assert "fake-0" not in cache
 
     def test_repeat_ref_is_memoized(self, monkeypatch, tmp_path):
         monkeypatch.setattr(sweep, "_WORKER_TRACE_CACHE", {})
         trace = make_trace([("w", 1)], file_blocks=16)
         spool = tmp_path / "t.pkl"
         spool.write_bytes(pickle.dumps(trace))
-        first = sweep._load_trace_ref(("path", str(spool)))
-        assert sweep._load_trace_ref(("path", str(spool))) is first
+        first = sweep._load_trace_ref(str(spool))
+        assert sweep._load_trace_ref(str(spool)) is first
 
-    @needs_shm
-    def test_shm_ref_attach_and_drain(self, monkeypatch):
-        from multiprocessing import shared_memory
-
+    def test_ctrace_ref_attach_and_drain(self, monkeypatch, spools, tmp_path):
         monkeypatch.setattr(sweep, "_WORKER_TRACE_CACHE", {})
         compiled = compile_trace(make_trace([("w", 0), ("r", 0)], file_blocks=16))
-        payload = compiled.to_bytes()
-        segment = shared_memory.SharedMemory(
-            name=sweep._shm_segment_name("cachetest00"), create=True,
-            size=len(payload),
-        )
-        try:
-            segment.buf[: len(payload)] = payload
-            ref = ("shm", segment.name, len(payload))
+        with sweep._trace_exports() as export:
+            ref = export(compiled)
+            assert ref == os.path.join(spools[0], compiled.fingerprint + ".ctrace")
             attached = sweep._load_trace_ref(ref)
-            assert isinstance(attached, CompiledTrace)
-            assert attached.fingerprint == compiled.fingerprint
-            assert sweep._load_trace_ref(ref) is attached
-            # Draining releases the views, so closing cannot raise
-            # BufferError and the segment can be unlinked cleanly.
-            sweep._drain_worker_cache()
-            assert sweep._WORKER_TRACE_CACHE == {}
-        finally:
-            segment.close()
-            segment.unlink()
+        assert_spools_gone(spools, tmp_path)
+        assert isinstance(attached, CompiledTrace)
+        assert isinstance(attached.ops, memoryview)  # zero-copy
+        assert attached.fingerprint == compiled.fingerprint
+        assert sweep._load_trace_ref(ref) is attached
+        # Draining releases the views before it closes the map, so it
+        # cannot raise BufferError.
+        assert sweep._drain_worker_cache() == 1
+        assert sweep._WORKER_TRACE_CACHE == {}
+        with pytest.raises(ValueError):
+            attached.ops.tolist()  # the view is released
+
+    def test_failed_attach_closes_its_map(self, monkeypatch, tmp_path):
+        """A damaged image raises its format error, and the map it was
+        read through is closed, not left to the collector."""
+        monkeypatch.setattr(sweep, "_WORKER_TRACE_CACHE", {})
+        blob = compile_trace(make_trace([("w", 0), ("r", 0)], file_blocks=16)).to_bytes()
+        damaged = tmp_path / ("damaged" + sweep.CTRACE_SUFFIX)
+        damaged.write_bytes(blob[:-8])
+        maps = []
+        real_mmap = sweep.mmap.mmap
+
+        def recording_mmap(*args, **kwargs):
+            maps.append(real_mmap(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(sweep.mmap, "mmap", recording_mmap)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            sweep._load_trace_ref(str(damaged))
+        assert len(maps) == 1 and maps[0].closed
+        assert sweep._WORKER_TRACE_CACHE == {}
 
     def test_more_distinct_traces_than_cache_slots(self, small_trace):
         """A sweep shipping more unique traces than the per-worker cache
@@ -327,54 +329,18 @@ class TestPersistentPool:
         run_sweep(small_trace, grid(2), workers=2)
         assert sweep._POOL is not None
 
-
-@needs_shm
-class TestPoolTeardownDrain:
-    """Recycling the pool must not leave worker-side shm attachments
-    alive: workers exit via ``os._exit`` (no atexit), and an *idle*
-    persistent pool would otherwise pin already-unlinked segments."""
-
-    def test_teardown_drain_reaches_every_worker(self, small_trace):
+    def test_shutdown_pool_forks_nothing(self, small_trace):
+        """Retiring a live pool starts no process: Python 3.12+ warns
+        when a process forks while its pool's threads run."""
         shutdown_pool()
         run_sweep(small_trace, grid(2), workers=2)
-        pool = sweep._POOL
-        assert pool is not None
-        pairs = sweep._drain_pool_caches(pool, 2)
-        # Both workers report, and at least one held a cached attachment.
-        assert len(pairs) == 2
-        assert len({pid for pid, _ in pairs}) == 2
-        assert sum(count for _, count in pairs) >= 1
-        # Second drain proves the caches are now empty (no re-leak).
-        pairs = sweep._drain_pool_caches(pool, 2)
-        assert [count for _, count in pairs] == [0, 0]
-        shutdown_pool()
-
-    def test_shutdown_pool_drains_caches(self, small_trace, monkeypatch):
-        shutdown_pool()
-        run_sweep(small_trace, grid(2), workers=2)
-        calls = []
-        real = sweep._drain_pool_caches
-        monkeypatch.setattr(
-            sweep,
-            "_drain_pool_caches",
-            lambda pool, n: calls.append(n) or real(pool, n),
-        )
-        shutdown_pool()
-        assert calls == [2]
-
-    def test_fresh_pool_disposal_drains_caches(self, small_trace, monkeypatch):
-        calls = []
-        real = sweep._drain_pool_caches
-        monkeypatch.setattr(
-            sweep,
-            "_drain_pool_caches",
-            lambda pool, n: calls.append(n) or real(pool, n),
-        )
-        run_sweep(small_trace, grid(2), workers=2, fresh_pool=True)
-        assert calls == [2]
-
-    def test_drain_skips_stand_in_pools(self):
-        class StandIn:
-            pass
-
-        assert sweep._drain_pool_caches(StandIn(), 2) == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shutdown_pool()
+        forks = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, DeprecationWarning)
+            and "fork" in str(warning.message)
+        ]
+        assert forks == []

@@ -6,14 +6,12 @@ import pickle
 import pytest
 
 from repro.core.simulator import run_simulation
-from repro.errors import ConfigError, TraceFormatError
+from repro.errors import TraceFormatError
 from repro.tracegen import generate_trace, generate_trace_chunked
 from repro.traces.chunked import (
-    CHUNK_RECORDS_ENV,
     DEFAULT_CHUNK_RECORDS,
     ChunkedCompiledTrace,
     ChunkedTraceWriter,
-    chunk_records_default,
 )
 from repro.traces.compiled import compile_trace
 from repro.traces.records import Trace, TraceOp, TraceRecord
@@ -420,21 +418,15 @@ class TestWriter:
 
 
 class TestChunkSizeKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_RECORDS_ENV, raising=False)
-        assert chunk_records_default() == DEFAULT_CHUNK_RECORDS
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_RECORDS_ENV, "1024")
-        assert chunk_records_default() == 1024
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_RECORDS_ENV, "zero")
-        with pytest.raises(ConfigError, match="must be an integer"):
-            chunk_records_default()
-        monkeypatch.setenv(CHUNK_RECORDS_ENV, "0")
-        with pytest.raises(ConfigError, match=">= 1"):
-            chunk_records_default()
+    def test_default(self):
+        writer = ChunkedTraceWriter([64], chunk_records=None)
+        writer.append(False, 0, 0, 0, 0, 1)
+        trace = writer.freeze()
+        try:
+            manifest = json.loads((trace.spool_dir / "manifest.json").read_text())
+            assert manifest["chunk_records"] == DEFAULT_CHUNK_RECORDS
+        finally:
+            trace.delete()
 
     def test_writer_rejects_bad_chunk_records(self):
         with pytest.raises(TraceFormatError, match=">= 1"):

@@ -131,7 +131,6 @@ class TestFingerprint:
     def test_stable_across_pickle(self, gen_trace, gen_compiled):
         clone = pickle.loads(pickle.dumps(gen_trace))
         clone.__dict__.pop("_compiled_trace", None)
-        clone.__dict__.pop("_sweep_fingerprint", None)
         assert compile_trace(clone).fingerprint == gen_compiled.fingerprint
 
     def test_content_sensitivity(self):
