@@ -3,8 +3,8 @@
 
 Replays one pinned-seed multi-tenant fleet trace twice — serially and
 with ``run_simulation(parallel_hosts=N)`` sharding host groups across
-the worker pool (:mod:`repro.engine.parallel`) — and records both wall
-times into a new additive ``parallel`` section of
+a worker pool the call owns (:mod:`repro.engine.parallel`) — and
+records both wall times into a new additive ``parallel`` section of
 ``BENCH_replay.json`` (the section is not part of the file's required
 schema, so older files stay valid).
 
@@ -52,7 +52,6 @@ from repro.core.simulator import run_simulation  # noqa: E402
 from repro.engine import parallel as parallel_engine  # noqa: E402
 from repro.experiments.common import DEFAULT_SCALE, baseline_config  # noqa: E402
 from repro.filer.timing import FilerTiming  # noqa: E402
-from repro.sweep import shutdown_pool  # noqa: E402
 from repro.tracegen.fleet import FleetSpec, fleet_trace  # noqa: E402
 from repro.traces.compiled import compile_trace  # noqa: E402
 from repro.traces.partition import analyze_partition, plan_groups  # noqa: E402
@@ -246,10 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.workers < 2:
         parser.error("--workers must be at least 2")
     repeats = args.repeats if args.repeats is not None else (2 if args.fast else 1)
-    try:
-        section = measure(args.fast, max(1, repeats), args.workers)
-    finally:
-        shutdown_pool()
+    section = measure(args.fast, max(1, repeats), args.workers)
     out_path = Path(args.out)
     payload: Dict = {}
     if out_path.exists():

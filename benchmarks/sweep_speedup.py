@@ -7,9 +7,9 @@ the two costs the compiled-trace work attacks:
 * **replay** — one pinned-seed ~1M-record replay of the packed columnar
   form (``repro.traces.compiled``), with its full result signature;
 * **distribution** — a 49-point writeback-policy-matrix sweep, run the
-  legacy way (fresh pool per call, the trace pickled to disk and
-  unpickled by every worker) and the current way (warm persistent pool,
-  one compiled-trace file every worker maps zero-copy).  The
+  legacy way (the trace pickled to disk and unpickled by every worker)
+  and the current way (one compiled-trace file every worker maps
+  zero-copy); every sweep starts and shuts down its own pool.  The
   figure of merit is *overhead*: sweep wall time minus the ideal
   parallel simulation time (summed per-point busy time divided by the
   usable cores), i.e. everything the engine adds on top of simulating;
@@ -54,7 +54,7 @@ from repro._units import MB  # noqa: E402
 from repro.core.config import SimConfig, WritebackPolicy  # noqa: E402
 from repro.core.simulator import run_simulation  # noqa: E402
 from repro.fsmodel.impressions import ImpressionsConfig  # noqa: E402
-from repro.sweep import SweepPoint, run_sweep_points, shutdown_pool  # noqa: E402
+from repro.sweep import SweepPoint, run_sweep_points  # noqa: E402
 from repro.tracegen.config import TraceGenConfig  # noqa: E402
 from repro.tracegen.generator import generate_trace  # noqa: E402
 from repro.traces.compiled import compile_trace  # noqa: E402
@@ -275,8 +275,8 @@ def _bench_distribution(fast: bool, workers: int, repeats: int) -> Dict:
     busy_serial = time.perf_counter() - start
 
     # Legacy mode: what every sweep paid before this engine existed —
-    # a worker pool spawned per call, and the trace pickled to disk (in
-    # the timed call) for every worker to unpickle its own copy.
+    # the trace pickled to disk (in the timed call) for every worker to
+    # unpickle its own copy.
     def legacy_sweep():
         with tempfile.TemporaryDirectory(prefix="sweep-bench-") as spool:
             pickled = os.path.join(spool, "trace.pkl")
@@ -285,16 +285,11 @@ def _bench_distribution(fast: bool, workers: int, repeats: int) -> Dict:
             return run_sweep_points(
                 [SweepPoint(config=config, trace=pickled) for config in configs],
                 workers=workers,
-                fresh_pool=True,
             )
 
-    shutdown_pool()
     legacy = _timed_sweep(legacy_sweep, workers, repeats, busy_serial)
 
-    # Current mode: persistent pool (warmed once, as steady-state sweeps
-    # see it) + one compiled-trace file every worker maps zero-copy.
-    shutdown_pool()
-    run_sweep_points(points[:workers], workers=workers)  # warm the pool
+    # Current mode: one compiled-trace file every worker maps zero-copy.
     current = _timed_sweep(
         lambda: run_sweep_points(points, workers=workers),
         workers,

@@ -1,10 +1,11 @@
 """Parallel intra-simulation replay: shard hosts across worker processes.
 
 One large multi-host simulation is split into host *groups*, each group
-replays in a worker from the persistent sweep pool (:mod:`repro.sweep`
-— the same hand-off: the trace is written once as a compiled-trace
-file that every worker maps read-only), and the parent computes
-results from the groups' raw meters with the serial path's own
+replays in a worker of a process pool the call owns and shuts down
+before it returns (:mod:`repro.sweep`'s pool and hand-off: the trace is
+written once as a compiled-trace file that every worker maps
+read-only), and the parent computes results from the groups' raw
+meters with the serial path's own
 :func:`~repro.core.simulator.results_from_meters`.
 The output is **bit-identical** to the serial replay; the differential
 harness's ``parallel-replay-identity`` check pins that.
@@ -52,14 +53,13 @@ benchmarks assert on).
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import repro.sweep as sweep
 from repro.core.config import SimConfig
 from repro.core.machine import System
-from repro.core.metrics import SKETCH_ENV, LatencyStat
+from repro.core.metrics import LatencyStat, _sketch_error_from_env
 from repro.core.results import SimulationResults
 from repro.core.simulator import RunMeters, read_meters, results_from_meters
 from repro.traces.chunked import ChunkedCompiledTrace
@@ -156,7 +156,7 @@ def decline_reason(
         return "periodic/trickle syncers are clocked on the global timeline"
     if not config.flash_cleaning.is_periodic:
         return "non-periodic flash cleaning runs a global controller loop"
-    if os.environ.get(SKETCH_ENV, "").strip().lower() not in ("", "0", "off", "false"):
+    if _sketch_error_from_env() is not None:
         return "latency sketches do not merge exactly"
     return None
 
@@ -170,10 +170,7 @@ def _replay_group_task(task) -> RunMeters:
     """Replay one host group (runs in a pool worker) and return the
     meters of the group's own hosts."""
     ref, group, config, n_hosts = task
-    sliced = sweep._memoized_trace(
-        ("slice", ref, group),
-        lambda: (slice_hosts(sweep._load_trace_ref(ref), set(group)), None),
-    )
+    sliced = slice_hosts(sweep._load_trace_ref(ref), set(group))
     system = System(config, n_hosts, check_invariants=False)
     system.replay(sliced)
     return read_meters(system, group)
@@ -259,13 +256,12 @@ def try_parallel_replay(
 
     with sweep._trace_exports() as export:
         ref = export(trace)
-        pool, owned = sweep._acquire_pool(min(workers, len(groups)), False)
-        if pool is None:
-            _record(ParallelOutcome("declined", "no process pool available"))
-            return None
         tasks = [(ref, tuple(group), config, n_hosts) for group in groups]
         try:
-            with sweep._pool_session(pool, owned):
+            with sweep._worker_pool(min(workers, len(groups))) as pool:
+                if pool is None:
+                    _record(ParallelOutcome("declined", "no process pool available"))
+                    return None
                 futures = [pool.submit(_replay_group_task, task) for task in tasks]
                 parts: List[RunMeters] = [future.result() for future in futures]
         except Exception as exc:

@@ -15,20 +15,20 @@ that batch into a first-class object:
   such as ``cold_start`` or ``restart``), returning a
   :class:`SweepOutcome` with per-point wall-time reports.
 
-**Execution model.**  Points fan out over a *persistent* process pool
-(``concurrent.futures.ProcessPoolExecutor``) that survives across
-sweeps: the first parallel sweep pays the worker spawn cost, later
-sweeps reuse the warm workers (``fresh_pool=True`` opts a call out;
-:func:`shutdown_pool` retires the pool explicitly).  Tasks are
+**Execution model.**  Each parallel sweep fans its points out over a
+process pool of its own (``concurrent.futures.ProcessPoolExecutor``,
+the platform's default start method), shut down before the sweep
+returns on every exit path, so no worker outlives the call.  Tasks are
 spawn-safe: what crosses the process boundary is a *picklable*
-``SimConfig`` plus a **trace path**, never a live simulator object.
+``SimConfig`` plus a **trace reference** (a path, or a chunked trace,
+which pickles as its spool directory), never a live simulator object.
 An in-memory trace is compiled to the packed columnar form
 (:mod:`repro.traces.compiled`) and written once per distinct content
 as a compiled-trace file, ``<fingerprint>.ctrace``, in a temporary
 directory removed when the sweep ends (error and Ctrl-C included).
 Every worker maps that file read-only and attaches it *zero-copy*, so
 all workers share its pages.  Workers memoize attached/loaded traces
-per path.  Every simulation point is fully
+per reference.  Every simulation point is fully
 deterministic given its inputs (per-run seeds live in ``SimConfig`` /
 the trace), so parallel and serial execution produce bit-identical
 results; outputs are merged back in submission order.
@@ -63,7 +63,6 @@ import os
 import pickle
 import shutil
 import tempfile
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -85,7 +84,6 @@ __all__ = [
     "SweepOutcome",
     "run_sweep",
     "run_sweep_points",
-    "shutdown_pool",
     "default_workers",
     "set_default_workers",
     "default_cache_dir",
@@ -94,11 +92,12 @@ __all__ = [
 
 TraceLike = Union[Trace, CompiledTrace, ChunkedCompiledTrace, str, Path]
 
-#: The path a worker resolves to a trace: a compiled-trace file
+#: What a worker resolves to a trace: a path — a compiled-trace file
 #: (:data:`CTRACE_SUFFIX`, mapped read-only), a chunked-trace spool
 #: *directory* (reopened with bounded memory), or a text, binary or
-#: pickled trace file.
-TraceRef = str
+#: pickled trace file — or a chunked trace, which pickles as its spool
+#: directory and the rows it skips.
+TraceRef = Union[str, ChunkedCompiledTrace]
 
 #: Suffix of the compiled-trace files in-memory traces are exported as.
 CTRACE_SUFFIX = ".ctrace"
@@ -308,12 +307,14 @@ def _point_fingerprint(trace_print: str, point: SweepPoint) -> str:
 # Worker side
 # --------------------------------------------------------------------------
 
-#: Per-worker memo of resolved traces, keyed by :data:`TraceRef`.  Each
-#: entry is ``(trace, cleanup)`` where ``cleanup`` (may be ``None``)
-#: releases the trace's map or file handle when the entry is evicted.
-#: Sweeps ship at most a handful of distinct traces, so a tiny cap
-#: suffices; insertion order doubles as age, and the oldest entry is
-#: evicted — with its cleanup run — when the cap is hit.
+#: Per-worker memo of resolved traces, keyed by path, or by spool
+#: directory and skip for a chunked trace.  Each entry is ``(trace,
+#: cleanup)`` where ``cleanup`` (may be ``None``) releases the trace's
+#: map or file handle when the entry is evicted.  A worker lives for one
+#: sweep, so the memo serves that sweep's points that share a trace;
+#: the cap bounds a sweep that ships many traces.  Insertion order
+#: doubles as age, and the oldest entry is evicted — with its cleanup
+#: run — when the cap is hit.
 _WORKER_TRACE_CACHE: Dict[object, Tuple[object, Optional[Callable[[], None]]]] = {}
 _WORKER_TRACE_CACHE_MAX = 8
 
@@ -373,7 +374,12 @@ def _memoized_trace(key, load: Callable[[], Tuple[object, Optional[Callable[[], 
 
 
 def _load_trace_ref(ref: TraceRef):
-    """Resolve a trace path, memoized per worker process."""
+    """Resolve a trace reference, memoized per worker process."""
+    if isinstance(ref, ChunkedCompiledTrace):
+        # Unpickling reopened the spool with its skip; a stripped view
+        # and the whole spool are different traces.
+        key = (str(ref.spool_dir), ref._skip)
+        return _memoized_trace(key, lambda: (ref, ref.close))
 
     def load():
         if ref.endswith(CTRACE_SUFFIX):
@@ -434,17 +440,11 @@ def run_sweep_points(
     workers: Optional[int] = None,
     cache_dir: Union[None, str, Path] = None,
     progress: Optional[ProgressFn] = None,
-    fresh_pool: bool = False,
 ) -> SweepOutcome:
     """Run a batch of heterogeneous sweep points; see the module docs.
 
     Returns a :class:`SweepOutcome` whose ``results`` are in submission
     order and identical to running each point serially.
-
-    ``fresh_pool=True`` opts this call out of the persistent worker
-    pool: a private pool is spawned, used, and shut down — useful for
-    isolation (benchmarking cold-start costs, tests that must not leak
-    workers) at the price of re-paying worker startup.
     """
     points = list(points)
     n_workers = _normalize_workers(workers) if workers is not None else default_workers()
@@ -485,8 +485,8 @@ def run_sweep_points(
         results[index] = result
         reports[index] = report
         if progress is not None:
-            # A broken observer must not abort the sweep (or orphan the
-            # pool mid-drain): the simulation work is already done.
+            # A broken observer must not abort the sweep: the
+            # simulation work is already done.
             try:
                 progress(report)
             except Exception as exc:
@@ -519,7 +519,7 @@ def run_sweep_points(
     # --- execute the misses -------------------------------------------
     if pending:
         if n_workers > 1 and len(pending) > 1:
-            executed = _execute_parallel(points, pending, n_workers, fresh_pool)
+            executed = _execute_parallel(points, pending, n_workers)
         else:
             executed = _execute_serial(points, pending)
         for (index, key), (result, wall) in zip(pending, executed):
@@ -548,7 +548,6 @@ def run_sweep(
     workers: Optional[int] = None,
     cache_dir: Union[None, str, Path] = None,
     progress: Optional[ProgressFn] = None,
-    fresh_pool: bool = False,
 ) -> List[SimulationResults]:
     """Replay ``trace`` under every config, fanning out across cores.
 
@@ -561,15 +560,12 @@ def run_sweep(
     1 = in-process; ``0`` = all cores).  ``cache_dir`` memoizes results
     on disk keyed by ``(trace, config, options)`` content.  ``progress``
     receives a :class:`PointReport` per finished point.
-    ``fresh_pool=True`` bypasses the persistent worker pool (see
-    :func:`run_sweep_points`).
     """
     outcome = run_sweep_points(
         [SweepPoint(config=config, trace=trace) for config in configs],
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,
-        fresh_pool=fresh_pool,
     )
     return outcome.results
 
@@ -621,141 +617,35 @@ def _execute_serial(
 
 
 # --------------------------------------------------------------------------
-# The persistent worker pool
+# The worker pool
 # --------------------------------------------------------------------------
 
-_POOL = None
-_POOL_WORKERS = 0
-#: Helper threads shutting down discarded pools (see _discard_pool).
-_RETIRING: List[threading.Thread] = []
 #: Exception types meaning "the platform cannot give us a pool".
 _POOL_UNAVAILABLE = (OSError, ValueError, NotImplementedError)
 
 
-def _real_executor_type():
-    """The genuine executor class (module attribute looked up at call
-    time, so test monkeypatching is honored)."""
+@contextlib.contextmanager
+def _worker_pool(n_workers: int):
+    """Yield a process pool of ``n_workers`` workers for one call, or
+    ``None`` when the platform cannot provide one.
+
+    Every exit path — completion, a failing point, a broken pool,
+    Ctrl-C — cancels the queued work, waits for the chunks already
+    running and for the workers to exit, so no worker (nor any trace
+    it mapped) outlives the call, and no pool is ever forked beside
+    another pool's threads.
+    """
     import concurrent.futures as futures
 
-    return futures.ProcessPoolExecutor
-
-
-def _acquire_pool(n_workers: int, fresh: bool):
-    """Get a process pool: ``(pool, owned)`` or ``(None, True)`` when
-    the platform can't provide one.
-
-    ``owned=True`` means the caller must dispose of the pool after the
-    sweep (a ``fresh_pool`` request, or a stand-in class injected by
-    tests that must never be cached).  ``owned=False`` is the
-    persistent pool, reused by later sweeps.
-    """
-    global _POOL, _POOL_WORKERS
-    cls = _real_executor_type()
-    if not fresh and _POOL is not None:
-        if type(_POOL) is cls and _POOL_WORKERS == n_workers:
-            return _POOL, False
-        # Different size requested, or the cached pool's class is no
-        # longer the live executor class: retire it.
-        _discard_pool()
-    # Every discarded pool must be gone before a new one forks workers.
-    while _RETIRING:
-        _RETIRING.pop().join()
     try:
-        pool = cls(max_workers=n_workers)
+        pool = futures.ProcessPoolExecutor(max_workers=n_workers)
     except _POOL_UNAVAILABLE:
-        return None, True
-    if fresh:
-        return pool, True
-    if type(pool) is cls and cls.__module__.startswith("concurrent.futures"):
-        _POOL, _POOL_WORKERS = pool, n_workers
-        return pool, False
-    # A monkeypatched stand-in: usable for this sweep, never cached.
-    return pool, True
-
-
-def _discard_pool() -> None:
-    """Drop the persistent pool (broken/obsolete) without waiting for it.
-
-    The pool shuts down on a helper thread, so an interrupt unwinds at
-    once; :func:`_acquire_pool` joins that thread before it creates any
-    pool, because forking workers while the old pool's threads still
-    run can deadlock them.
-    """
-    global _POOL, _POOL_WORKERS
-    pool, _POOL, _POOL_WORKERS = _POOL, None, 0
-    if pool is None:
-        return
-    retiring = threading.Thread(
-        target=pool.shutdown,
-        kwargs={"wait": True, "cancel_futures": True},
-        name="repro-pool-discard",
-    )
-    retiring.start()
-    _RETIRING.append(retiring)
-
-
-def shutdown_pool() -> None:
-    """Retire the persistent worker pool (idempotent).
-
-    Waits for in-flight work and releases the worker processes; the
-    kernel unmaps whatever traces they had attached.  The next parallel
-    sweep simply spawns a new pool.  Registered via ``atexit`` so
-    interpreter shutdown is always clean.
-    """
-    global _POOL, _POOL_WORKERS
-    pool, _POOL, _POOL_WORKERS = _POOL, None, 0
-    if pool is None:
-        return
-    try:
-        pool.shutdown(wait=True)
-    except Exception:  # pragma: no cover - defensive: exit must not fail
-        pass
-
-
-atexit.register(shutdown_pool)
-
-
-def _dispose_owned_pool(pool) -> None:
-    """Shut down a single-sweep pool; tolerate minimal stand-ins."""
-    shutdown = getattr(pool, "shutdown", None)
-    if shutdown is None:
-        return
-    try:
-        shutdown(wait=True)
-    except Exception:
-        pass
-
-
-def _pool_is_poisoned(exc: BaseException) -> bool:
-    """Did this failure kill the pool (vs. a point merely raising)?
-
-    A simulation error (``ReproError`` & friends) travels back pickled
-    and leaves the workers perfectly reusable; a ``BrokenExecutor`` or
-    an interrupt means the pool must not be reused.
-    """
-    if not isinstance(exc, Exception):
-        return True  # KeyboardInterrupt, SystemExit, ...
-    try:
-        from concurrent.futures import BrokenExecutor
-    except ImportError:  # pragma: no cover - ancient platforms
-        return False
-    return isinstance(exc, BrokenExecutor)
-
-
-@contextlib.contextmanager
-def _pool_session(pool, owned: bool):
-    """Run work on ``pool``: a failure that kills it discards the
-    persistent pool, and an owned pool is disposed of on every exit
-    path."""
+        pool = None
     try:
         yield pool
-    except BaseException as exc:
-        if not owned and _pool_is_poisoned(exc):
-            _discard_pool()
-        raise
     finally:
-        if owned:
-            _dispose_owned_pool(pool)
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 @contextlib.contextmanager
@@ -768,16 +658,17 @@ def _trace_exports():
     directory made on first use and removed on *every* exit path —
     normal completion, a failing point, Ctrl-C.  The result cache is
     never written here, so an unwritable cache only disables caching.
-    A chunked trace is already on disk, so workers reopen its spool
-    directory and each replay stays bounded by its chunk window; a path
-    passes through untouched.
+    A chunked trace is already on disk and ships as itself: it pickles
+    as its spool directory and skip, so workers reopen the spool, each
+    replay stays bounded by its chunk window, and a warmup-stripped
+    view stays stripped.  A path passes through untouched.
     """
     spool: Optional[Path] = None
 
     def export(trace: TraceLike) -> TraceRef:
         nonlocal spool
         if isinstance(trace, ChunkedCompiledTrace):
-            return str(trace.spool_dir)
+            return trace
         if not isinstance(trace, (Trace, CompiledTrace)):
             return str(trace)
         compiled = compile_trace(trace)
@@ -799,11 +690,10 @@ def _execute_parallel(
     points: Sequence[SweepPoint],
     pending: Sequence[Tuple[int, str]],
     n_workers: int,
-    fresh_pool: bool,
 ) -> List[Tuple[SimulationResults, float]]:
-    """Fan pending points over a process pool; fall back to serial when
-    the platform can't give us one (no fork/spawn, sandboxed, ...).
-    Traces travel through :func:`_trace_exports`."""
+    """Fan pending points over a process pool of this call's own; fall
+    back to serial when the platform can't give us one (no fork/spawn,
+    sandboxed, ...).  Traces travel through :func:`_trace_exports`."""
     with _trace_exports() as export:
         tasks = []
         for position, (index, _key) in enumerate(pending):
@@ -816,13 +706,12 @@ def _execute_parallel(
                     tuple(sorted(point.run_options().items())),
                 )
             )
-        pool, owned = _acquire_pool(n_workers, fresh_pool)
-        if pool is None:
-            return _execute_serial(points, pending)
         executed: List[Optional[Tuple[SimulationResults, float]]] = [None] * len(
             pending
         )
-        with _pool_session(pool, owned):
+        with _worker_pool(n_workers) as pool:
+            if pool is None:
+                return _execute_serial(points, pending)
             for position, result, wall in pool.map(
                 _run_point_task, tasks, chunksize=_chunksize(len(pending), n_workers)
             ):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Sequence, Tuple, Union
+from dataclasses import fields, replace
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro._units import MB
 from repro.core.config import SimConfig, TimingModel
+from repro.core.metrics import LatencyStat
 from repro.core.policies import WritebackPolicy
+from repro.core.results import SimulationResults
 from repro.filer.timing import FilerTiming
 from repro.traces.records import Trace, TraceOp, TraceRecord
 
@@ -93,3 +95,22 @@ MISS_READ_NOFLASH_NS = NET_REQUEST_NS + FILER_FAST_READ_NS + NET_DATA_NS + RAM_W
 
 #: Full synchronous filer write as seen from a host (data, service, ack).
 FILER_WRITE_PATH_NS = NET_DATA_NS + FILER_WRITE_NS + NET_REQUEST_NS
+
+
+def every_field(results: SimulationResults) -> Dict[str, object]:
+    """Every :class:`SimulationResults` field, each ``LatencyStat`` by
+    its raw fields (``full_signature`` leaves the endurance, admission
+    and directory-stall fields out)."""
+    values = {}
+    for spec in fields(SimulationResults):
+        value = getattr(results, spec.name)
+        if isinstance(value, LatencyStat):
+            value = (
+                value.count,
+                value.total_ns,
+                value.min_ns,
+                value.max_ns,
+                list(value._buckets),
+            )
+        values[spec.name] = value
+    return values

@@ -5,16 +5,15 @@ the serial/parallel bit-identity contract (:mod:`repro.engine.parallel`,
 from __future__ import annotations
 
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
 import repro.sweep as sweep
-from repro.core.metrics import LatencyStat
-from repro.core.results import SimulationResults
+from repro.core.metrics import SKETCH_ENV
 from repro.core.simulator import run_simulation
 from repro.engine import parallel as par
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.net.directory import DirectoryTiming
 from repro.traces.chunked import ChunkedCompiledTrace
 from repro.traces.compiled import compile_trace
@@ -22,7 +21,7 @@ from repro.traces.partition import analyze_partition, plan_groups, slice_hosts
 from repro.traces.records import Trace, TraceOp
 from repro.validation.differential import full_signature
 
-from tests.helpers import make_trace, tiny_config
+from tests.helpers import every_field, make_trace, tiny_config
 
 
 def random_multihost_ops(rng, n_hosts, n_ops, *, span=2000, shared=0.0):
@@ -271,33 +270,14 @@ class TestSliceHosts:
             slice_hosts(trace, {0})
 
 
-def _eligible_multihost_trace(seed=7, n_hosts=4, n_ops=3000):
+def _eligible_multihost_trace(seed=7, n_hosts=4, n_ops=3000, warmup=0):
     rng = random.Random(seed)
     ops = []
     for _ in range(n_ops):
         host = rng.randrange(n_hosts)
         block = host * 1000 + rng.randrange(500)
         ops.append(("w" if rng.random() < 0.3 else "r", block, host))
-    return make_trace(ops, file_blocks=8192)
-
-
-def _every_field(results):
-    """Every :class:`SimulationResults` field, each ``LatencyStat`` by
-    its raw fields (``full_signature`` leaves the endurance, admission
-    and directory-stall fields out)."""
-    values = {}
-    for spec in fields(SimulationResults):
-        value = getattr(results, spec.name)
-        if isinstance(value, LatencyStat):
-            value = (
-                value.count,
-                value.total_ns,
-                value.min_ns,
-                value.max_ns,
-                list(value._buckets),
-            )
-        values[spec.name] = value
-    return values
+    return make_trace(ops, file_blocks=8192, warmup=warmup)
 
 
 def _no_pool(*_args, **_kwargs):
@@ -351,12 +331,45 @@ class TestParallelReplayIdentity:
         merged = run_simulation(trace, config, parallel_hosts=2, check_invariants=False)
         outcome = par.last_outcome()
         assert outcome is not None and outcome.kind == "parallel"
-        assert _every_field(merged) == _every_field(serial)
+        assert every_field(merged) == every_field(serial)
         if "ftl_model" in overrides:
             assert serial.flash_erase_count > 0
             assert 0 < serial.device_lifetime_days < float("inf")
         if "flash_admission" in overrides:
             assert serial.flash_admission_stats["rejects"] > 0
+
+    def test_chunked_cold_start_shards_like_serial(self):
+        """A chunked trace with a warmup phase, replayed cold: workers
+        reopen the spool past the warmup, so the run shards and equals
+        serial replay field for field."""
+        trace = ChunkedCompiledTrace.from_trace(
+            _eligible_multihost_trace(seed=17, warmup=600)
+        )
+        config = tiny_config()
+        serial = run_simulation(trace, config, cold_start=True)
+        merged = run_simulation(
+            trace, config, cold_start=True, parallel_hosts=2, check_invariants=False
+        )
+        outcome = par.last_outcome()
+        assert outcome is not None and outcome.kind == "parallel"
+        assert every_field(merged) == every_field(serial)
+
+    def test_sketch_setting_read_by_the_metrics_parser(self, monkeypatch):
+        """``REPRO_METRICS_SKETCH`` means what the metrics parser says:
+        ``no`` is off, so the replay shards; ``1`` is on, so it
+        declines; an invalid value is a configuration error."""
+        trace = _eligible_multihost_trace(seed=23)
+        config = tiny_config()
+        monkeypatch.setenv(SKETCH_ENV, "no")
+        run_simulation(trace, config, parallel_hosts=2, check_invariants=False)
+        assert par.last_outcome().kind == "parallel"
+        monkeypatch.setenv(SKETCH_ENV, "1")
+        run_simulation(trace, config, parallel_hosts=2, check_invariants=False)
+        outcome = par.last_outcome()
+        assert outcome.kind == "declined" and "sketches" in outcome.detail
+        monkeypatch.setenv(SKETCH_ENV, "bogus")
+        with pytest.raises(ConfigError, match=SKETCH_ENV):
+            run_simulation(trace, config, parallel_hosts=2, check_invariants=False)
 
     def test_shared_working_set_conflicts_and_falls_back(self, monkeypatch):
         """Four hosts writing one shared working set are coupled: the
@@ -369,7 +382,7 @@ class TestParallelReplayIdentity:
         trace = make_trace(ops)
         config = tiny_config()
         serial = run_simulation(trace, config)
-        monkeypatch.setattr(sweep, "_acquire_pool", _no_pool)
+        monkeypatch.setattr(sweep, "_worker_pool", _no_pool)
         merged = run_simulation(trace, config, parallel_hosts=4, check_invariants=False)
         outcome = par.last_outcome()
         assert outcome is not None and outcome.kind == "declined"
@@ -405,7 +418,7 @@ class TestParallelReplayIdentity:
         trace = make_trace(ops)
         config = tiny_config()
         serial = run_simulation(trace, config, n_hosts=4)
-        monkeypatch.setattr(sweep, "_acquire_pool", _no_pool)
+        monkeypatch.setattr(sweep, "_worker_pool", _no_pool)
         merged = run_simulation(
             trace, config, n_hosts=4, parallel_hosts=2, check_invariants=False
         )

@@ -430,6 +430,9 @@ class TestSilentFailureFixes:
                 for task in tasks[:-1]:
                     yield fn(task)
 
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
         monkeypatch.setattr(futures, "ProcessPoolExecutor", DroppingPool)
         with pytest.raises(RuntimeError, match="no result"):
             run_sweep(small_trace, small_grid(), workers=2)

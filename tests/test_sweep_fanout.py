@@ -9,17 +9,20 @@ Three properties are audited here, per ``repro.sweep``'s contract:
 * **worker trace cache** — ``_WORKER_TRACE_CACHE`` is bounded, evicts
   oldest-first, and runs each evicted entry's cleanup (releasing buffer
   views before closing the map);
-* **persistent pool** — the process-wide executor is reused across
-  sweeps, resized on demand, bypassed by ``fresh_pool=True``, and
-  retired idempotently by ``shutdown_pool()`` without forking anything.
+* **a pool per call** — every sweep and parallel replay shuts its own
+  pool down before it returns, on every exit path: no worker process
+  or pool thread outlives the call, and no pool forks beside another
+  pool's threads.
 """
 
 from __future__ import annotations
 
+import concurrent.futures as futures
+import multiprocessing
 import os
 import pickle
 import tempfile
-import time
+import threading
 import warnings
 
 import pytest
@@ -28,14 +31,16 @@ from repro import sweep
 from repro._units import MB
 from repro.core.architectures import Architecture
 from repro.core.config import SimConfig
+from repro.core.simulator import run_simulation
+from repro.engine import parallel as par
 from repro.errors import ReproError, TraceFormatError
 from repro.fsmodel.impressions import ImpressionsConfig
-from repro.sweep import SweepPoint, run_sweep, run_sweep_points, shutdown_pool
+from repro.sweep import SweepPoint, run_sweep, run_sweep_points
 from repro.tracegen.config import TraceGenConfig
-from repro.tracegen.generator import generate_trace
+from repro.tracegen.generator import generate_trace, generate_trace_chunked
 from repro.traces.compiled import CompiledTrace, compile_trace
 
-from tests.helpers import make_trace, tiny_config
+from tests.helpers import every_field, make_trace, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +85,40 @@ def grid(n: int = 4):
     ][:n]
 
 
+def failing_points(trace):
+    """Two points, the first of which raises a ``ReproError`` in its
+    worker (eviction specs validate at construction time now, so the
+    bad name is smuggled in)."""
+    bad = SimConfig(ram_bytes=1 * MB, flash_bytes=4 * MB)
+    object.__setattr__(bad, "eviction_policy", "bogus")
+    return [
+        SweepPoint(config=bad, trace=trace),
+        SweepPoint(config=grid(1)[0], trace=trace),
+    ]
+
+
+def _die(task):
+    """A sweep task that kills its worker process, as a crash would."""
+    os._exit(1)
+
+
+def sharded_replay():
+    """A parallel replay that shards: four hosts that never share a
+    block, two workers."""
+    ops = [
+        ("w" if i % 3 == 0 else "r", (i % 4) * 1000 + i % 500, i % 4)
+        for i in range(2000)
+    ]
+    run_simulation(
+        make_trace(ops, file_blocks=8192),
+        tiny_config(),
+        parallel_hosts=2,
+        check_invariants=False,
+    )
+    outcome = par.last_outcome()
+    assert outcome is not None and outcome.kind == "parallel" and outcome.groups == 2
+
+
 class TestSpoolLifecycle:
     def test_normal_completion_leaks_nothing(self, small_trace, spools, tmp_path):
         results = run_sweep(small_trace, grid(), workers=2)
@@ -87,24 +126,14 @@ class TestSpoolLifecycle:
         assert_spools_gone(spools, tmp_path)
 
     def test_failing_point_leaks_nothing(self, small_trace, spools, tmp_path):
-        # Eviction specs validate at construction time now; smuggle the
-        # bad name in so the failure happens inside the worker.
-        bad = SimConfig(ram_bytes=1 * MB, flash_bytes=4 * MB)
-        object.__setattr__(bad, "eviction_policy", "bogus")
-        points = [
-            SweepPoint(config=bad, trace=small_trace),
-            SweepPoint(config=grid(1)[0], trace=small_trace),
-        ]
         with pytest.raises(ReproError, match="eviction policy"):
-            run_sweep_points(points, workers=2)
+            run_sweep_points(failing_points(small_trace), workers=2)
         assert_spools_gone(spools, tmp_path)
 
     def test_interrupt_leaks_nothing(self, small_trace, spools, tmp_path, monkeypatch):
         """Ctrl-C mid-drain: the spool is removed before the interrupt
         propagates (the pool here is a stand-in whose map() raises, so
         the unwind path is exercised deterministically)."""
-        import concurrent.futures as futures
-
         shipped = []
 
         class InterruptedPool:
@@ -116,7 +145,7 @@ class TestSpoolLifecycle:
                 assert all(os.path.isfile(ref) for ref in shipped)
                 raise KeyboardInterrupt()
 
-            def shutdown(self, wait=True):
+            def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
         monkeypatch.setattr(futures, "ProcessPoolExecutor", InterruptedPool)
@@ -128,25 +157,13 @@ class TestSpoolLifecycle:
     def test_broken_pool_discards_persistent_and_leaks_nothing(
         self, small_trace, spools, tmp_path, monkeypatch
     ):
-        """A worker crash surfaces as BrokenExecutor: the persistent pool
-        must be discarded and the spool still removed."""
-        import concurrent.futures as futures
-
-        real_cls = futures.ProcessPoolExecutor
-        # Seed a genuine persistent pool first.
-        run_sweep(small_trace, grid(2), workers=2)
-        assert sweep._POOL is not None
-
-        crashed = futures.process.BrokenProcessPool("worker died")
-
-        def exploding_map(self, fn, tasks, chunksize=1):
-            raise crashed
-
-        monkeypatch.setattr(real_cls, "map", exploding_map)
+        """A worker crash surfaces as BrokenProcessPool: the broken pool
+        is shut down with the call and the spool still removed."""
+        monkeypatch.setattr(sweep, "_run_point_task", _die)
         with pytest.raises(futures.process.BrokenProcessPool):
             run_sweep(small_trace, grid(), workers=2)
-        assert sweep._POOL is None
-        assert len(spools) == 2
+        assert multiprocessing.active_children() == []
+        assert len(spools) == 1
         assert_spools_gone(spools, tmp_path)
 
     def test_worker_attaches_zero_copy(self, small_trace):
@@ -156,6 +173,24 @@ class TestSpoolLifecycle:
         serial = run_sweep(small_trace, grid(), workers=1)
         for a, b in zip(parallel, serial):
             assert a.as_dict() == b.as_dict()
+
+    def test_chunked_warmup_free_view_keeps_its_skip(self):
+        """A chunked trace's ``without_warmup()`` view replays in a
+        worker exactly as in-process: the worker reopens the spool with
+        the view's skip, not the whole spool."""
+        chunked = generate_trace_chunked(
+            TraceGenConfig(
+                fs=ImpressionsConfig(total_bytes=48 * MB, max_file_bytes=4 * MB),
+                working_set_bytes=4 * MB,
+                seed=13,
+                n_hosts=4,
+            )
+        ).without_warmup()
+        points = [SweepPoint(config=config, trace=chunked) for config in grid(2)]
+        parallel = run_sweep_points(points, workers=2)
+        serial = run_sweep_points(points, workers=1)
+        for a, b in zip(parallel.results, serial.results):
+            assert every_field(a) == every_field(b)
 
     def test_cache_dir_holds_results_only(self, small_trace, spools, tmp_path):
         """With a result cache the image still goes to the sweep's own
@@ -256,87 +291,53 @@ class TestWorkerTraceCache:
             assert a.as_dict() == b.as_dict()
 
 
-class TestPersistentPool:
-    def test_pool_reused_across_sweeps(self, small_trace):
-        shutdown_pool()
-        run_sweep(small_trace, grid(2), workers=2)
-        pool = sweep._POOL
-        assert pool is not None
-        run_sweep(small_trace, grid(4), workers=2)
-        assert sweep._POOL is pool
+def _sweep_returns(trace, monkeypatch):
+    assert len(run_sweep(trace, grid(2), workers=2)) == 2
 
-    def test_pool_resized_on_new_worker_count(self, small_trace):
-        run_sweep(small_trace, grid(2), workers=2)
-        first = sweep._POOL
-        run_sweep(small_trace, grid(3), workers=3)
-        assert sweep._POOL is not first
-        assert sweep._POOL_WORKERS == 3
 
-    def test_failing_point_keeps_pool_warm(self, small_trace):
-        """A ReproError from one point is not pool poison: the warm
-        workers survive for the next sweep."""
-        shutdown_pool()
-        run_sweep(small_trace, grid(2), workers=2)
-        pool = sweep._POOL
-        # Eviction specs validate at construction time now; smuggle the
-        # bad name in so the failure happens inside the worker.
-        bad = SimConfig(ram_bytes=1 * MB, flash_bytes=4 * MB)
-        object.__setattr__(bad, "eviction_policy", "bogus")
-        with pytest.raises(ReproError):
-            run_sweep_points(
-                [
-                    SweepPoint(config=bad, trace=small_trace),
-                    SweepPoint(config=grid(1)[0], trace=small_trace),
-                ],
-                workers=2,
-            )
-        assert sweep._POOL is pool
+def _sweep_raises_a_point_error(trace, monkeypatch):
+    with pytest.raises(ReproError):
+        run_sweep_points(failing_points(trace), workers=2)
 
-    def test_discarded_pool_joined_before_next_pool(self, small_trace):
-        """Discarding returns at once, but the next pool is created only
-        after the discarded one has shut down: forking workers while the
-        old pool's threads still run can deadlock them."""
-        shutdown_pool()
-        run_sweep(small_trace, grid(2), workers=2)
-        busy = sweep._POOL.submit(time.sleep, 2)
-        deadline = time.monotonic() + 30
-        while not busy.running() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert busy.running()
-        started = time.monotonic()
-        sweep._discard_pool()
-        assert time.monotonic() - started < 1
-        assert not busy.done()
-        try:
-            pool, owned = sweep._acquire_pool(2, fresh=False)
-            assert not owned and pool is sweep._POOL
-            assert busy.done()
-        finally:
-            shutdown_pool()
 
-    def test_fresh_pool_leaves_persistent_untouched(self, small_trace):
-        shutdown_pool()
-        results = run_sweep(small_trace, grid(2), workers=2, fresh_pool=True)
-        assert len(results) == 2
-        assert sweep._POOL is None
+def _sweep_breaks_its_pool(trace, monkeypatch):
+    monkeypatch.setattr(sweep, "_run_point_task", _die)
+    with pytest.raises(futures.process.BrokenProcessPool):
+        run_sweep(trace, grid(2), workers=2)
 
-    def test_shutdown_pool_idempotent(self, small_trace):
-        run_sweep(small_trace, grid(2), workers=2)
-        shutdown_pool()
-        assert sweep._POOL is None
-        shutdown_pool()  # second call is a no-op
-        # And the engine recovers: next sweep spawns a new pool.
-        run_sweep(small_trace, grid(2), workers=2)
-        assert sweep._POOL is not None
 
-    def test_shutdown_pool_forks_nothing(self, small_trace):
-        """Retiring a live pool starts no process: Python 3.12+ warns
-        when a process forks while its pool's threads run."""
-        shutdown_pool()
-        run_sweep(small_trace, grid(2), workers=2)
+def _parallel_replay_returns(trace, monkeypatch):
+    sharded_replay()
+
+
+class TestPoolPerCall:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            _sweep_returns,
+            _sweep_raises_a_point_error,
+            _sweep_breaks_its_pool,
+            _parallel_replay_returns,
+        ],
+        ids=["sweep", "point-error", "broken-pool", "parallel-replay"],
+    )
+    def test_no_worker_or_pool_thread_outlives_the_call(
+        self, small_trace, monkeypatch, call
+    ):
+        threads = threading.active_count()
+        call(small_trace, monkeypatch)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_no_pool_forks_beside_another(self, small_trace):
+        """Python 3.12+ warns when a process forks while other threads
+        run: a pool per call, shut down before the call returns, never
+        does (this only bites on 3.12+)."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            shutdown_pool()
+            run_sweep(small_trace, grid(2), workers=2)
+            run_sweep(small_trace, grid(3), workers=3)
+            sharded_replay()
         forks = [
             str(warning.message)
             for warning in caught
