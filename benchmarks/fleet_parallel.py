@@ -53,7 +53,6 @@ from repro.engine import parallel as parallel_engine  # noqa: E402
 from repro.experiments.common import DEFAULT_SCALE, baseline_config  # noqa: E402
 from repro.filer.timing import FilerTiming  # noqa: E402
 from repro.tracegen.fleet import FleetSpec, fleet_trace  # noqa: E402
-from repro.traces.compiled import compile_trace  # noqa: E402
 from repro.traces.partition import analyze_partition, plan_groups  # noqa: E402
 from repro.validation.differential import full_signature  # noqa: E402
 
@@ -89,9 +88,9 @@ _PARALLEL_KEYS = {
 
 
 def fleet_point(fast: bool):
-    """The pinned benchmark point: ``(spec, compiled trace, config)``."""
+    """The pinned benchmark point: ``(spec, trace, config)``."""
     spec = FleetSpec(**(_FAST_SPEC if fast else _FULL_SPEC))
-    trace = compile_trace(fleet_trace(spec, "steady"))
+    trace = fleet_trace(spec, "steady")
     # Parallel-eligible configuration: deterministic filer, syncer-free
     # async write-back on both tiers (see docs/INVARIANTS.md).
     config = baseline_config(

@@ -131,7 +131,7 @@ def validate_payload(payload: Dict) -> List[str]:
 
 
 def _trace_blocks(trace) -> int:
-    return sum(record.nblocks for record in trace.records)
+    return sum(trace.nblocks)
 
 
 def _bench_one(architecture: str, trace, config, repeats: int) -> Dict:
@@ -148,7 +148,7 @@ def _bench_one(architecture: str, trace, config, repeats: int) -> Dict:
         "wall_s": round(wall, 4),
         "blocks": blocks,
         "blocks_per_sec": round(blocks / wall, 1),
-        "records": len(trace.records),
+        "records": len(trace),
         "signature": result_signature(result),
     }
 

@@ -16,7 +16,7 @@ claims, with hard exits rather than advisory prints:
 
 2. **Identical content.**  At a smaller record count, the chunked
    generator must produce a spool whose fingerprint equals
-   ``compile_trace(generate_trace(cfg))`` and whose replay
+   ``generate_trace(cfg).fingerprint`` and whose replay
    ``result_signature`` matches the materialized replay bit for bit.
 
 3. **Importer parity on messy input.**  Fixture files for all three
@@ -55,7 +55,6 @@ from repro.tracegen import (  # noqa: E402
     generate_trace,
     generate_trace_chunked,
 )
-from repro.traces.compiled import compile_trace  # noqa: E402
 from repro.validation.differential import result_signature  # noqa: E402
 
 #: tracemalloc peak budget for the ~1M-record streamed generate+replay.
@@ -174,13 +173,12 @@ def phase_content_identity(chunk_records: Optional[int]) -> Dict:
     """Small-N: chunked generation must equal materialized generation."""
     config = _gen_config(20_000)
     materialized = generate_trace(config)
-    compiled = compile_trace(materialized)
     chunked = generate_trace_chunked(config, chunk_records=chunk_records or 4096)
     try:
-        fingerprints_equal = compiled.fingerprint == chunked.fingerprint
+        fingerprints_equal = materialized.fingerprint == chunked.fingerprint
         sim = _sim_config()
         signatures_equal = result_signature(
-            run_simulation(compiled, sim)
+            run_simulation(materialized, sim)
         ) == result_signature(run_simulation(chunked, sim))
     finally:
         chunked.delete()
@@ -216,23 +214,12 @@ def phase_importer_parity() -> Dict:
             trace, stats = plain(path, warmup_fraction=0.25)
             chunked, chunked_stats = chunked_importer(path, warmup_fraction=0.25)
             try:
-                rows = [
-                    (
-                        1 if record.is_write else 0,
-                        record.host,
-                        record.thread,
-                        record.file_id,
-                        record.offset,
-                        record.nblocks,
-                    )
-                    for record in trace.records
-                ]
                 formats[name] = {
                     "records": stats.records_imported,
                     "skipped": stats.lines_skipped,
-                    "records_equal": rows == list(chunked.iter_records()),
-                    "fingerprints_equal": compile_trace(trace).fingerprint
-                    == chunked.fingerprint,
+                    "records_equal": list(trace.iter_records())
+                    == list(chunked.iter_records()),
+                    "fingerprints_equal": trace.fingerprint == chunked.fingerprint,
                     "stats_equal": (
                         stats.records_imported == chunked_stats.records_imported
                         and stats.lines_skipped == chunked_stats.lines_skipped

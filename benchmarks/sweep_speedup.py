@@ -1,15 +1,16 @@
 #!/usr/bin/env python
-"""Sweep-engine benchmark: compiled-trace replay and fan-out overhead.
+"""Sweep-engine benchmark: packed-trace replay and fan-out overhead.
 
 The persistent companion of ``benchmarks/replay_hotpath.py``, aimed at
-the two costs the compiled-trace work attacks:
+the two costs the packed-trace work attacks:
 
-* **replay** — one pinned-seed ~1M-record replay of the packed columnar
-  form (``repro.traces.compiled``), with its full result signature;
+* **replay** — one pinned-seed ~1M-record replay of a trace's packed
+  columns (``repro.traces.records.Trace``), with its full result
+  signature;
 * **distribution** — a 49-point writeback-policy-matrix sweep, run the
-  legacy way (the trace pickled to disk and unpickled by every worker)
-  and the current way (one compiled-trace file every worker maps
-  zero-copy); every sweep starts and shuts down its own pool.  The
+  legacy way (the trace pickled to disk and unpickled, with its rows
+  checked, by every worker) and the current way (one binary trace file
+  every worker maps zero-copy); every sweep starts and shuts down its own pool.  The
   figure of merit is *overhead*: sweep wall time minus the ideal
   parallel simulation time (summed per-point busy time divided by the
   usable cores), i.e. everything the engine adds on top of simulating;
@@ -57,7 +58,6 @@ from repro.fsmodel.impressions import ImpressionsConfig  # noqa: E402
 from repro.sweep import SweepPoint, run_sweep_points  # noqa: E402
 from repro.tracegen.config import TraceGenConfig  # noqa: E402
 from repro.tracegen.generator import generate_trace  # noqa: E402
-from repro.traces.compiled import compile_trace  # noqa: E402
 from repro.validation.differential import result_signature  # noqa: E402
 
 #: Bump when the JSON layout changes incompatibly.
@@ -225,7 +225,7 @@ def _timed_replay(trace, config, repeats: int) -> Dict:
 
 def _bench_replay(fast: bool, repeats: int) -> Dict:
     volume_multiple = 128.0 if fast else 2048.0
-    trace = compile_trace(generate_trace(_bench_trace(volume_multiple)))
+    trace = generate_trace(_bench_trace(volume_multiple))
     config = SimConfig.baseline_scaled(1024)
     return {"compiled": _timed_replay(trace, config, repeats)}
 
@@ -289,7 +289,7 @@ def _bench_distribution(fast: bool, workers: int, repeats: int) -> Dict:
 
     legacy = _timed_sweep(legacy_sweep, workers, repeats, busy_serial)
 
-    # Current mode: one compiled-trace file every worker maps zero-copy.
+    # Current mode: one binary trace file every worker maps zero-copy.
     current = _timed_sweep(
         lambda: run_sweep_points(points, workers=workers),
         workers,
@@ -410,7 +410,7 @@ def merge_payload(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/sweep_speedup.py",
-        description="Compiled-trace replay and sweep fan-out benchmark "
+        description="Packed-trace replay and sweep fan-out benchmark "
         "(writes BENCH_sweep.json).",
     )
     parser.add_argument("--workers", type=int, default=4)

@@ -30,8 +30,6 @@ from repro.flash.device import FlashDevice
 from repro.flash.ftl_device import FTLFlashDevice
 from repro.invariants import build_suite, resolve_enabled
 from repro.net.link import NetworkSegment
-from repro.traces.compiled import compile_trace
-from repro.traces.records import Trace
 
 #: RAM writeback policies under which a write hit starts a flush.
 _FLUSHING_POLICIES = (PolicyKind.SYNC, PolicyKind.ASYNC, PolicyKind.DELAYED)
@@ -200,18 +198,15 @@ class System:
     # --- replay -----------------------------------------------------------
 
     def replay(self, trace) -> None:
-        """Replay the whole trace (``Trace``, ``CompiledTrace``, or
+        """Replay the whole trace (a ``Trace`` or a
         ``ChunkedCompiledTrace``) to completion.
 
-        A plain ``Trace`` is compiled first (one pass, memoized on the
-        trace object).  Every form then hands the drivers the same
-        issuer plan — per (host, thread), its ``(op, start_block,
-        nblocks)`` rows with the warmup prefix split off — so the three
-        replay bit-identically; a chunked trace streams its rows, so
-        peak memory stays bounded by chunk size.
+        Both forms hand the drivers the same issuer plan — per (host,
+        thread), its ``(op, start_block, nblocks)`` rows with the warmup
+        prefix split off — so they replay bit-identically; a chunked
+        trace streams its rows, so peak memory stays bounded by chunk
+        size.
         """
-        if isinstance(trace, Trace):
-            trace = compile_trace(trace)
         plan = trace.issuer_plan()
         # Every issuer is checked before anything is spawned or reset, so
         # a bad trace leaves the system as it was.

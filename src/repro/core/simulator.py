@@ -21,7 +21,6 @@ from repro.core.restart import RestartSpec
 from repro.core.results import SimulationResults
 from repro.flash.ftl_device import FTLFlashDevice
 from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import CompiledTrace
 from repro.traces.records import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -271,7 +270,7 @@ def results_from_system(
 
 
 def run_simulation(
-    trace: Union[Trace, CompiledTrace, ChunkedCompiledTrace],
+    trace: Union[Trace, ChunkedCompiledTrace],
     config: SimConfig,
     *,
     n_hosts: Optional[int] = None,
@@ -291,13 +290,11 @@ def run_simulation(
     For batches of independent points, use :func:`repro.sweep.run_sweep`
     — it fans configurations across CPU cores and caches results.
 
-    ``trace`` may be a :class:`~repro.traces.records.Trace`, a
-    :class:`~repro.traces.compiled.CompiledTrace`, or a
+    ``trace`` may be a :class:`~repro.traces.records.Trace` or a
     :class:`~repro.traces.chunked.ChunkedCompiledTrace` (a spooled
     trace replayed with peak memory bounded by chunk size — see
-    ``docs/SCALING.md``).  A plain trace is compiled first (memoized on
-    the trace), so every form replays the same issuer rows and results
-    are bit-identical across all three, with or without an Observation.
+    ``docs/SCALING.md``).  Both replay the same issuer rows, so results
+    are bit-identical across the two, with or without an Observation.
 
     ``n_hosts`` defaults to the number of hosts appearing in the trace.
     ``cold_start=True`` removes the warmup phase instead of replaying

@@ -3,7 +3,7 @@
 One large multi-host simulation is split into host *groups*, each group
 replays in a worker of a process pool the call owns and shuts down
 before it returns (:mod:`repro.sweep`'s pool and hand-off: the trace is
-written once as a compiled-trace file that every worker maps
+written once as a binary trace file that every worker maps
 read-only), and the parent computes results from the groups' raw
 meters with the serial path's own
 :func:`~repro.core.simulator.results_from_meters`.
@@ -63,7 +63,6 @@ from repro.core.metrics import LatencyStat, _sketch_error_from_env
 from repro.core.results import SimulationResults
 from repro.core.simulator import RunMeters, read_meters, results_from_meters
 from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.partition import analyze_partition, plan_groups, slice_hosts
 from repro.traces.records import Trace
 
@@ -137,7 +136,7 @@ def decline_reason(
         return "already running inside a worker process"
     if obs is not None or config.trace_events:
         return "observation attached (events and spans are not merged across workers)"
-    if not isinstance(trace, (CompiledTrace, ChunkedCompiledTrace, Trace)):
+    if not isinstance(trace, (Trace, ChunkedCompiledTrace)):
         return "trace form not shardable"
     if trace.warmup_records != 0:
         return "trace has a warmup phase (cache state crosses the boundary)"
@@ -238,11 +237,6 @@ def try_parallel_replay(
     if reason is not None:
         _record(ParallelOutcome("declined", reason))
         return None
-    if isinstance(trace, Trace):
-        # Explicit parallel request: compiling is cheap, bit-identical,
-        # and required for the columnar partition analysis and slicing.
-        trace = compile_trace(trace)
-
     groups = plan_groups(analyze_partition(trace, n_hosts), workers)
     if len(groups) < 2:
         _record(

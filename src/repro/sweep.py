@@ -22,9 +22,9 @@ returns on every exit path, so no worker outlives the call.  Tasks are
 spawn-safe: what crosses the process boundary is a *picklable*
 ``SimConfig`` plus a **trace reference** (a path, or a chunked trace,
 which pickles as its spool directory), never a live simulator object.
-An in-memory trace is compiled to the packed columnar form
-(:mod:`repro.traces.compiled`) and written once per distinct content
-as a compiled-trace file, ``<fingerprint>.ctrace``, in a temporary
+An in-memory trace is written once per distinct content in the binary
+trace format (:meth:`~repro.traces.records.Trace.to_bytes`) as
+``<fingerprint>.ctrace`` in a temporary
 directory removed when the sweep ends (error and Ctrl-C included).
 Every worker maps that file read-only and attaches it *zero-copy*, so
 all workers share its pages.  Workers memoize attached/loaded traces
@@ -75,7 +75,6 @@ from repro.core.results import SimulationResults
 from repro.core.simulator import run_simulation
 from repro.errors import ConfigError
 from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import CompiledTrace, compile_trace
 from repro.traces.records import Trace
 
 __all__ = [
@@ -90,16 +89,17 @@ __all__ = [
     "set_default_cache_dir",
 ]
 
-TraceLike = Union[Trace, CompiledTrace, ChunkedCompiledTrace, str, Path]
+TraceLike = Union[Trace, ChunkedCompiledTrace, str, Path]
 
-#: What a worker resolves to a trace: a path — a compiled-trace file
-#: (:data:`CTRACE_SUFFIX`, mapped read-only), a chunked-trace spool
-#: *directory* (reopened with bounded memory), or a text, binary or
-#: pickled trace file — or a chunked trace, which pickles as its spool
-#: directory and the rows it skips.
+#: What a worker resolves to a trace: a path — a binary trace file named
+#: :data:`CTRACE_SUFFIX` (mapped read-only and trusted, as the sweep's
+#: own export), a chunked-trace spool *directory* (reopened with
+#: bounded memory), or any other text, binary or pickled trace file
+#: (loaded and checked) — or a chunked trace, which pickles as its
+#: spool directory and the rows it skips.
 TraceRef = Union[str, ChunkedCompiledTrace]
 
-#: Suffix of the compiled-trace files in-memory traces are exported as.
+#: Suffix of the binary trace files in-memory traces are exported as.
 CTRACE_SUFFIX = ".ctrace"
 
 #: Environment knobs (both overridable per call and via the setters).
@@ -119,11 +119,10 @@ _default_cache_dir: Optional[Path] = None
 class SweepPoint:
     """One independent simulation point of a sweep.
 
-    ``trace`` may be an in-memory :class:`Trace`, a pre-compiled
-    :class:`~repro.traces.compiled.CompiledTrace`, a bounded-memory
+    ``trace`` may be an in-memory :class:`Trace`, a bounded-memory
     :class:`~repro.traces.chunked.ChunkedCompiledTrace`, or a path to a
-    saved trace file (text, binary, pickle, a compiled-trace file, or a
-    chunked-spool directory).  The remaining fields mirror
+    saved trace file (text, binary, pickle, or a chunked-spool
+    directory).  The remaining fields mirror
     :func:`repro.run_simulation`'s keyword-only options.
     """
 
@@ -251,19 +250,8 @@ def _normalize_workers(workers: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Fingerprinting
+# Cache keys
 # --------------------------------------------------------------------------
-
-
-def trace_fingerprint(trace: Union[Trace, CompiledTrace, ChunkedCompiledTrace]) -> str:
-    """A stable content hash of a trace (records, geometry, warmup): the
-    fingerprint of its compiled form, over the packed columns' flat
-    buffers.  :func:`compile_trace` memoizes that form on the trace and
-    the form memoizes its fingerprint, so a trace reused across dozens
-    of points is hashed once."""
-    if isinstance(trace, ChunkedCompiledTrace):
-        return trace.fingerprint
-    return compile_trace(trace).fingerprint
 
 
 def _code_digest(root: Path, result_fields: Sequence[str]) -> str:
@@ -334,7 +322,7 @@ def _load_trace_path(path: str):
 
 
 def _attach_ctrace(path: str):
-    """Map a compiled-trace file read-only and attach it, zero-copy.
+    """Map a binary trace file read-only and attach it, zero-copy.
 
     Returns ``(trace, cleanup)``; ``cleanup`` releases the trace's
     column views *before* closing the map (a live view pins the map,
@@ -344,7 +332,7 @@ def _attach_ctrace(path: str):
     with open(path, "rb") as handle:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        trace = CompiledTrace.from_buffer(mapped)
+        trace = Trace.from_buffer(mapped)
     except BaseException:
         mapped.close()
         raise
@@ -503,10 +491,8 @@ def run_sweep_points(
         key = ""
         if cache_path is not None:
             trace_print = (
-                trace_fingerprint(point.trace)
-                if isinstance(
-                    point.trace, (Trace, CompiledTrace, ChunkedCompiledTrace)
-                )
+                point.trace.fingerprint
+                if isinstance(point.trace, (Trace, ChunkedCompiledTrace))
                 else _file_fingerprint(Path(point.trace))
             )
             key = _point_fingerprint(trace_print, point)
@@ -608,7 +594,7 @@ def _execute_serial(
     for index, _key in pending:
         point = points[index]
         trace = point.trace
-        if not isinstance(trace, (Trace, CompiledTrace, ChunkedCompiledTrace)):
+        if not isinstance(trace, (Trace, ChunkedCompiledTrace)):
             trace = _load_trace_ref(str(trace))
         started = time.perf_counter()
         result = run_simulation(trace, point.config, **point.run_options())
@@ -653,8 +639,8 @@ def _trace_exports():
     """Yield ``export(trace) -> TraceRef`` for traces bound for pool
     workers.
 
-    An in-memory trace is written once per distinct content as a
-    compiled-trace file, ``<fingerprint>.ctrace``, into a temporary
+    An in-memory trace is written once per distinct content in its
+    binary format, ``<fingerprint>.ctrace``, into a temporary
     directory made on first use and removed on *every* exit path —
     normal completion, a failing point, Ctrl-C.  The result cache is
     never written here, so an unwritable cache only disables caching.
@@ -669,14 +655,13 @@ def _trace_exports():
         nonlocal spool
         if isinstance(trace, ChunkedCompiledTrace):
             return trace
-        if not isinstance(trace, (Trace, CompiledTrace)):
+        if not isinstance(trace, Trace):
             return str(trace)
-        compiled = compile_trace(trace)
         if spool is None:
             spool = Path(tempfile.mkdtemp(prefix="repro-sweep-"))
-        path = spool / (compiled.fingerprint + CTRACE_SUFFIX)
+        path = spool / (trace.fingerprint + CTRACE_SUFFIX)
         if not path.exists():
-            _atomic_write(path, compiled.to_bytes())
+            _atomic_write(path, trace.to_bytes())
         return str(path)
 
     try:

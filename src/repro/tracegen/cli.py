@@ -51,7 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--inspect", metavar="TRACE", help="print statistics of an existing trace (file or chunked spool directory) and exit")
     parser.add_argument("--out", metavar="PATH", help="output trace path")
-    parser.add_argument("--binary", action="store_true", help="write the binary format")
+    parser.add_argument(
+        "--binary",
+        action="store_true",
+        help="write the binary format: the trace's packed columns, 33 bytes per record",
+    )
     parser.add_argument(
         "--chunked-out",
         metavar="DIR",

@@ -54,8 +54,7 @@ from repro.errors import ConfigError
 from repro.fsmodel.impressions import ImpressionsConfig
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.generator import generate_trace
-from repro.traces.compiled import ROW_TYPECODES, compile_trace
-from repro.traces.records import Trace
+from repro.traces.records import ROW_TYPECODES, Trace
 
 #: The scenario names :func:`fleet_trace` accepts, in reporting order.
 SCENARIOS = ("steady", "rolling_restart", "failover_storm")
@@ -159,11 +158,10 @@ def _with_rewarm_burst(spec: FleetSpec, tenant: int, trace: Trace) -> Trace:
     measured = len(trace) - warm
     if warm == 0 or measured == 0:
         return trace
-    columns = compile_trace(trace)
-    issuers = sorted(set(zip(columns.hosts_col, columns.threads_col)))
+    issuers = trace.issuers()
     seen = set()
     burst = []
-    for key in zip(columns.file_ids[:warm], columns.offsets[:warm], columns.nblocks[:warm]):
+    for key in zip(trace.file_ids[:warm], trace.offsets[:warm], trace.nblocks[:warm]):
         if key in seen:
             continue
         seen.add(key)
@@ -174,7 +172,7 @@ def _with_rewarm_burst(spec: FleetSpec, tenant: int, trace: Trace) -> Trace:
     point = warm + int(measured * (tenant + 1) / (spec.n_tenants + 1))
     spliced = [
         column[:point] + array(column.typecode, values) + column[point:]
-        for column, values in zip(columns.row_columns(), zip(*burst))
+        for column, values in zip(trace.row_columns(), zip(*burst))
     ]
     return Trace.from_columns(*spliced, trace.file_blocks, warm, trace.metadata)
 
@@ -194,7 +192,7 @@ def _with_failover(spec: FleetSpec, trace: Trace) -> Trace:
     n_standby = group - n_primary
     measured = len(trace) - trace.warmup_records
     switch = trace.warmup_records + int(measured * _FAILOVER_SWITCH_FRACTION)
-    ops, hosts, threads, file_ids, offsets, nblocks = compile_trace(trace).row_columns()
+    ops, hosts, threads, file_ids, offsets, nblocks = trace.row_columns()
     moved = list(zip(hosts[switch:], threads[switch:]))
     hosts = hosts[:switch] + array("I", [n_primary + host % n_standby for host, _ in moved])
     threads = threads[:switch] + array(
@@ -244,14 +242,13 @@ def _assemble(spec: FleetSpec, scenario: str, tenant_traces: List[Trace]) -> Tra
     warm_groups: List[range] = []
     measured_groups: List[range] = []
     for tenant, trace in enumerate(tenant_traces):
-        columns = compile_trace(trace)
         first_row = len(ops)
-        ops.extend(columns.ops)
-        hosts.extend(map(add, columns.hosts_col, repeat(tenant * spec.group_size)))
-        threads.extend(columns.threads_col)
-        file_ids.extend(map(add, columns.file_ids, repeat(len(file_blocks))))
-        offsets.extend(columns.offsets)
-        nblocks.extend(columns.nblocks)
+        ops.extend(trace.ops)
+        hosts.extend(map(add, trace.hosts_col, repeat(tenant * spec.group_size)))
+        threads.extend(trace.threads_col)
+        file_ids.extend(map(add, trace.file_ids, repeat(len(file_blocks))))
+        offsets.extend(trace.offsets)
+        nblocks.extend(trace.nblocks)
         file_blocks.extend(trace.file_blocks)
         boundary = first_row + trace.warmup_records
         warm_groups.append(range(first_row, boundary))

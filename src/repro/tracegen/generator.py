@@ -19,9 +19,8 @@ Two entry points share one request iterator (and therefore one RNG
 consumption pattern, so their outputs are record-for-record identical):
 
 * :func:`generate_trace` packs the requests in memory, batch by batch,
-  into the columns of a :class:`~repro.traces.compiled.CompiledTrace`
-  and returns a :class:`Trace` backed by them (about 33 bytes per
-  record); it builds record objects only if ``records`` is read;
+  into the columns of a :class:`Trace` (about 33 bytes per record); it
+  builds record objects only if ``records`` is read;
 * :func:`generate_trace_chunked` streams the same requests directly
   into a :class:`~repro.traces.chunked.ChunkedCompiledTrace` spool,
   with peak memory bounded by chunk size — the paper-scale path
@@ -48,8 +47,7 @@ from repro.engine.rng import RngStreams
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.workingset import WorkingSet, build_working_set
 from repro.traces.chunked import ChunkedCompiledTrace, ChunkedTraceWriter
-from repro.traces.compiled import ROW_TYPECODES
-from repro.traces.records import Trace
+from repro.traces.records import ROW_TYPECODES, Trace
 
 #: One generated request: (is_write, host, thread, file_id, start,
 #: length, is_warmup).
@@ -206,9 +204,8 @@ def generate_trace(
     from ``config.fs``.
 
     The requests go in batches straight into the record fields' columns
-    (see :meth:`Trace.from_columns`), which replay and
-    :func:`~repro.traces.compiled.compile_trace` read as they are; record
-    objects are built only if ``records`` is read.  Peak memory is
+    (see :meth:`Trace.from_columns`), which replay reads as they are;
+    record objects are built only if ``records`` is read.  Peak memory is
     O(records); for traces that should not be held in memory, use
     :func:`generate_trace_chunked`, which produces identical content.
     """
@@ -231,7 +228,7 @@ def generate_trace(
                     column.fromlist(list(values))
             except OverflowError as exc:
                 raise TraceFormatError(
-                    "record field too large for the compiled representation: %s" % exc
+                    "record field too large for its packed column: %s" % exc
                 ) from exc
             warmup_records += sum(is_warmup)
 
@@ -256,7 +253,7 @@ def generate_trace_chunked(
     :class:`~repro.traces.chunked.ChunkedTraceWriter`, so peak memory
     is bounded by chunk size regardless of trace length.  Content — and
     therefore the trace fingerprint and every replay signature — is
-    bit-identical to ``compile_trace(generate_trace(config, model))``.
+    bit-identical to ``generate_trace(config, model)``.
 
     ``spool_dir`` chooses where the spool lives (a temp directory by
     default; call ``delete()`` on the result when done).

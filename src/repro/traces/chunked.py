@@ -1,8 +1,8 @@
 """Chunked compiled traces: the bounded-memory streaming trace form.
 
-:class:`~repro.traces.compiled.CompiledTrace` removed the per-record
-object cost but still materializes every column in RAM, so peak memory
-is O(trace length) — the wall ROADMAP item 3 names.  Week-long
+A :class:`~repro.traces.records.Trace` holds no per-record objects but
+still holds every column in RAM, so peak memory is O(trace length) —
+the wall ROADMAP item 3 names.  Week-long
 production block traces (MSR Cambridge, SPC) and "millions of users"
 synthetic runs do not fit that model.
 
@@ -15,10 +15,10 @@ memory at a time:
     index, the per-issuer run table, and the content fingerprint.
 
 ``chunks.bin``
-    the six *stored* columns of the compiled format (``ops``,
+    the six *stored* columns of a trace (``ops``,
     ``hosts``, ``threads``, ``file_ids``, ``offsets``, ``nblocks`` —
     25 bytes/record, little-endian), concatenated chunk by chunk.
-    ``start_blocks`` stays derived, exactly as in the flat wire format.
+    ``start_blocks`` stays derived.
 
 ``rows.bin``
     replay rows ``(op, start_block, nblocks)`` packed as ``<BQI``
@@ -36,7 +36,8 @@ for importers, fixed for tracegen), partitions rows per issuer, and
 writes the manifest.
 
 The content fingerprint is **bit-identical** to
-:attr:`CompiledTrace.fingerprint` for the same records — the digest is
+:attr:`Trace.fingerprint <repro.traces.records.Trace.fingerprint>` for
+the same records — the digest is
 fed the same header and the same column bytes in the same order, just
 read back from the spool in column-ordered passes.  That makes chunked
 traces first-class citizens of the sweep result cache and of the
@@ -51,25 +52,24 @@ writer's ``chunk_records`` sets another); see ``docs/SCALING.md``
 from __future__ import annotations
 
 import atexit
-import itertools
 import json
 import os
 import shutil
 import struct
-import sys
 import tempfile
 from array import array
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TraceFormatError
-from repro.traces.compiled import (
-    CompiledTrace,
+from repro.traces.records import (
+    ROW_TYPECODES,
+    Trace,
+    _array_from_le,
     _column_bytes_le,
+    _file_bases,
     _fingerprint_digest,
-    compile_trace,
 )
-from repro.traces.records import Trace, _file_bases, records_from_rows
 
 __all__ = [
     "ChunkedCompiledTrace",
@@ -92,8 +92,8 @@ ROWS_NAME = "rows.bin"
 _MANIFEST_VERSION = 1
 
 #: The stored columns in spool order: (name, typecode, width).  Must
-#: stay aligned with ``repro.traces.compiled._FINGERPRINT_COLUMNS`` —
-#: the fingerprint hashes these bytes in exactly this order.
+#: stay aligned with ``repro.traces.records.ROW_TYPECODES`` — the
+#: fingerprint hashes these bytes in exactly this order.
 _CHUNK_COLUMNS: Tuple[Tuple[str, str, int], ...] = (
     ("ops", "B", 1),
     ("hosts", "I", 4),
@@ -107,16 +107,6 @@ _RECORD_BYTES = sum(width for _name, _tc, width in _CHUNK_COLUMNS)
 
 _ROW = struct.Struct("<BQI")  # (op, start_block, nblocks)
 _ROW_BYTES = _ROW.size
-
-
-def _array_from_le(typecode: str, data: bytes) -> array:
-    """Decode a little-endian column buffer into an array (the inverse
-    of ``_column_bytes_le``)."""
-    column = array(typecode)
-    column.frombytes(data)
-    if sys.byteorder != "little":  # pragma: no cover - BE only
-        column.byteswap()
-    return column
 
 
 def _column_offsets(n: int) -> Dict[str, Tuple[int, int]]:
@@ -277,7 +267,7 @@ class ChunkedTraceWriter:
             self._nblocks.append(nblocks)
         except OverflowError as exc:
             raise TraceFormatError(
-                "record field too large for the compiled representation: %s" % exc
+                "record field too large for its packed column: %s" % exc
             ) from exc
         self._n_records += 1
         if len(self._ops) >= self._chunk_records:
@@ -429,7 +419,7 @@ def _spool_fingerprint(
     skip_records: int = 0,
 ) -> str:
     """The content fingerprint of a chunk spool — **bit-identical** to
-    :attr:`CompiledTrace.fingerprint` over the same records.
+    :attr:`Trace.fingerprint` over the same records.
 
     The digest sees the same preamble and the same column bytes in the
     same order as the in-memory form; the only difference is that each
@@ -502,12 +492,12 @@ class ChunkedCompiledTrace:
     """A compiled trace living in a spool directory, replayed with
     peak memory bounded by chunk/run size instead of trace length.
 
-    Mirrors the :class:`CompiledTrace` surface the simulation driver
-    uses (``__len__``, ``hosts()``, ``warmup_blocks()``,
-    ``without_warmup()``, ``issuer_plan()``, ``fingerprint``,
-    ``total_file_blocks``, ``to_trace()``), so
+    Mirrors the :class:`Trace` surface the simulation driver uses
+    (``__len__``, ``hosts()``, ``warmup_blocks()``,
+    ``without_warmup()``, ``issuer_plan()``, ``iter_records()``,
+    ``fingerprint``, ``total_file_blocks``), so
     :func:`repro.run_simulation` and :mod:`repro.sweep` accept it
-    anywhere they accept a compiled trace.  Pickles as its spool path —
+    anywhere they accept a :class:`Trace`.  Pickles as its spool path —
     sweep workers on the same machine reopen the spool instead of
     shipping records.
     """
@@ -593,20 +583,20 @@ class ChunkedCompiledTrace:
     @classmethod
     def from_trace(
         cls,
-        trace: Union[Trace, CompiledTrace],
+        trace: Trace,
         *,
         spool_dir: Union[None, str, Path] = None,
         chunk_records: Optional[int] = None,
     ) -> "ChunkedCompiledTrace":
-        """Spool an in-memory trace (object or compiled form) into the
-        chunked representation.  Content-preserving: the result's
-        fingerprint equals ``compile_trace(trace).fingerprint``."""
+        """Spool an in-memory trace into the chunked representation.
+        Content-preserving: the result's fingerprint equals
+        ``trace.fingerprint``."""
         writer = ChunkedTraceWriter(
             trace.file_blocks, spool_dir=spool_dir, chunk_records=chunk_records
         )
         try:
             append = writer.append
-            for op, host, thread, fid, offset, nb in compile_trace(trace).iter_records():
+            for op, host, thread, fid, offset, nb in trace.iter_records():
                 append(bool(op), host, thread, fid, offset, nb)
             return writer.freeze(trace.warmup_records, dict(trace.metadata))
         except BaseException:
@@ -647,8 +637,8 @@ class ChunkedCompiledTrace:
 
         Chunked traces strip warmup by *offsetting into the spool*
         (each issuer stream starts after its warmup rows) — no data is
-        copied or rewritten, matching the zero-copy slicing of the
-        in-memory compiled form.
+        copied or rewritten, matching the zero-copy slicing of an
+        in-memory :class:`Trace`.
         """
         if self.warmup_records == 0:
             return self
@@ -662,7 +652,7 @@ class ChunkedCompiledTrace:
     def issuer_plan(self):
         """Per-(host, thread) lazy row streams with the warmup split.
 
-        Same contract as :meth:`CompiledTrace.issuer_plan` — sorted by
+        Same contract as :meth:`Trace.issuer_plan` — sorted by
         ``(host, thread)``, rows in trace order, warmup prefix split —
         but the row containers are :class:`_RowStream` objects that
         read run buffers from ``rows.bin`` on demand instead of
@@ -716,9 +706,9 @@ class ChunkedCompiledTrace:
 
     # --- streaming record access ----------------------------------------
 
-    def iter_records(self) -> Iterator[Tuple[int, int, int, int, int, int]]:
-        """Stream ``(op, host, thread, file_id, offset, nblocks)``
-        tuples in trace order, decoding one chunk at a time."""
+    def _chunk_columns(self) -> Iterator[Tuple[List[int], ...]]:
+        """The six stored columns chunk by chunk, in trace order, as int
+        lists, without the rows a warmup-stripped view skips."""
         skip = self._skip
         chunk_start = 0
         for chunk_offset, n in self._chunk_index:
@@ -727,19 +717,27 @@ class ChunkedCompiledTrace:
             if drop == n:
                 continue
             columns = _read_chunk(self.spool_dir, chunk_offset, n)
-            yield from itertools.islice(zip(*columns), drop, None)
+            yield tuple(column[drop:] for column in columns) if drop else columns
+
+    def iter_records(self) -> Iterator[Tuple[int, int, int, int, int, int]]:
+        """Stream ``(op, host, thread, file_id, offset, nblocks)``
+        tuples in trace order, decoding one chunk at a time."""
+        for columns in self._chunk_columns():
+            yield from zip(*columns)
 
     def to_trace(self) -> Trace:
-        """Materialize back into the object representation.
+        """The same content as an in-memory :class:`Trace`, packed
+        straight into its columns.
 
         This is O(trace) memory by definition — it exists for small-trace
         tests and tools, not for the streaming pipeline (every replay,
         observed ones included, streams the issuer rows)."""
-        return Trace(
-            records_from_rows(self.iter_records()),
-            self.file_blocks,
-            warmup_records=self.warmup_records,
-            metadata=dict(self.metadata),
+        columns = [array(typecode) for typecode in ROW_TYPECODES]
+        for chunk in self._chunk_columns():
+            for column, values in zip(columns, chunk):
+                column.fromlist(values)
+        return Trace.from_columns(
+            *columns, self.file_blocks, self.warmup_records, self.metadata
         )
 
     # --- fingerprint ----------------------------------------------------
@@ -747,7 +745,7 @@ class ChunkedCompiledTrace:
     @property
     def fingerprint(self) -> str:
         """Stable content hash, bit-identical to the fingerprint of the
-        equivalent :class:`CompiledTrace` (see
+        equivalent :class:`Trace` (see
         :func:`_spool_fingerprint`).  The freeze-time value is stored
         in the manifest; only warmup-stripped views recompute."""
         if self._skip == 0:
@@ -785,11 +783,6 @@ class ChunkedCompiledTrace:
         # Pickle as the spool path: workers reopen the spool (same
         # machine, shared filesystem) instead of shipping record data.
         return (_reopen, (str(self.spool_dir), self._skip))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ChunkedCompiledTrace, CompiledTrace)):
-            return NotImplemented
-        return self.fingerprint == other.fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<ChunkedCompiledTrace %d records, %d files, %d chunks, warmup=%d at %s>" % (

@@ -1,4 +1,4 @@
-"""Trace serialization: a text format and a compact binary format.
+"""Trace serialization: a text format and the binary format.
 
 Text format (``.trace``), line oriented::
 
@@ -9,10 +9,13 @@ Text format (``.trace``), line oriented::
     R 0 3 17 42 8               # op host thread file offset nblocks
     W 0 1 17 50 1
 
-Binary format (``.btrace``): an 8-byte magic, a JSON header (length
-prefixed), then fixed-width little-endian records — fast to parse for
-the multi-hundred-thousand-record traces the experiments use, and
-constant-size per record regardless of field magnitudes.
+Binary format: the blob of :meth:`Trace.to_bytes
+<repro.traces.records.Trace.to_bytes>` — an 8-byte magic
+(:data:`~repro.traces.records.COMPILED_MAGIC`), a JSON header (length
+prefixed), then the trace's seven packed little-endian columns, 33
+bytes per record whatever the field magnitudes.  It is the file a sweep
+hands its workers, and :func:`load_trace` reads it with one copy per
+column and the same row checks as every other trace.
 
 :func:`load_trace` auto-detects the format from the file's magic.
 """
@@ -20,16 +23,13 @@ constant-size per record regardless of field magnitudes.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 from typing import List, Union
 
 from repro.errors import TraceFormatError
-from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.traces.records import COMPILED_MAGIC, Trace, TraceOp, TraceRecord
 
 TEXT_MAGIC = "%REPRO-TRACE v1"
-BINARY_MAGIC = b"RPTRC\x00v1"
-_RECORD_STRUCT = struct.Struct("<BIIIQI")  # op, host, thread, file, offset, nblocks
 
 PathLike = Union[str, Path]
 
@@ -49,17 +49,10 @@ def _dump_text(trace: Trace) -> str:
         # leading/trailing whitespace, control characters) round-trips.
         lines.append("#meta %s %s" % (key, json.dumps(str(value))))
     lines.append("@files " + " ".join(str(n) for n in trace.file_blocks))
-    for record in trace.records:
+    write, read = TraceOp.WRITE.value, TraceOp.READ.value
+    for op, host, thread, file_id, offset, nblocks in trace.iter_records():
         lines.append(
-            "%s %d %d %d %d %d"
-            % (
-                record.op.value,
-                record.host,
-                record.thread,
-                record.file_id,
-                record.offset,
-                record.nblocks,
-            )
+            "%s %d %d %d %d %d" % (write if op else read, host, thread, file_id, offset, nblocks)
         )
     return "\n".join(lines) + "\n"
 
@@ -110,75 +103,6 @@ def _parse_text(text: str) -> Trace:
     return Trace(records, file_blocks, warmup_records=warmup, metadata=metadata)
 
 
-# --- binary format ---------------------------------------------------------
-
-
-def _dump_binary(trace: Trace) -> bytes:
-    header = json.dumps(
-        {
-            "warmup": trace.warmup_records,
-            "metadata": trace.metadata,
-            "file_blocks": trace.file_blocks,
-            "n_records": len(trace.records),
-        }
-    ).encode("utf-8")
-    chunks = [BINARY_MAGIC, struct.pack("<I", len(header)), header]
-    pack = _RECORD_STRUCT.pack
-    for record in trace.records:
-        chunks.append(
-            pack(
-                1 if record.is_write else 0,
-                record.host,
-                record.thread,
-                record.file_id,
-                record.offset,
-                record.nblocks,
-            )
-        )
-    return b"".join(chunks)
-
-
-def _parse_binary(data: bytes) -> Trace:
-    if not data.startswith(BINARY_MAGIC):
-        raise TraceFormatError("not a repro binary trace (bad magic)")
-    cursor = len(BINARY_MAGIC)
-    (header_len,) = struct.unpack_from("<I", data, cursor)
-    cursor += 4
-    try:
-        header = json.loads(data[cursor : cursor + header_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise TraceFormatError("corrupt binary trace header: %s" % exc) from exc
-    cursor += header_len
-    n_records = header["n_records"]
-    expected = cursor + n_records * _RECORD_STRUCT.size
-    if len(data) < expected:
-        raise TraceFormatError(
-            "truncated binary trace: need %d bytes, have %d" % (expected, len(data))
-        )
-    records: List[TraceRecord] = []
-    unpack = _RECORD_STRUCT.unpack_from
-    for i in range(n_records):
-        is_write, host, thread, file_id, offset, nblocks = unpack(
-            data, cursor + i * _RECORD_STRUCT.size
-        )
-        records.append(
-            TraceRecord(
-                TraceOp.WRITE if is_write else TraceOp.READ,
-                host,
-                thread,
-                file_id,
-                offset,
-                nblocks,
-            )
-        )
-    return Trace(
-        records,
-        header["file_blocks"],
-        warmup_records=header["warmup"],
-        metadata=header.get("metadata", {}),
-    )
-
-
 # --- public API -------------------------------------------------------------
 
 
@@ -186,7 +110,7 @@ def save_trace(trace: Trace, path: PathLike, binary: bool = False) -> None:
     """Write a trace to ``path`` in text (default) or binary format."""
     path = Path(path)
     if binary:
-        path.write_bytes(_dump_binary(trace))
+        path.write_bytes(trace.to_bytes())
     else:
         path.write_text(_dump_text(trace), encoding="utf-8")
 
@@ -194,8 +118,8 @@ def save_trace(trace: Trace, path: PathLike, binary: bool = False) -> None:
 def load_trace(path: PathLike) -> Trace:
     """Read a trace, auto-detecting text vs. binary from the magic."""
     data = Path(path).read_bytes()
-    if data.startswith(BINARY_MAGIC):
-        return _parse_binary(data)
+    if data.startswith(COMPILED_MAGIC):
+        return Trace.from_bytes(data)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -237,7 +237,7 @@ class StreamingTraceBuilder(ExtentMapperBase):
     :class:`~repro.traces.chunked.ChunkedCompiledTrace`.
 
     Given identical input, the result is record-for-record identical to
-    ``compile_trace(TraceBuilder(...).build(...))`` — same id mapping,
+    ``TraceBuilder(...).build(...)`` — same id mapping,
     same extent rounding, same geometry growth, same warmup count —
     which the importer property tests assert via trace fingerprints.
     """

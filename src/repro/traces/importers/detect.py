@@ -13,13 +13,13 @@ from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from repro.errors import TraceFormatError
-from repro.traces.format import BINARY_MAGIC, TEXT_MAGIC, load_trace
+from repro.traces.format import TEXT_MAGIC, load_trace
 from repro.traces.importers.base import ImportStats
 from repro.traces.importers.blkparse import _LINE as _BLKPARSE_LINE
 from repro.traces.importers.blkparse import import_blkparse, import_blkparse_chunked
 from repro.traces.importers.msr import import_msr_csv, import_msr_csv_chunked
 from repro.traces.importers.spc import import_spc, import_spc_chunked
-from repro.traces.records import Trace
+from repro.traces.records import COMPILED_MAGIC, Trace
 
 PathLike = Union[str, Path]
 
@@ -37,7 +37,7 @@ def detect_format(path: PathLike) -> str:
     path = Path(path)
     with path.open("rb") as handle:
         head = handle.read(4096)
-    if head.startswith(BINARY_MAGIC):
+    if head.startswith(COMPILED_MAGIC):
         return "native"
     # Decode strictly: every text format we detect is ASCII-clean, and a
     # lenient errors="replace" decode would let a corrupt or binary file

@@ -1,4 +1,4 @@
-"""Host interference analysis over compiled trace columns.
+"""Host interference analysis over packed trace columns.
 
 The parallel replay engine (:mod:`repro.engine.parallel`) shards one
 multi-host simulation across worker processes.  That is only
@@ -36,10 +36,10 @@ traces stay cheap:
    interval sweep with the write refinement above, merged through a
    union-find.
 
-Everything here is pure analysis over ``(op, host, start_block,
-nblocks)`` columns; it accepts both :class:`~repro.traces.compiled.
-CompiledTrace` and :class:`~repro.traces.chunked.ChunkedCompiledTrace`
-(streamed, so spooled traces never materialize).
+Everything here is pure analysis over the rows' ``(op, host,
+start_block, nblocks)``; it reads any trace through ``iter_records()``,
+so a :class:`~repro.traces.chunked.ChunkedCompiledTrace` streams and
+never materializes.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import CompiledTrace
-from repro.traces.records import _file_bases
+from repro.traces.records import ROW_TYPECODES, Trace, _file_bases
 
 __all__ = [
     "PartitionAnalysis",
@@ -60,20 +59,12 @@ __all__ = [
     "slice_hosts",
 ]
 
-AnyCompiled = Union[CompiledTrace, ChunkedCompiledTrace]
+AnyTrace = Union[Trace, ChunkedCompiledTrace]
 
 
-def _iter_ranges(trace: AnyCompiled) -> Iterator[Tuple[int, int, int, int]]:
+def _iter_ranges(trace: AnyTrace) -> Iterator[Tuple[int, int, int, int]]:
     """Stream ``(op, host, start_block, nblocks)`` for every row,
-    warmup included, for either compiled form."""
-    if isinstance(trace, CompiledTrace):
-        yield from zip(
-            trace.ops.tolist(),
-            trace.hosts_col.tolist(),
-            trace.start_blocks.tolist(),
-            trace.nblocks.tolist(),
-        )
-        return
+    warmup included."""
     base = _file_bases(trace.file_blocks)
     for op, host, _thread, file_id, offset, nb in trace.iter_records():
         yield op, host, base[file_id] + offset, nb
@@ -180,7 +171,7 @@ def _sweep_cluster(
                 union.union(first, other)
 
 
-def analyze_partition(trace: AnyCompiled, n_hosts: int) -> PartitionAnalysis:
+def analyze_partition(trace: AnyTrace, n_hosts: int) -> PartitionAnalysis:
     """Compute the interference components of ``trace`` (see module
     docstring for the rule).  Hosts ``0..n_hosts-1`` that never appear
     in the trace are idle singletons."""
@@ -267,9 +258,9 @@ def plan_groups(
     return groups
 
 
-def slice_hosts(trace: AnyCompiled, hosts: Set[int]) -> CompiledTrace:
-    """A new owning :class:`CompiledTrace` holding exactly the rows
-    issued by ``hosts``, in trace order.
+def slice_hosts(trace: AnyTrace, hosts: Set[int]) -> Trace:
+    """A new owning :class:`Trace` holding exactly the rows issued by
+    ``hosts``, in trace order.
 
     Only defined for warmup-free traces: a sliced warmup boundary would
     not be a row index of the slice, and the parallel engine (its only
@@ -282,52 +273,11 @@ def slice_hosts(trace: AnyCompiled, hosts: Set[int]) -> CompiledTrace:
             "slice_hosts requires a warmup-free trace "
             "(got warmup_records=%d)" % trace.warmup_records
         )
-    ops = array("B")
-    hosts_col = array("I")
-    threads = array("I")
-    file_ids = array("I")
-    offsets = array("Q")
-    nblocks = array("I")
-    starts = array("Q")
-    if isinstance(trace, CompiledTrace):
-        rows = zip(
-            trace.ops.tolist(),
-            trace.hosts_col.tolist(),
-            trace.threads_col.tolist(),
-            trace.file_ids.tolist(),
-            trace.offsets.tolist(),
-            trace.nblocks.tolist(),
-            trace.start_blocks.tolist(),
-        )
-        for op, host, thread, file_id, offset, nb, start in rows:
-            if host in hosts:
-                ops.append(op)
-                hosts_col.append(host)
-                threads.append(thread)
-                file_ids.append(file_id)
-                offsets.append(offset)
-                nblocks.append(nb)
-                starts.append(start)
-    else:
-        base = _file_bases(trace.file_blocks)
-        for op, host, thread, file_id, offset, nb in trace.iter_records():
-            if host in hosts:
-                ops.append(op)
-                hosts_col.append(host)
-                threads.append(thread)
-                file_ids.append(file_id)
-                offsets.append(offset)
-                nblocks.append(nb)
-                starts.append(base[file_id] + offset)
-    return CompiledTrace(
-        ops,
-        hosts_col,
-        threads,
-        file_ids,
-        offsets,
-        nblocks,
-        starts,
-        list(trace.file_blocks),
+    kept = [row for row in trace.iter_records() if row[1] in hosts]
+    fields = zip(*kept) if kept else [()] * len(ROW_TYPECODES)
+    return Trace.from_columns(
+        *(array(typecode, values) for typecode, values in zip(ROW_TYPECODES, fields)),
+        trace.file_blocks,
         0,
-        dict(trace.metadata),
+        trace.metadata,
     )

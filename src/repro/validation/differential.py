@@ -472,14 +472,13 @@ def check_chunked_replay_identity(
     path.
     """
     from repro.traces.chunked import ChunkedCompiledTrace
-    from repro.traces.compiled import compile_trace
 
     problems: List[str] = []
     points = 0
     for family, trace, configs, names in _matrix_families(scale):
         chunked = ChunkedCompiledTrace.from_trace(trace)
         try:
-            if chunked.fingerprint != compile_trace(trace).fingerprint:
+            if chunked.fingerprint != trace.fingerprint:
                 problems.append("%s: spool fingerprint drift" % family)
                 continue
             materialized = run_sweep(trace, configs, workers=workers)
@@ -523,7 +522,6 @@ def check_inline_hit_identity(
     """
     from repro.core.simulator import run_simulation
     from repro.obs import Observation
-    from repro.traces.compiled import compile_trace
 
     problems: List[str] = []
     points = 0
@@ -542,13 +540,10 @@ def check_inline_hit_identity(
             problems.append("%s: %s" % (label, ", ".join(drifted[:3])))
 
     for family, trace, configs, names in _matrix_families(scale):
-        compiled = compile_trace(trace)
         for name, config in zip(names, configs):
-            compare("%s/%s" % (family, name), compiled, config)
+            compare("%s/%s" % (family, name), trace, config)
 
-    grid_trace = compile_trace(
-        baseline_trace(n_hosts=2, scale=scale, volume_multiple=2.0)
-    )
+    grid_trace = baseline_trace(n_hosts=2, scale=scale, volume_multiple=2.0)
     grid = ("s", "a", "p10", "p30", "p60", "t30", "d30")
     for ram_spec in grid:
         for flash_spec in grid:
@@ -575,10 +570,8 @@ def check_inline_hit_identity(
     # Fleet-shaped point: several hosts sharing one working set make
     # inline write hits invalidate multi-bit holder masks (the two-host
     # matrix rarely grows masks past two bits).
-    multihost_trace = compile_trace(
-        baseline_trace(
-            n_hosts=4, shared_working_set=True, scale=scale, volume_multiple=2.0
-        )
+    multihost_trace = baseline_trace(
+        n_hosts=4, shared_working_set=True, scale=scale, volume_multiple=2.0
     )
     compare("multihost/shared-ws-4h", multihost_trace, baseline_config(scale=scale))
     if problems:
@@ -617,9 +610,7 @@ def check_fleet_identity(scale: int = DEFAULT_SCALE) -> DifferentialCheck:
     for scenario in SCENARIOS:
         first = fleet_trace(spec, scenario)
         second = fleet_trace(spec, scenario)
-        if first.records != second.records or (
-            first.warmup_records != second.warmup_records
-        ):
+        if first.fingerprint != second.fingerprint:
             problems.append("%s: regenerated trace differs" % scenario)
             continue
         reference = full_signature(run_simulation(first, config, n_hosts=spec.n_hosts))

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import runner
 from repro.tracegen import cli
 from repro.traces.format import load_trace
+from repro.traces.records import COMPILED_MAGIC
 
 
 class TestParseSize:
@@ -48,7 +49,7 @@ class TestTracegenCli:
             ["--fs-size", "32M", "--working-set", "4M", "--out", str(out), "--binary"]
         )
         assert status == 0
-        assert out.read_bytes().startswith(b"RPTRC")
+        assert out.read_bytes().startswith(COMPILED_MAGIC)
 
     def test_missing_out_is_an_error(self, capsys):
         with pytest.raises(SystemExit):

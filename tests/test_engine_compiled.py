@@ -24,7 +24,6 @@ from repro.engine.compiled import kernel_eligible
 from repro.experiments.common import DEFAULT_SCALE, baseline_config, baseline_trace
 from repro.net.directory import DirectoryTiming
 from repro.obs import Observation
-from repro.traces.compiled import compile_trace
 from repro.validation.differential import check_inline_hit_identity, full_signature
 from tests.helpers import make_trace, tiny_config
 
@@ -34,7 +33,7 @@ FAST_SCALE = DEFAULT_SCALE * 4
 
 def _compiled_baseline(**trace_kwargs):
     trace_kwargs.setdefault("scale", FAST_SCALE)
-    return compile_trace(baseline_trace(**trace_kwargs))
+    return baseline_trace(**trace_kwargs)
 
 
 def _run_both(trace, config, **kwargs):
@@ -249,16 +248,14 @@ class TestKernelPropertySweep:
     @pytest.mark.parametrize("case_seed", range(10))
     def test_random_point_is_bit_identical(self, case_seed):
         rng = random.Random(0xC0DE + case_seed)
-        trace = compile_trace(
-            baseline_trace(
-                ws_gb=rng.choice((20.0, 60.0)),
-                write_fraction=rng.choice((0.0, 0.1, 0.3, 0.6)),
-                n_hosts=rng.choice((1, 2, 3)),
-                shared_working_set=rng.random() < 0.7,
-                seed=rng.randrange(1 << 16),
-                scale=FAST_SCALE,
-                volume_multiple=2.0,
-            )
+        trace = baseline_trace(
+            ws_gb=rng.choice((20.0, 60.0)),
+            write_fraction=rng.choice((0.0, 0.1, 0.3, 0.6)),
+            n_hosts=rng.choice((1, 2, 3)),
+            shared_working_set=rng.random() < 0.7,
+            seed=rng.randrange(1 << 16),
+            scale=FAST_SCALE,
+            volume_multiple=2.0,
         )
         architecture = rng.choice(_ARCHITECTURES)
         overrides = {

@@ -16,7 +16,6 @@ from repro.engine import parallel as par
 from repro.errors import ConfigError, SimulationError
 from repro.net.directory import DirectoryTiming
 from repro.traces.chunked import ChunkedCompiledTrace
-from repro.traces.compiled import compile_trace
 from repro.traces.partition import analyze_partition, plan_groups, slice_hosts
 from repro.traces.records import Trace, TraceOp
 from repro.validation.differential import full_signature
@@ -93,21 +92,18 @@ class TestPartitionAnalysis:
                 random_multihost_ops(rng, n_hosts, 300, span=80, shared=shared),
                 file_blocks=4096,
             )
-            compiled = compile_trace(trace)
-            analysis = analyze_partition(compiled, n_hosts)
+            analysis = analyze_partition(trace, n_hosts)
             assert analysis.components == brute_force_components(
-                compiled, n_hosts
+                trace, n_hosts
             ), "trial %d" % trial
 
     def test_separated_hosts_share_no_written_block(self):
         rng = random.Random(0xBEEF)
         for trial in range(15):
             n_hosts = rng.randrange(3, 8)
-            trace = compile_trace(
-                make_trace(
-                    random_multihost_ops(rng, n_hosts, 400, span=60, shared=0.1),
-                    file_blocks=4096,
-                )
+            trace = make_trace(
+                random_multihost_ops(rng, n_hosts, 400, span=60, shared=0.1),
+                file_blocks=4096,
             )
             analysis = analyze_partition(trace, n_hosts)
             for i, left in enumerate(analysis.components):
@@ -127,9 +123,8 @@ class TestPartitionAnalysis:
             random_multihost_ops(rng, 6, 500, span=100, shared=0.08),
             file_blocks=4096,
         )
-        compiled = compile_trace(trace)
         chunked = ChunkedCompiledTrace.from_trace(trace, chunk_records=64)
-        a = analyze_partition(compiled, 6)
+        a = analyze_partition(trace, 6)
         b = analyze_partition(chunked, 6)
         assert a.components == b.components
         assert a.host_rows == b.host_rows
@@ -140,25 +135,25 @@ class TestPartitionAnalysis:
         # block host 1 reads during warmup.  Warmup populates caches
         # and holder bits, so the hosts are coupled regardless.
         ops = [("w", 10, 0), ("r", 10, 1), ("r", 500, 0), ("r", 600, 1)]
-        trace = compile_trace(make_trace(ops, warmup=2))
+        trace = make_trace(ops, warmup=2)
         analysis = analyze_partition(trace, 2)
         assert analysis.components == [[0, 1]]
 
     def test_pure_read_sharing_does_not_couple(self):
         ops = [("r", 10, 0), ("r", 10, 1), ("w", 500, 0), ("w", 600, 1)]
-        analysis = analyze_partition(compile_trace(make_trace(ops)), 2)
+        analysis = analyze_partition(make_trace(ops), 2)
         assert analysis.components == [[0], [1]]
 
     def test_readers_couple_through_a_third_writer(self):
         # Hosts 0 and 1 only read block 7; host 2 writes it.  All three
         # must land in one component — 2's invalidation hits both.
         ops = [("r", 7, 0), ("r", 7, 1), ("w", 7, 2)]
-        analysis = analyze_partition(compile_trace(make_trace(ops)), 3)
+        analysis = analyze_partition(make_trace(ops), 3)
         assert analysis.components == [[0, 1, 2]]
 
     def test_idle_hosts_are_singletons(self):
         ops = [("r", 1, 0), ("w", 1, 0)]
-        analysis = analyze_partition(compile_trace(make_trace(ops)), 4)
+        analysis = analyze_partition(make_trace(ops), 4)
         assert analysis.components == [[0], [1], [2], [3]]
 
 
@@ -182,11 +177,9 @@ def _written_blocks(trace, hosts):
 
 class TestGroupPlanning:
     def _analysis(self, rng, n_hosts=8):
-        trace = compile_trace(
-            make_trace(
-                random_multihost_ops(rng, n_hosts, 400, span=50),
-                file_blocks=4096,
-            )
+        trace = make_trace(
+            random_multihost_ops(rng, n_hosts, 400, span=50),
+            file_blocks=4096,
         )
         return trace, analyze_partition(trace, n_hosts)
 
@@ -220,7 +213,7 @@ class TestGroupPlanning:
         # Host 0 and host 2 issue rows; hosts 1 and 3 are idle and join
         # the lightest group instead of getting a worker each.
         ops = [("r", 1, 0), ("w", 1, 0), ("r", 900, 2)]
-        analysis = analyze_partition(compile_trace(make_trace(ops)), 4)
+        analysis = analyze_partition(make_trace(ops), 4)
         groups = plan_groups(analysis, 4)
         assert sorted(h for g in groups for h in g) == [0, 1, 2, 3]
         assert len(groups) == 2
@@ -231,7 +224,7 @@ class TestSliceHosts:
     def test_slice_preserves_rows_and_order(self):
         rng = random.Random(5)
         ops = random_multihost_ops(rng, 4, 200, span=40, shared=0.2)
-        trace = compile_trace(make_trace(ops))
+        trace = make_trace(ops)
         hosts = {1, 3}
         sliced = slice_hosts(trace, hosts)
         expected = [
@@ -256,16 +249,14 @@ class TestSliceHosts:
 
     def test_slices_cover_the_trace_exactly_once(self):
         rng = random.Random(6)
-        trace = compile_trace(
-            make_trace(random_multihost_ops(rng, 5, 150, span=30))
-        )
+        trace = make_trace(random_multihost_ops(rng, 5, 150, span=30))
         total = sum(
             len(slice_hosts(trace, {h})) for h in range(5)
         )
         assert total == len(trace)
 
     def test_slice_rejects_warmup_traces(self):
-        trace = compile_trace(make_trace([("r", 1, 0), ("r", 2, 1)], warmup=1))
+        trace = make_trace([("r", 1, 0), ("r", 2, 1)], warmup=1)
         with pytest.raises(SimulationError):
             slice_hosts(trace, {0})
 
@@ -439,7 +430,7 @@ class TestSegmentBusyMeters:
 
         group = (0, 2)
         system = System(tiny_config(), 4, check_invariants=False)
-        trace = compile_trace(_eligible_multihost_trace(seed=5))
+        trace = _eligible_multihost_trace(seed=5)
         system.replay(slice_hosts(trace, set(group)))
         shipped = read_meters(system, group)
         for host, segment in enumerate(system.segments):
@@ -466,36 +457,36 @@ class TestEligibilityGates:
         return par.decline_reason(trace, config, **options)
 
     def test_eligible_baseline(self):
-        trace = compile_trace(_eligible_multihost_trace())
+        trace = _eligible_multihost_trace()
         assert self._reason(trace, tiny_config()) is None
 
     def test_warmup_declines(self):
-        trace = compile_trace(make_trace([("r", 1, 0), ("r", 2, 1)], warmup=1))
+        trace = make_trace([("r", 1, 0), ("r", 2, 1)], warmup=1)
         assert "warmup" in self._reason(trace, tiny_config())
 
     def test_fractional_fast_read_rate_declines(self):
         from tests.helpers import deterministic_timing
 
-        trace = compile_trace(_eligible_multihost_trace())
+        trace = _eligible_multihost_trace()
         config = tiny_config(timing=deterministic_timing(fast_read_rate=0.9))
         assert "RNG" in self._reason(trace, config)
 
     def test_single_host_declines(self):
-        trace = compile_trace(make_trace([("r", 1, 0)]))
+        trace = make_trace([("r", 1, 0)])
         assert "single-host" in self._reason(trace, tiny_config(), n_hosts=1)
 
     def test_invariant_checking_declines(self):
-        trace = compile_trace(_eligible_multihost_trace())
+        trace = _eligible_multihost_trace()
         assert "invariant" in self._reason(
             trace, tiny_config(), check_invariants=True
         )
 
     def test_timeline_declines(self):
-        trace = compile_trace(_eligible_multihost_trace())
+        trace = _eligible_multihost_trace()
         assert "timeline" in self._reason(
             trace, tiny_config(), timeline_bucket_ns=1_000_000
         )
 
     def test_one_worker_declines(self):
-        trace = compile_trace(_eligible_multihost_trace())
+        trace = _eligible_multihost_trace()
         assert "workers" in self._reason(trace, tiny_config(), workers=1)

@@ -50,7 +50,7 @@ from repro.policies.cleaning import AggressiveClean
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.fleet import FleetSpec, fleet_trace
 from repro.tracegen.generator import generate_trace
-from repro.traces.compiled import CompiledTrace, compile_trace
+from repro.traces.records import Trace
 from repro.validation.differential import full_signature
 
 GOLDEN = Path(__file__).with_name("eviction_golden.json")
@@ -69,24 +69,22 @@ TIMELINE_NS = 10 * MS
 
 
 @lru_cache(maxsize=None)
-def _trace() -> CompiledTrace:
-    return compile_trace(
-        generate_trace(
-            TraceGenConfig(
-                fs=ImpressionsConfig(total_bytes=64 * MB, max_file_bytes=4 * MB, seed=7),
-                working_set_bytes=8 * MB,
-                threads_per_host=4,
-                volume_multiple=3.0,
-                seed=7,
-            )
+def _trace() -> Trace:
+    return generate_trace(
+        TraceGenConfig(
+            fs=ImpressionsConfig(total_bytes=64 * MB, max_file_bytes=4 * MB, seed=7),
+            working_set_bytes=8 * MB,
+            threads_per_host=4,
+            volume_multiple=3.0,
+            seed=7,
         )
     )
 
 
 @lru_cache(maxsize=None)
-def _fleet_trace() -> CompiledTrace:
+def _fleet_trace() -> Trace:
     spec = FleetSpec(n_hosts=16, n_tenants=4, ws_bytes=2 * MB, volume_multiple=4.0, seed=7)
-    return compile_trace(fleet_trace(spec, "steady"))
+    return fleet_trace(spec, "steady")
 
 
 def _config(policy: str, architecture: str, size: str, **overrides) -> SimConfig:

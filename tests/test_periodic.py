@@ -35,7 +35,7 @@ from repro.obs import Observation
 from repro.obs.events import EventKind
 from repro.policies.cleaning import AgedClean
 from repro.tracegen.fleet import FleetSpec, fleet_trace
-from repro.traces.compiled import CompiledTrace, compile_trace
+from repro.traces.records import Trace
 from repro.validation.differential import full_signature
 
 GOLDEN = Path(__file__).with_name("periodic_golden.json")
@@ -57,7 +57,7 @@ CLEANED = ("naive", "lookaside")
 
 
 @lru_cache(maxsize=None)
-def _trace(n_hosts: int) -> CompiledTrace:
+def _trace(n_hosts: int) -> Trace:
     spec = FleetSpec(
         n_hosts=n_hosts,
         n_tenants=HOSTS[n_hosts],
@@ -66,7 +66,7 @@ def _trace(n_hosts: int) -> CompiledTrace:
         volume_multiple=2.0,
         seed=7,
     )
-    return compile_trace(fleet_trace(spec, "steady"))
+    return fleet_trace(spec, "steady")
 
 
 def _config(architecture: str, pair: str, cleaning: bool) -> SimConfig:

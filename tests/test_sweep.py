@@ -17,12 +17,7 @@ from repro.core.results import SimulationResults
 from repro.core.simulator import run_simulation
 from repro.errors import ConfigError
 from repro.fsmodel.impressions import ImpressionsConfig
-from repro.sweep import (
-    SweepPoint,
-    run_sweep,
-    run_sweep_points,
-    trace_fingerprint,
-)
+from repro.sweep import SweepPoint, run_sweep, run_sweep_points
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.generator import generate_trace
 
@@ -249,7 +244,7 @@ class TestProgress:
 class TestFingerprints:
     def test_trace_fingerprint_stable_across_pickle(self, small_trace):
         clone = pickle.loads(pickle.dumps(small_trace))
-        assert trace_fingerprint(clone) == trace_fingerprint(small_trace)
+        assert clone.fingerprint == small_trace.fingerprint
 
     def test_different_traces_differ(self, small_trace):
         other = generate_trace(
@@ -259,7 +254,7 @@ class TestFingerprints:
                 seed=8,
             )
         )
-        assert trace_fingerprint(other) != trace_fingerprint(small_trace)
+        assert other.fingerprint != small_trace.fingerprint
 
 
 class TestWithOverrides:

@@ -38,7 +38,7 @@ from repro.fsmodel.impressions import ImpressionsConfig
 from repro.sweep import SweepPoint, run_sweep, run_sweep_points
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.generator import generate_trace, generate_trace_chunked
-from repro.traces.compiled import CompiledTrace, compile_trace
+from repro.traces.records import Trace
 
 from tests.helpers import every_field, make_trace, tiny_config
 
@@ -232,15 +232,15 @@ class TestWorkerTraceCache:
 
     def test_ctrace_ref_attach_and_drain(self, monkeypatch, spools, tmp_path):
         monkeypatch.setattr(sweep, "_WORKER_TRACE_CACHE", {})
-        compiled = compile_trace(make_trace([("w", 0), ("r", 0)], file_blocks=16))
+        trace = make_trace([("w", 0), ("r", 0)], file_blocks=16)
         with sweep._trace_exports() as export:
-            ref = export(compiled)
-            assert ref == os.path.join(spools[0], compiled.fingerprint + ".ctrace")
+            ref = export(trace)
+            assert ref == os.path.join(spools[0], trace.fingerprint + ".ctrace")
             attached = sweep._load_trace_ref(ref)
         assert_spools_gone(spools, tmp_path)
-        assert isinstance(attached, CompiledTrace)
+        assert isinstance(attached, Trace)
         assert isinstance(attached.ops, memoryview)  # zero-copy
-        assert attached.fingerprint == compiled.fingerprint
+        assert attached.fingerprint == trace.fingerprint
         assert sweep._load_trace_ref(ref) is attached
         # Draining releases the views before it closes the map, so it
         # cannot raise BufferError.
@@ -253,7 +253,7 @@ class TestWorkerTraceCache:
         """A damaged image raises its format error, and the map it was
         read through is closed, not left to the collector."""
         monkeypatch.setattr(sweep, "_WORKER_TRACE_CACHE", {})
-        blob = compile_trace(make_trace([("w", 0), ("r", 0)], file_blocks=16)).to_bytes()
+        blob = make_trace([("w", 0), ("r", 0)], file_blocks=16).to_bytes()
         damaged = tmp_path / ("damaged" + sweep.CTRACE_SUFFIX)
         damaged.write_bytes(blob[:-8])
         maps = []

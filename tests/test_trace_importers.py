@@ -266,8 +266,6 @@ class TestChunkedImporters:
     )
     def test_parity_with_materialized(self, plain, chunked, msr_file,
                                       blkparse_file, spc_file):
-        from repro.traces.compiled import compile_trace
-
         path = {
             import_msr_csv: msr_file,
             import_blkparse: blkparse_file,
@@ -276,7 +274,7 @@ class TestChunkedImporters:
         trace, stats = plain(path, warmup_fraction=0.4)
         streamed, streamed_stats = chunked(path, warmup_fraction=0.4)
         try:
-            assert streamed.fingerprint == compile_trace(trace).fingerprint
+            assert streamed.fingerprint == trace.fingerprint
             rows = [
                 (1 if r.is_write else 0, r.host, r.thread, r.file_id,
                  r.offset, r.nblocks)
@@ -315,13 +313,11 @@ class TestChunkedImporters:
         assert (spool / "manifest.json").exists()
 
     def test_load_any_chunked_foreign_and_native(self, msr_file, tmp_path):
-        from repro.traces.compiled import compile_trace
-
         streamed, stats = load_any_chunked(msr_file)
         trace, _ = load_any(msr_file)
         try:
             assert stats is not None
-            assert streamed.fingerprint == compile_trace(trace).fingerprint
+            assert streamed.fingerprint == trace.fingerprint
         finally:
             streamed.delete()
         native = tmp_path / "native.trace"

@@ -10,7 +10,7 @@ the same request tuples.
 
 ``generate_trace`` packs those requests straight into columns;
 :func:`record_path_trace` builds the same trace one ``TraceRecord`` per
-request, as the generator did before, and both must compile to the
+request, as the generator did before, and both must pack to the
 same columns.  Further tests check that no record object is built from
 generation to results, that a columns-backed trace pickles and rejects
 bad rows as the record path does, and that trace generation and replay
@@ -50,8 +50,7 @@ from repro.tracegen.generator import (
     _trace_metadata,
     generate_trace,
 )
-from repro.traces.compiled import ROW_TYPECODES, compile_trace
-from repro.traces.records import Trace, TraceOp, TraceRecord, records_from_rows
+from repro.traces.records import ROW_TYPECODES, Trace, TraceOp, TraceRecord, records_from_rows
 from tests.helpers import tiny_config
 
 FS = ImpressionsConfig(total_bytes=16 * MB, max_file_bytes=1 * MB, seed=3)
@@ -198,12 +197,11 @@ def test_packed_columns_equal_the_record_path(config):
     model = _model()
     packed = generate_trace(config, model)
     reference = record_path_trace(config, model)
-    assert "records" not in packed.__dict__
+    assert packed._records is None
     assert packed.warmup_records == reference.warmup_records
-    packed_columns, reference_columns = compile_trace(packed), compile_trace(reference)
-    assert packed_columns.fingerprint == reference_columns.fingerprint
+    assert packed.fingerprint == reference.fingerprint
     # the fingerprint leaves out the derived start column
-    assert packed_columns.start_blocks == reference_columns.start_blocks
+    assert packed.start_blocks == reference.start_blocks
     assert packed.records == reference.records
 
 
@@ -229,7 +227,7 @@ def test_no_record_object_from_generation_to_results(source, cold_start, monkeyp
         trace, n_hosts = generate_trace(_small_config(), _model()), 2
     else:
         trace, n_hosts = fleet_trace(SMALL_FLEET, source), SMALL_FLEET.n_hosts
-    compile_trace(trace).issuer_plan()
+    trace.issuer_plan()
     results = run_simulation(
         trace, tiny_config(), n_hosts=n_hosts, cold_start=cold_start, check_invariants=False
     )
@@ -242,8 +240,8 @@ def test_no_record_object_from_generation_to_results(source, cold_start, monkeyp
 def test_pickle_keeps_a_trace_whose_records_were_never_built():
     trace = generate_trace(_small_config(), _model())
     clone = pickle.loads(pickle.dumps(trace))
-    assert "records" not in trace.__dict__ and "records" not in clone.__dict__
-    assert compile_trace(clone).fingerprint == compile_trace(trace).fingerprint
+    assert trace._records is None and clone._records is None
+    assert clone.fingerprint == trace.fingerprint
     assert clone.warmup_records == trace.warmup_records
     assert clone.records == trace.records
 
@@ -275,7 +273,7 @@ def test_a_field_too_large_for_its_column_is_a_format_error():
     # thread ids from 2**33 threads per host do not fit the 32-bit column
     config = TraceGenConfig(fs=FS, working_set_bytes=1 * MB, threads_per_host=2**33, seed=5)
     with pytest.raises(TraceFormatError, match="too large"):
-        compile_trace(generate_trace(config, _model()))
+        generate_trace(config, _model())
 
 
 # --- the collector pause ---------------------------------------------------

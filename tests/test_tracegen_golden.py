@@ -3,12 +3,12 @@
 The generator's random draw sequence *is* its output: any change to
 what it draws, or in which order, changes every trace.  This module
 generates a seeds x geometries matrix through both entry points
-(``compile_trace(generate_trace(cfg))`` and
+(``generate_trace(cfg)`` and
 ``generate_trace_chunked(cfg)``), every :func:`fleet_trace` scenario
 and the ledger's miss-heavy file-server model, and requires every
 fingerprint to equal the one recorded in
 ``tests/tracegen_golden.json``.  Every trace's records, which a
-columns-backed trace builds on first access, must compile back to that
+columns-backed trace builds on first access, must pack back to that
 fingerprint too.
 
 It needs no pytest, so it also runs under interpreters without one::
@@ -32,7 +32,6 @@ from repro.fsmodel.impressions import ImpressionsConfig, generate_filesystem
 from repro.tracegen.config import TraceGenConfig
 from repro.tracegen.fleet import SCENARIOS, FleetSpec, fleet_trace
 from repro.tracegen.generator import generate_trace, generate_trace_chunked
-from repro.traces.compiled import compile_trace
 from repro.traces.records import Trace
 
 GOLDEN = Path(__file__).with_name("tracegen_golden.json")
@@ -67,19 +66,19 @@ def _config(seed: int, geometry: str) -> TraceGenConfig:
 
 
 #: A point's fingerprints: the trace's own, then (for a trace) the one
-#: its records compile to.
+#: its records pack to.
 Prints = Tuple[str, ...]
 
 
 def _from_records(trace: Trace) -> str:
     """The fingerprint of ``trace`` rebuilt from its records."""
     rebuilt = Trace(trace.records, trace.file_blocks, trace.warmup_records, trace.metadata)
-    return compile_trace(rebuilt).fingerprint
+    return rebuilt.fingerprint
 
 
 def _materialized(config: TraceGenConfig) -> Prints:
     trace = generate_trace(config)
-    return compile_trace(trace).fingerprint, _from_records(trace)
+    return trace.fingerprint, _from_records(trace)
 
 
 def _chunked(config: TraceGenConfig) -> Prints:
@@ -92,7 +91,7 @@ def _chunked(config: TraceGenConfig) -> Prints:
 
 def _fleet(spec: FleetSpec, scenario: str) -> Prints:
     trace = fleet_trace(spec, scenario)
-    return compile_trace(trace).fingerprint, _from_records(trace)
+    return trace.fingerprint, _from_records(trace)
 
 
 def _miss_heavy_filesystem() -> Prints:

@@ -13,7 +13,6 @@ from repro.traces.chunked import (
     ChunkedCompiledTrace,
     ChunkedTraceWriter,
 )
-from repro.traces.compiled import compile_trace
 from repro.traces.records import Trace, TraceOp, TraceRecord
 from repro.validation.differential import full_signature, result_signature
 from tests.helpers import tiny_config
@@ -59,7 +58,7 @@ class TestRoundTrip:
 
     def test_fingerprint_matches_compile_trace(self, chunked_pair):
         trace, chunked = chunked_pair
-        assert chunked.fingerprint == compile_trace(trace).fingerprint
+        assert chunked.fingerprint == trace.fingerprint
 
     def test_iter_records_round_trips(self, chunked_pair):
         trace, chunked = chunked_pair
@@ -81,19 +80,26 @@ class TestRoundTrip:
     def test_to_trace_round_trips(self, chunked_pair):
         trace, chunked = chunked_pair
         revived = chunked.to_trace()
+        # packed straight into columns: no record object until asked
+        assert revived._records is None
+        assert revived.fingerprint == trace.fingerprint
+        assert list(revived.start_blocks) == list(trace.start_blocks)
         assert revived.records == trace.records
         assert revived.warmup_records == trace.warmup_records
         assert revived.file_blocks == trace.file_blocks
 
     def test_from_compiled_trace_equivalent(self, chunked_pair):
+        # a trace built from columns spools like one built from records
         trace, chunked = chunked_pair
-        via_compiled = ChunkedCompiledTrace.from_trace(
-            compile_trace(trace), chunk_records=7
+        from_columns = Trace.from_columns(
+            *trace.row_columns(), trace.file_blocks, trace.warmup_records, trace.metadata
         )
+        via_columns = ChunkedCompiledTrace.from_trace(from_columns, chunk_records=7)
         try:
-            assert via_compiled.fingerprint == chunked.fingerprint
+            assert via_columns.fingerprint == chunked.fingerprint
+            assert list(via_columns.iter_records()) == list(chunked.iter_records())
         finally:
-            via_compiled.delete()
+            via_columns.delete()
 
     def test_chunk_size_does_not_change_content(self):
         trace = sample_trace()
@@ -111,7 +117,7 @@ class TestRoundTrip:
     def test_replay_identical_to_materialized(self, chunked_pair):
         trace, chunked = chunked_pair
         config = tiny_config()
-        materialized = run_simulation(compile_trace(trace), config)
+        materialized = run_simulation(trace, config)
         streamed = run_simulation(chunked, config)
         assert full_signature(streamed) == full_signature(materialized)
 
@@ -144,7 +150,7 @@ class TestWarmupSkip:
         try:
             assert (
                 stripped.fingerprint
-                == compile_trace(trace.without_warmup()).fingerprint
+                == trace.without_warmup().fingerprint
             )
         finally:
             stripped.close()
@@ -182,19 +188,19 @@ class TestWarmupSkip:
     def test_full_warmup_yields_empty_replay(self):
         # warmup_records == n_records: the cold-start view is empty —
         # no crash, no issuers, and the chunked form must agree with
-        # the in-memory compiled form on every surface.
+        # the in-memory trace on every surface.
         trace = sample_trace(n=20, warmup=20)
-        compiled_stripped = compile_trace(trace).without_warmup()
+        memory_stripped = trace.without_warmup()
         chunked = ChunkedCompiledTrace.from_trace(trace, chunk_records=7)
         stripped = chunked.without_warmup()
         try:
-            assert len(stripped) == len(compiled_stripped) == 0
+            assert len(stripped) == len(memory_stripped) == 0
             assert stripped.warmup_records == 0
             assert stripped.warmup_blocks() == 0
             assert stripped.issuer_plan() == []
-            assert stripped.hosts() == compiled_stripped.hosts() == []
+            assert stripped.hosts() == memory_stripped.hosts() == []
             assert list(stripped.iter_records()) == []
-            assert stripped.fingerprint == compiled_stripped.fingerprint
+            assert stripped.fingerprint == memory_stripped.fingerprint
         finally:
             stripped.close()
             chunked.delete()
@@ -253,7 +259,7 @@ class TestWarmupSkip:
             assert twice.warmup_records == 0
             assert (
                 twice.fingerprint
-                == compile_trace(trace.without_warmup()).fingerprint
+                == trace.without_warmup().fingerprint
             )
         finally:
             stripped.close()
@@ -405,7 +411,7 @@ class TestWriter:
         try:
             assert len(trace) == 0
             assert list(trace.iter_records()) == []
-            assert trace.fingerprint == compile_trace(Trace([], [4])).fingerprint
+            assert trace.fingerprint == Trace([], [4]).fingerprint
         finally:
             trace.delete()
 
@@ -449,7 +455,7 @@ class TestGenerateChunked:
         materialized = generate_trace(config)
         chunked = generate_trace_chunked(config, chunk_records=512)
         try:
-            assert chunked.fingerprint == compile_trace(materialized).fingerprint
+            assert chunked.fingerprint == materialized.fingerprint
             sim = tiny_config()
             assert result_signature(
                 run_simulation(chunked, sim)

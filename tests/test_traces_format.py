@@ -1,10 +1,21 @@
 """Tests for trace serialization (text and binary round trips)."""
 
+import json
+import struct
+
 import pytest
 
+from repro._units import MB
+from repro.core.architectures import Architecture
+from repro.core.config import SimConfig
+from repro.core.simulator import run_simulation
 from repro.errors import TraceFormatError
+from repro.fsmodel.impressions import ImpressionsConfig
+from repro.tracegen import TraceGenConfig, generate_trace
 from repro.traces.format import load_trace, save_trace
+from repro.traces.importers import load_any
 from repro.traces.records import Trace, TraceOp, TraceRecord
+from repro.validation.differential import full_signature
 
 
 def sample_trace():
@@ -91,6 +102,58 @@ class TestBinaryRoundTrip:
         save_trace(sample_trace(), text_path)
         save_trace(sample_trace(), bin_path, binary=True)
         assert load_trace(text_path).records == load_trace(bin_path).records
+
+
+@pytest.fixture(scope="module")
+def saved_pair(tmp_path_factory):
+    """A generated trace saved as text and as binary."""
+    trace = generate_trace(
+        TraceGenConfig(
+            fs=ImpressionsConfig(total_bytes=48 * MB, max_file_bytes=4 * MB),
+            working_set_bytes=4 * MB,
+            n_hosts=2,
+            seed=9,
+        )
+    )
+    directory = tmp_path_factory.mktemp("saved")
+    text_path, bin_path = directory / "t.trace", directory / "t.btrace"
+    save_trace(trace, text_path)
+    save_trace(trace, bin_path, binary=True)
+    return trace, text_path, bin_path
+
+
+class TestBinaryIsThePackedTrace:
+    def test_load_builds_no_record(self, saved_pair):
+        trace, _text_path, bin_path = saved_pair
+        assert bin_path.read_bytes() == trace.to_bytes()
+        loaded = load_trace(bin_path)
+        assert loaded._records is None
+        assert loaded.fingerprint == trace.fingerprint
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_replays_like_the_text_file(self, saved_pair, arch):
+        _trace, text_path, bin_path = saved_pair
+        config = SimConfig(ram_bytes=1 * MB, flash_bytes=4 * MB, architecture=arch)
+        from_text = full_signature(run_simulation(load_trace(text_path), config))
+        assert full_signature(run_simulation(load_trace(bin_path), config)) == from_text
+
+    def test_the_row_major_format_is_gone(self, tmp_path):
+        # The former ``.btrace`` layout: magic, JSON header, then one
+        # ``<BIIIQI>`` per record.
+        header = json.dumps(
+            {"warmup": 0, "metadata": {}, "file_blocks": [8], "n_records": 1}
+        ).encode("utf-8")
+        path = tmp_path / "old.btrace"
+        path.write_bytes(
+            b"RPTRC\x00v1"
+            + struct.pack("<I", len(header))
+            + header
+            + struct.pack("<BIIIQI", 0, 0, 0, 0, 0, 1)
+        )
+        with pytest.raises(TraceFormatError):
+            load_trace(path)
+        with pytest.raises(TraceFormatError):
+            load_any(path)
 
 
 class TestErrors:
